@@ -5,6 +5,7 @@ from repro.checkpoint.snapshot import (
     capture_snapshot,
     nearest_checkpoint,
     restore_snapshot,
+    snapshot_matches,
 )
 
 __all__ = [
@@ -12,4 +13,5 @@ __all__ = [
     "capture_snapshot",
     "nearest_checkpoint",
     "restore_snapshot",
+    "snapshot_matches",
 ]

@@ -11,7 +11,10 @@ point of a paused run.  Restoring a snapshot onto a freshly launched
 system therefore continues the simulation with the exact instruction
 interleaving of an uninterrupted run — the determinism guarantee the
 fault injector relies on when it fast-forwards to an injection point
-instead of re-simulating from boot.
+instead of re-simulating from boot.  The same guarantee lets the
+injector end a faulty run early: once :func:`snapshot_matches` finds
+its live state equal to a golden-run snapshot, the rest of the run
+is the golden run's.
 
 Snapshots are plain picklable data (ints, strings, bytes, tuples,
 dicts): object identities such as "this core runs that thread" are
@@ -84,10 +87,14 @@ def capture_snapshot(system: MulticoreSystem) -> SystemSnapshot:
 def restore_snapshot(snapshot: SystemSnapshot, system: MulticoreSystem) -> MulticoreSystem:
     """Restore ``snapshot`` onto ``system`` (in place) and return it.
 
-    ``system`` must be a freshly built system on which the same workload
-    was launched (same scenario, same core count): process and thread
-    creation are deterministic, so the snapshot's (pid, tid) references
-    resolve against the fresh kernel state.
+    ``system`` must be a system on which the same workload was launched
+    (same scenario, same core count), either freshly built or already
+    run: process and thread creation are deterministic, so the
+    snapshot's (pid, tid) references resolve against its kernel state.
+    Restore overwrites everything a used system carries over from its
+    earlier run — threads and stacks spawned after the snapshot are
+    dropped, a pending hardening detection is cleared and every cache
+    loses its fault sink — so the continuation matches a fresh restore.
 
     Cache state is only restored when ``system`` models caches; a
     snapshot captured on a cache-modelling golden run restores cleanly
@@ -126,6 +133,43 @@ def restore_snapshot(snapshot: SystemSnapshot, system: MulticoreSystem) -> Multi
     system.run_reason = snapshot.run_reason
     system._resume = snapshot.resume
     return system
+
+
+def snapshot_matches(snapshot: SystemSnapshot, system: MulticoreSystem) -> bool:
+    """True when ``system`` is in exactly the state ``snapshot`` captured.
+
+    Compares the instruction count and resume point, every core's
+    registers, PC, flags, halt state and thread, and the whole kernel
+    capture (threads, scheduler, writable memory including stacks,
+    output, semaphores, mutexes and message queues).  The simulator is
+    deterministic, so on a match the rest of ``system``'s run equals the
+    run that took ``snapshot``.
+
+    ``CoreStats`` counters are not compared: a cache-less system counts
+    other cycles than a cache-modelling one (golden runs model caches),
+    and the simulator only ever reads those counters as deltas.  Cache
+    contents are not compared either; they affect cycle counts only,
+    except for pending injected line faults, so callers must not use
+    this test while a corrupted line may still be pending.
+    """
+    if (
+        system.total_instructions != snapshot.instruction_count
+        or system._resume != snapshot.resume
+        or len(system.cores) != len(snapshot.cores)
+    ):
+        return False
+    for core, entry in zip(system.cores, snapshot.cores):
+        thread = core.thread
+        if (
+            core.pc != entry["pc"]
+            or core.regs.snapshot() != entry["gprs"]
+            or core.fregs.snapshot() != entry["fprs"]
+            or (core.flag_n, core.flag_z, core.flag_c, core.flag_v) != entry["flags"]
+            or core.halted != entry["halted"]
+            or (None if thread is None else (thread.process.pid, thread.tid)) != entry["thread"]
+        ):
+            return False
+    return system.kernel.capture_state() == snapshot.kernel
 
 
 def nearest_checkpoint(

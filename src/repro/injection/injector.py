@@ -1,12 +1,23 @@
 """Fault injector: runs one faulty execution and classifies it.
 
-Phase three of the paper's workflow.  A fresh system is built for every
-injection and fast-forwarded to the nearest golden checkpoint at or
-before the injection point (falling back to simulating from boot when
-the golden run recorded no checkpoints), simulated up to the injection
-time, the single bit upset is applied to the live state — a register,
-the PC, a data-memory byte or a live cache line — and the run continues
-until normal termination, abnormal termination or the watchdog budget.
+Phase three of the paper's workflow.  Every injection restores the
+nearest golden state at or before the injection point onto the
+injector's reused system (a freshly built system boots from zero when
+there is none), simulates it up to the injection time, applies the
+single bit upset to the live state — a register, the PC, a data-memory
+byte or a live cache line — and runs on until normal termination,
+abnormal termination or the watchdog budget.
+
+Golden states are the golden checkpoints plus, for cache-less systems,
+the states the fault-free prefixes pass through at a finer spacing.
+Most faults are masked, and a masked run usually re-joins the golden
+run long before it ends: the post-fault run pauses at every golden
+state past the injection point, and when the live state equals it
+(:func:`~repro.checkpoint.snapshot_matches`) the run is classified
+Vanished right there with the golden instruction count.  Cache faults
+(a corrupted line may still be pending), ``rec`` runs (rollbacks
+restore state of their own) and injectors without checkpoints (the
+boot-replay oracle) always run to the end.
 
 Cache faults need a cache-modelling system: those injections enable the
 cache hierarchy regardless of the injector-wide ``model_caches`` flag
@@ -20,10 +31,17 @@ the flip ever becomes architectural — see ``repro.memory.cache``.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
-from repro.checkpoint import capture_snapshot, nearest_checkpoint, restore_snapshot
+from repro.checkpoint import (
+    capture_snapshot,
+    nearest_checkpoint,
+    restore_snapshot,
+    snapshot_matches,
+)
 from repro.errors import DeadlockError, SimulatorError, WatchdogTimeout
 from repro.hardening.schemes import recovery_retries
 from repro.injection.classify import NOT_INJECTED, Classification, classify_run
@@ -38,6 +56,10 @@ from repro.injection.fault import (
 from repro.injection.golden import GoldenRunResult
 from repro.npb.suite import Scenario, build_program, create_system, launch_scenario
 from repro.soc.multicore import MulticoreSystem
+
+#: Fault-free prefix captures per golden checkpoint interval (see
+#: :meth:`FaultInjector._run_prefix`).
+PREFIX_CAPTURES = 4
 
 
 @dataclass
@@ -125,6 +147,18 @@ class FaultInjector:
         #: injections fast-forwarded from a checkpoint vs simulated from boot
         self.fast_forwards = 0
         self.boot_replays = 0
+        #: faulty runs that re-joined the golden run at a golden state
+        self.convergences = 0
+        #: the launched system restores reuse, per ``with_caches``
+        self._systems: dict[bool, MulticoreSystem] = {}
+        #: golden-run states for cache-less systems in ascending order:
+        #: the golden checkpoints plus the fault-free prefix captures
+        self._golden_states = list(golden.checkpoints)
+        counts = golden.checkpoint_instructions()
+        #: spacing of the prefix captures (0: none)
+        self._capture_step = (
+            counts[1] // PREFIX_CAPTURES if use_checkpoints and len(counts) > 1 else 0
+        )
 
     # ------------------------------------------------------------------
 
@@ -141,34 +175,40 @@ class FaultInjector:
     def _system_at(self, injection_time: int, with_caches: bool = False) -> MulticoreSystem:
         """A system ready to run up to ``injection_time``.
 
-        Restores the latest golden checkpoint at or before the injection
-        point when one exists; otherwise the system boots from zero.
-        Both paths produce bit-identical state at the injection point
-        because pausing and restoring are schedule-neutral.  A system
-        that models caches only restores from checkpoints that captured
-        cache state — otherwise the restored cache residency (empty)
-        would diverge from a boot replay.
+        Restores the latest golden state at or before the injection
+        point onto this injector's reused system for the cache model
+        (the boot checkpoint, instruction 0, counts as a boot replay);
+        with none, a freshly built system boots from zero.  All paths
+        reach bit-identical state at the injection point: pausing and
+        restoring are schedule-neutral, and restore resets a used system
+        completely.  A cache-modelling system restores only from golden
+        checkpoints that captured cache state — otherwise the restored
+        cache residency (empty) would diverge from a boot replay.
         """
-        system = self._build_system(with_caches=with_caches)
         checkpoint = None
         if self.use_checkpoints:
-            checkpoint = nearest_checkpoint(self.golden.checkpoints, injection_time)
-            if checkpoint is not None and system.model_caches and not checkpoint.model_caches:
+            cache_model = self.model_caches or with_caches
+            states = self.golden.checkpoints if cache_model else self._golden_states
+            checkpoint = nearest_checkpoint(states, injection_time)
+            if checkpoint is not None and cache_model and not checkpoint.model_caches:
                 checkpoint = None
-        if checkpoint is not None and checkpoint.instruction_count > 0:
-            restore_snapshot(checkpoint, system)
+        if checkpoint is None:
+            self.boot_replays += 1
+            return self._build_system(with_caches=with_caches)
+        if checkpoint.instruction_count > 0:
             self.fast_forwards += 1
         else:
             self.boot_replays += 1
-        return system
+        system = self._systems.get(with_caches)
+        if system is None:
+            system = self._systems[with_caches] = self._build_system(with_caches=with_caches)
+        return restore_snapshot(checkpoint, system)
 
     def _apply_fault(self, system: MulticoreSystem, fault: FaultDescriptor) -> str:
         """Apply ``fault`` to the live system; returns a detail note ("" usually)."""
         if fault.target_kind == TARGET_MEMORY:
-            processes = system.kernel.processes
-            process = processes[fault.process_index % len(processes)]
-            space = process.address_space
-            if space.find_segment(fault.address) is None:
+            space, segment = self._memory_target(system, fault)
+            if segment is None:
                 # The target segment (a late-mapped thread stack) does not
                 # exist yet at this injection point; the flipped DRAM bit
                 # is outside the process image and cannot affect it.
@@ -196,6 +236,13 @@ class FaultInjector:
         # PC is re-validated by the engine's per-block fetch checks.
         core.invalidate_decode()
         return ""
+
+    @staticmethod
+    def _memory_target(system: MulticoreSystem, fault: FaultDescriptor):
+        """The targeted process' address space and the segment hit (or None)."""
+        processes = system.kernel.processes
+        space = processes[fault.process_index % len(processes)].address_space
+        return space, space.find_segment(fault.address)
 
     def _target_cache(self, system: MulticoreSystem, fault: FaultDescriptor):
         level = fault.cache_level or "l1d"
@@ -382,6 +429,76 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
 
+    def _snapshots_track(self, system: MulticoreSystem, fault: FaultDescriptor) -> bool:
+        """False when the applied fault flipped memory that snapshots omit.
+
+        Snapshots hold writable memory only.  A flip in a read-only
+        segment is invisible to a checkpoint match and survives a
+        restore, so its run must not converge and its system must not
+        be reused.
+        """
+        if fault.target_kind != TARGET_MEMORY:
+            return True
+        segment = self._memory_target(system, fault)[1]
+        return segment is None or segment.perms.write
+
+    def _run_to_end(
+        self, system: MulticoreSystem, fault: FaultDescriptor, budget: int, tracked: bool
+    ) -> bool:
+        """Run the faulty ``system`` on; True when it re-joined the golden run.
+
+        Without a convergence test this is one run to the end.  With
+        one, the run pauses at each golden state past the injection
+        point and stops early on a full state match (pausing is
+        schedule-neutral, so a run that never matches ends exactly as an
+        uninterrupted one).  Cache faults are excluded because a
+        corrupted line may still be pending in a cache, which the match
+        does not compare, and so are flips in memory the snapshots leave
+        out (``tracked`` false); checkpoint-less injectors stay plain
+        boot replays that check the rest.
+        """
+        if self.use_checkpoints and tracked and fault.target_kind != TARGET_CACHE:
+            for state in self._golden_states:
+                if state.instruction_count <= fault.injection_time:
+                    continue
+                reason = system.run(
+                    max_instructions=budget, stop_at_instruction=state.instruction_count
+                )
+                if reason != "breakpoint":
+                    return False
+                if snapshot_matches(state, system):
+                    self.convergences += 1
+                    return True
+        system.run(max_instructions=budget)
+        return False
+
+    def _run_prefix(self, system: MulticoreSystem, injection_time: int, budget: int) -> str:
+        """Run the fault-free ``system`` up to ``injection_time``.
+
+        A cache-less system also captures its state at every multiple of
+        the capture step it passes that no golden state is held for yet.
+        The prefix is fault-free, so each capture is a golden-run state:
+        later injections restore from it and converge at it just as at
+        a golden checkpoint, which spaces those points ``PREFIX_CAPTURES``
+        times closer without the golden run's captures of cache state.
+        """
+        step = self._capture_step
+        if step and not system.model_caches:
+            held = {state.instruction_count for state in self._golden_states}
+            first = system.total_instructions // step * step + step
+            for point in range(first, injection_time + 1, step):
+                if point in held:
+                    continue
+                reason = system.run(max_instructions=budget, stop_at_instruction=point)
+                if reason != "breakpoint":
+                    return reason
+                insort(
+                    self._golden_states,
+                    capture_snapshot(system),
+                    key=attrgetter("instruction_count"),
+                )
+        return system.run(max_instructions=budget, stop_at_instruction=injection_time)
+
     def run_one(self, fault: FaultDescriptor) -> InjectionResult:
         """Execute a single fault injection and classify its outcome."""
         start = time.perf_counter()
@@ -391,15 +508,21 @@ class FaultInjector:
         watchdog_expired = False
         deadlocked = False
         injected = False
+        converged = False
         detail_prefix = ""
         recovery: Optional[dict] = None
         try:
-            reason = system.run(max_instructions=budget, stop_at_instruction=fault.injection_time)
+            reason = self._run_prefix(system, fault.injection_time, budget)
             if reason == "breakpoint":
                 detail_prefix = self._apply_fault(system, fault)
                 injected = True
+                tracked = self._snapshots_track(system, fault)
+                if not tracked:
+                    self._systems = {
+                        key: kept for key, kept in self._systems.items() if kept is not system
+                    }
                 if self.recovery_retries is None:
-                    system.run(max_instructions=budget)
+                    converged = self._run_to_end(system, fault, budget, tracked)
                 else:
                     system, recovery, watchdog_expired, deadlocked = self._run_with_recovery(
                         system, fault, budget, with_caches
@@ -433,12 +556,20 @@ class FaultInjector:
                 wall_time_seconds=elapsed,
                 scenario_id=self.scenario.scenario_id,
             )
-        output_matches, memory_matches, state_matches = self._compare(system)
-        killed = system.any_process_killed()
-        all_zero = system.processes_ok()
-        # The hardening trap kills the process with the distinct
-        # ``ft_detected`` kind; it must classify as Detected, not UT.
-        detected = any(p.fault_kind == "ft_detected" for p in system.kernel.processes)
+        if converged:
+            # The rest of the run is the golden run: it ends exactly as
+            # the golden run did, after the golden instruction count.
+            output_matches = memory_matches = state_matches = all_zero = True
+            killed = detected = False
+            executed = self.golden.total_instructions
+        else:
+            output_matches, memory_matches, state_matches = self._compare(system)
+            killed = system.any_process_killed()
+            all_zero = system.processes_ok()
+            # The hardening trap kills the process with the distinct
+            # ``ft_detected`` kind; it must classify as Detected, not UT.
+            detected = any(p.fault_kind == "ft_detected" for p in system.kernel.processes)
+            executed = system.total_instructions
         fault_detail = ""
         if killed:
             kinds = {p.fault_kind for p in system.kernel.processes if p.fault_kind}
@@ -459,7 +590,7 @@ class FaultInjector:
             fault=fault,
             outcome=classification.outcome.value,
             detail=detail_prefix + classification.detail,
-            executed_instructions=system.total_instructions,
+            executed_instructions=executed,
             wall_time_seconds=time.perf_counter() - start,
             scenario_id=self.scenario.scenario_id,
             recovery=recovery,

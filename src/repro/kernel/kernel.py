@@ -626,10 +626,10 @@ class Kernel:
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`capture_state` checkpoint.
 
-        The kernel must belong to a freshly built system on which the
-        same workload was just launched: process creation is
+        The kernel must belong to a system on which the same workload
+        was launched, fresh or already run: process creation is
         deterministic, so the captured processes are matched positionally
-        (and verified by pid/name) against the fresh ones.
+        (and verified by pid/name) against the launched ones.
         """
         captured_processes = state["processes"]
         if len(captured_processes) != len(self.processes):
@@ -702,6 +702,9 @@ class Kernel:
         }
         self.syscall_counts = dict(state["syscall_counts"])
         self.scheduler.restore_state(state["scheduler"], lambda pid, tid: registry[(pid, tid)])
+        # A checkpoint is never taken past a detection, so a restored
+        # kernel has none pending (a used system may carry one over).
+        self.detection_event = None
 
     # ------------------------------------------------------------------
     # reporting

@@ -273,6 +273,8 @@ class Cache:
         keys, and without coercion ``victim in self._pending`` /
         ``line in self._pending`` (int probes) silently never matched —
         restored pending faults could neither propagate nor be masked.
+        The fault sink is a live closure, not captured state: a restored
+        cache has none until the fault injector attaches one again.
         """
         self._sets = [dict.fromkeys(int(line) for line in ways) for ways in state["sets"]]
         self._dirty = {int(line) for line in state.get("dirty", ())}
@@ -282,6 +284,7 @@ class Cache:
         }
         self.stats = CacheStats(**state["stats"])
         self._last_line = -1
+        self.fault_sink = None
 
     def flush(self) -> None:
         """Invalidate every line (no write-back; pending faults are dropped)."""

@@ -320,8 +320,11 @@ class AddressSpace:
 
         Segments missing from this address space (thread stacks mapped
         after the checkpoint target was built) are created with the
-        captured geometry.
+        captured geometry; writable segments the capture lacks (stacks a
+        used address space mapped after the checkpoint) are unmapped.
         """
+        captured = {name for name, _base, _size, _data in state["segments"]}
+        self.segments = [s for s in self.segments if not s.perms.write or s.name in captured]
         by_name = {s.name: s for s in self.segments}
         for name, base, size, data in state["segments"]:
             segment = by_name.get(name)

@@ -1,0 +1,216 @@
+"""Differential tests of the injector's fast path.
+
+``FaultInjector.run_one`` restores golden states onto one reused system
+per injector, captures more golden states during fault-free prefixes,
+and ends a faulty run as soon as its state equals one of them.  None of
+this may change a single record: every record must
+equal the one a checkpoint-less injector produces when it boots a fresh
+system for every fault on the reference interpreter.  Running the same
+faults in the opposite order on one injector catches state that leaks
+from one reuse of a system into the next.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.checkpoint import capture_snapshot, restore_snapshot, snapshot_matches
+from repro.injection.campaign import CampaignConfig, ScenarioCampaign
+from repro.injection.fault import TARGET_GPR, TARGET_MEMORY, FaultDescriptor
+from repro.injection.golden import GoldenRunner
+from repro.injection.injector import FaultInjector
+from repro.kernel.loader import TEXT_BASE
+from repro.npb.suite import Scenario, create_system, launch_scenario
+
+SCENARIOS = [
+    Scenario(app, mode, cores, isa)
+    for app, isa in (("IS", "armv7"), ("IS", "armv8"), ("LU", "armv8"))
+    for mode, cores in (("serial", 1), ("omp", 2))
+]
+
+#: Register, PC, memory and cache faults in one list.
+TARGET_MIX = {"gpr": 0.4, "pc": 0.1, "memory": 0.3, "cache": 0.2}
+
+#: Seeded faults drawn per scenario from the campaign's fault model.
+FAULTS = 20
+
+
+class ReferenceInjector(FaultInjector):
+    """Fresh systems on the reference interpreter, for every fault."""
+
+    def _build_system(self, with_caches: bool = False):
+        system = create_system(
+            self.scenario, model_caches=self.model_caches or with_caches, engine=False
+        )
+        launch_scenario(system, self.scenario, self.program)
+        return system
+
+
+def _records(results) -> list[dict]:
+    records = []
+    for result in results:
+        record = result.as_record()
+        del record["wall_time_seconds"]
+        records.append(record)
+    return records
+
+
+@pytest.fixture(scope="module", params=SCENARIOS, ids=lambda s: s.scenario_id)
+def lane(request):
+    """A scenario's golden run and its fault list.
+
+    Besides the seeded draws, the list carries GPR faults on every core
+    in the first instructions: they restore the boot checkpoint onto a
+    used system, before any thread stack beyond the main one exists.
+    """
+    scenario = request.param
+    campaign = ScenarioCampaign(scenario, CampaignConfig(seed=13, target_mix=TARGET_MIX))
+    golden = campaign.run_golden()
+    faults = campaign.build_fault_list(FAULTS)
+    for offset, time in enumerate((1, 40, 120)):
+        for core in range(scenario.cores):
+            faults.append(
+                FaultDescriptor(
+                    FAULTS + offset * scenario.cores + core,
+                    injection_time=time,
+                    core_id=core,
+                    target_kind=TARGET_GPR,
+                    register_index=offset + 1,
+                    bit=offset + 3,
+                )
+            )
+    return golden, faults
+
+
+def test_reused_converging_injector_matches_fresh_reference(lane):
+    golden, faults = lane
+    fast = FaultInjector(golden.scenario, golden)
+    forward = _records(fast.run_many(faults))
+    reference = ReferenceInjector(golden.scenario, golden, use_checkpoints=False)
+    assert forward == _records(reference.run_many(faults))
+    assert reference.fast_forwards == 0 and reference.convergences == 0
+    assert fast.fast_forwards > 0
+    assert len(fast._golden_states) > len(golden.checkpoints)  # prefix captures
+
+    backward = _records(fast.run_many(faults[::-1]))[::-1]
+    assert backward == forward
+    if golden.scenario.app == "IS" and golden.scenario.isa == "armv7":
+        assert fast.convergences > 0
+
+
+@pytest.fixture(scope="module")
+def golden_omp():
+    scenario = Scenario("IS", "omp", 2, "armv8")
+    return GoldenRunner(model_caches=True, checkpoint_interval=4096).run(
+        scenario, collect_stats=False
+    )
+
+
+def test_read_only_flip_neither_converges_nor_reuses_its_system(golden_omp):
+    # Snapshots hold writable memory only, so a flip in the text image
+    # is invisible to the state match and would survive a restore.
+    fault = FaultDescriptor(
+        0,
+        injection_time=golden_omp.checkpoints[1].instruction_count + 7,
+        core_id=0,
+        target_kind=TARGET_MEMORY,
+        register_index=0,
+        bit=0,
+        address=TEXT_BASE,
+    )
+    injector = FaultInjector(golden_omp.scenario, golden_omp)
+    record = _records([injector.run_one(fault)])
+    assert injector.convergences == 0
+    assert not injector._systems
+    reference = ReferenceInjector(golden_omp.scenario, golden_omp, use_checkpoints=False)
+    assert record == _records([reference.run_one(fault)])
+
+
+# ---------------------------------------------------------------------------
+# the state match and restore onto a used system
+# ---------------------------------------------------------------------------
+
+
+def _system_at(golden, index: int, model_caches: bool = False):
+    system = create_system(golden.scenario, model_caches=model_caches)
+    launch_scenario(system, golden.scenario)
+    return restore_snapshot(golden.checkpoints[index], system)
+
+
+def _late_stack(golden):
+    """(index, stack name) of the first checkpoint with a thread stack the boot one lacks."""
+
+    def stacks(checkpoint):
+        segments = checkpoint.kernel["processes"][0]["memory"]["segments"]
+        return {name for name, _base, _size, _data in segments if name.startswith("stack")}
+
+    boot = stacks(golden.checkpoints[0])
+    for index, checkpoint in enumerate(golden.checkpoints):
+        extra = stacks(checkpoint) - boot
+        if extra:
+            return index, sorted(extra)[0]
+    raise AssertionError("no checkpoint maps a thread stack after boot")
+
+
+def test_match_follows_the_golden_run_and_ignores_stats(golden_omp):
+    # A cache-less system counts other cycles than the cache-modelling
+    # golden run; running it from one checkpoint to the next must still
+    # match, and so must any change to its CoreStats counters.
+    system = _system_at(golden_omp, 1)
+    target = golden_omp.checkpoints[2]
+    system.run(stop_at_instruction=target.instruction_count)
+    assert snapshot_matches(target, system)
+    system.cores[0].stats.cycles += 12345
+    system.cores[1].stats.loads += 1
+    assert snapshot_matches(target, system)
+    assert not snapshot_matches(golden_omp.checkpoints[1], system)
+
+
+def test_match_rejects_a_flipped_dead_stack_byte(golden_omp):
+    system = _system_at(golden_omp, 2)
+    space = system.kernel.processes[0].address_space
+    stack = next(s for s in space.segments if s.name.startswith("stack"))
+    space.flip_bit(stack.base, 0)  # the far end of the stack: never used
+    assert not snapshot_matches(golden_omp.checkpoints[2], system)
+
+
+def test_match_rejects_another_resume_point(golden_omp):
+    checkpoint = golden_omp.checkpoints[2]
+    system = _system_at(golden_omp, 2)
+    assert snapshot_matches(checkpoint, system)
+    index, used, progress = system._resume
+    system._resume = (index, used, progress + 1)
+    assert not snapshot_matches(checkpoint, system)
+
+
+def test_restore_unmaps_stacks_mapped_after_the_checkpoint(golden_omp):
+    index, stack_name = _late_stack(golden_omp)
+    system = _system_at(golden_omp, index)
+    space = system.kernel.processes[0].address_space
+    stack = space.segment_by_name(stack_name)
+    restore_snapshot(golden_omp.checkpoints[0], system)
+    assert space.find_segment(stack.base) is None
+    assert all(segment.name != stack_name for segment in space.segments)
+    # Running on spawns the thread again, on a stack mapped afresh.
+    system.run(stop_at_instruction=golden_omp.checkpoints[index].instruction_count)
+    assert snapshot_matches(golden_omp.checkpoints[index], system)
+
+
+def test_restore_drops_a_stale_fault_sink(golden_omp):
+    system = _system_at(golden_omp, 2, model_caches=True)
+    caches = [system.shared_l2] + [
+        cache for core in system.cores for cache in (core.caches.l1i, core.caches.l1d)
+    ]
+    for cache in caches:
+        cache.fault_sink = lambda line, byte_offset, bit: None
+    restore_snapshot(golden_omp.checkpoints[1], system)
+    assert all(cache.fault_sink is None for cache in caches)
+
+
+def test_restore_onto_a_used_system_equals_a_fresh_restore(golden_omp):
+    used = _system_at(golden_omp, 1)
+    used.run()
+    target = golden_omp.checkpoints[2]
+    restore_snapshot(target, used)
+    fresh = _system_at(golden_omp, 2)
+    assert capture_snapshot(used) == capture_snapshot(fresh)
