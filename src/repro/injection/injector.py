@@ -14,10 +14,13 @@ Most faults are masked, and a masked run usually re-joins the golden
 run long before it ends: the post-fault run pauses at every golden
 state past the injection point, and when the live state equals it
 (:func:`~repro.checkpoint.snapshot_matches`) the run is classified
-Vanished right there with the golden instruction count.  Cache faults
-(a corrupted line may still be pending), ``rec`` runs (rollbacks
-restore state of their own) and injectors without checkpoints (the
-boot-replay oracle) always run to the end.
+Vanished right there with the golden instruction count.  ``rec`` runs
+converge the same way, before a detection and after a rollback; a
+rollback to a golden checkpoint from before the upset (or to boot)
+re-executes the golden run, so it ends the run at once.  A converged
+``rec`` run is Recovered when it rolled back, Vanished when it did not.
+Cache faults (a corrupted line may still be pending) and injectors
+without checkpoints (the boot-replay oracle) always run to the end.
 
 Cache faults need a cache-modelling system: those injections enable the
 cache hierarchy regardless of the injector-wide ``model_caches`` flag
@@ -37,6 +40,7 @@ from operator import attrgetter
 from typing import Optional
 
 from repro.checkpoint import (
+    SystemSnapshot,
     capture_snapshot,
     nearest_checkpoint,
     restore_snapshot,
@@ -60,6 +64,10 @@ from repro.soc.multicore import MulticoreSystem
 #: Fault-free prefix captures per golden checkpoint interval (see
 #: :meth:`FaultInjector._run_prefix`).
 PREFIX_CAPTURES = 4
+
+#: Stop reason of a faulty run that re-joined the golden run (see
+#: :meth:`FaultInjector._run_on`).
+CONVERGED = "converged"
 
 
 @dataclass
@@ -147,8 +155,10 @@ class FaultInjector:
         #: injections fast-forwarded from a checkpoint vs simulated from boot
         self.fast_forwards = 0
         self.boot_replays = 0
-        #: faulty runs that re-joined the golden run at a golden state
+        #: faulty runs that re-joined the golden run at a golden state,
+        #: and ``rec`` runs that ended at a rollback to a clean state
         self.convergences = 0
+        self.clean_rollbacks = 0
         #: the launched system restores reuse, per ``with_caches``
         self._systems: dict[bool, MulticoreSystem] = {}
         #: golden-run states for cache-less systems in ascending order:
@@ -300,6 +310,84 @@ class FaultInjector:
         return output_matches, memory_matches, state_matches
 
     # ------------------------------------------------------------------
+    # convergence: the faulty run re-joins the golden run
+    # ------------------------------------------------------------------
+
+    def _snapshots_track(self, system: MulticoreSystem, fault: FaultDescriptor) -> bool:
+        """False when the applied fault flipped memory that snapshots omit.
+
+        Snapshots hold writable memory only.  A flip in a read-only
+        segment is invisible to a checkpoint match and survives a
+        restore, so its run must not converge and its system must not
+        be reused.
+        """
+        if fault.target_kind != TARGET_MEMORY:
+            return True
+        segment = self._memory_target(system, fault)[1]
+        return segment is None or segment.perms.write
+
+    def _converged(
+        self, state: Optional[SystemSnapshot], system: Optional[MulticoreSystem]
+    ) -> bool:
+        """True when the faulty run is the golden run from here on.
+
+        Every early exit asks this one method.  With ``system`` paused
+        at golden ``state``'s instruction count, the run has converged
+        when its state equals ``state``: the simulator is deterministic,
+        so the rest of it is the golden run.  ``system`` None stands for
+        a rollback to ``state`` itself, a golden checkpoint at or before
+        the injection point (boot when ``state`` is None): the
+        re-execution starts from fault-free state and is the golden run
+        by construction.
+        """
+        if system is None:
+            self.clean_rollbacks += 1
+            return True
+        if snapshot_matches(state, system):
+            self.convergences += 1
+            return True
+        return False
+
+    def _run_on(
+        self,
+        system: MulticoreSystem,
+        budget: int,
+        converge: bool,
+        captures: Optional[list] = None,
+    ) -> str:
+        """Run the faulty ``system`` on; returns its stop reason or ``CONVERGED``.
+
+        With ``converge`` the run pauses at each golden state past its
+        current instruction and stops there once :meth:`_converged`
+        holds.  With a ``captures`` list it also pauses at the golden
+        checkpoint schedule past its current instruction and, unless it
+        converged there, appends a snapshot of the live run (rollback
+        candidates, see :meth:`_run_with_recovery`).  Pausing is
+        schedule-neutral, so a run that never converges ends exactly as
+        an uninterrupted one; with neither it is one run to the end.
+        """
+        here = system.total_instructions
+        states = {}
+        if converge:
+            states = {
+                state.instruction_count: state
+                for state in self._golden_states
+                if state.instruction_count > here
+            }
+        schedule = set()
+        if captures is not None:
+            schedule = {count for count in self.golden.checkpoint_instructions() if count > here}
+        for point in sorted(schedule.union(states)):
+            reason = system.run(max_instructions=budget, stop_at_instruction=point)
+            if reason != "breakpoint":
+                return reason
+            if point in states and self._converged(states[point], system):
+                return CONVERGED
+            if point in schedule:
+                captures.append(capture_snapshot(system))
+        return system.run(max_instructions=budget)
+
+    # ------------------------------------------------------------------
     # checkpoint-rollback recovery (``rec`` schemes)
     # ------------------------------------------------------------------
 
@@ -308,8 +396,9 @@ class FaultInjector:
         system: MulticoreSystem,
         fault: FaultDescriptor,
         budget: int,
-        with_caches: bool,
-    ) -> tuple[MulticoreSystem, dict, bool, bool]:
+        tracked: bool,
+        converge: bool,
+    ) -> tuple[MulticoreSystem, dict, bool, bool, bool]:
         """Forward-run ``system`` under the detect→rollback→re-execute policy.
 
         ``system`` sits at the injection point with the fault freshly
@@ -333,11 +422,22 @@ class FaultInjector:
         detection escalates to the fail-stop ``Detected`` terminal
         state.
 
-        Returns ``(final_system, recovery_meta, watchdog_expired,
-        deadlocked)``.
+        With ``converge``, every pass stops as soon as its state equals
+        a golden state (see :meth:`_run_on`): the rest is
+        the golden run, which no hardening check trips, so no further
+        detection can follow.  A rollback to a clean candidate — (a) or
+        boot — ends the run the same way without simulating, once its
+        rollback is counted.  A rollback to a live snapshot (b) may
+        carry latent corruption, so it re-executes; it restores onto
+        the current system, and only boot and untracked read-only
+        memory flips (which a restore would not undo) build a fresh one.
+
+        Returns ``(final_system, recovery_meta, converged,
+        watchdog_expired, deadlocked)``; a converged run's final system
+        is left wherever the run stopped.
         """
+        with_caches = fault.target_kind == TARGET_CACHE
         candidates: list = []
-        schedule: list[int] = []
         if self.use_checkpoints:
             for checkpoint in self.golden.checkpoints:
                 if checkpoint.instruction_count > fault.injection_time:
@@ -347,130 +447,71 @@ class FaultInjector:
                 if system.model_caches and not checkpoint.model_caches:
                     continue
                 candidates.append(checkpoint)
-            schedule = [
-                count
-                for count in self.golden.checkpoint_instructions()
-                if count > fault.injection_time
-            ]
         rollbacks = 0
         reexecuted = 0
         escalated = False
         watchdog_expired = False
         deadlocked = False
+        reason = None
         floor: Optional[int] = None
-
-        def forward(current: MulticoreSystem, capture: bool) -> str:
-            # Run to completion or detection; the first pass additionally
-            # pauses at the checkpoint schedule to snapshot the live run.
-            # Pausing is schedule-neutral, so the captured-and-resumed
-            # execution is bit-identical to an uninterrupted one.
-            nonlocal watchdog_expired, deadlocked
-            index = 0
-            while True:
-                stop = None
-                if capture and schedule:
-                    while index < len(schedule) and schedule[index] <= current.total_instructions:
-                        index += 1
-                    if index < len(schedule):
-                        stop = schedule[index]
-                try:
-                    reason = current.run(max_instructions=budget, stop_at_instruction=stop)
-                except WatchdogTimeout:
-                    watchdog_expired = True
-                    return "hang"
-                except DeadlockError:
-                    deadlocked = True
-                    return "hang"
-                if reason == "breakpoint":
-                    candidates.append(capture_snapshot(current))
-                    continue
-                return reason
-
-        outcome = forward(system, capture=True)
-        while outcome == "ft_detected":
-            detected_at = system.kernel.detection_event.get(
-                "instruction", system.total_instructions
+        try:
+            reason = self._run_on(
+                system, budget, converge, captures=candidates if self.use_checkpoints else None
             )
-            if rollbacks >= self.recovery_retries:
-                escalated = True
-                break
-            limit = detected_at if floor is None else floor - 1
-            snapshot = None
-            for candidate in candidates:  # ascending instruction order
-                if candidate.instruction_count <= limit:
-                    snapshot = candidate
-                else:
+            while reason == "ft_detected":
+                detected_at = system.kernel.detection_event.get(
+                    "instruction", system.total_instructions
+                )
+                if rollbacks >= self.recovery_retries:
+                    escalated = True
                     break
-            restore_at = snapshot.instruction_count if snapshot is not None else 0
-            if floor is not None and restore_at >= floor:
-                escalated = True  # nothing strictly earlier remains
-                break
-            rollbacks += 1
-            reexecuted += detected_at - restore_at
-            floor = restore_at
-            system = self._build_system(with_caches=with_caches)
-            if snapshot is not None:
-                restore_snapshot(snapshot, system)
-            if fault.target_kind == TARGET_CACHE:
-                # The snapshot carries any still-pending corrupted line;
-                # the commit sink is a live closure and must be
-                # re-attached to the fresh system's caches.
-                self._install_cache_sink(system, fault)
-            # No re-capture on re-execution: the restore floor only ever
-            # moves down and the simulator is deterministic, so the
-            # first pass's snapshots remain the complete candidate set.
-            outcome = forward(system, capture=False)
+                limit = detected_at if floor is None else floor - 1
+                snapshot = None
+                for candidate in candidates:  # ascending instruction order
+                    if candidate.instruction_count <= limit:
+                        snapshot = candidate
+                    else:
+                        break
+                restore_at = snapshot.instruction_count if snapshot is not None else 0
+                if floor is not None and restore_at >= floor:
+                    escalated = True  # nothing strictly earlier remains
+                    break
+                rollbacks += 1
+                reexecuted += detected_at - restore_at
+                floor = restore_at
+                if (
+                    converge
+                    and restore_at <= fault.injection_time
+                    and self._converged(snapshot, None)
+                ):
+                    reason = CONVERGED
+                    break
+                if snapshot is None or not tracked:
+                    system = self._build_system(with_caches=with_caches)
+                if snapshot is not None:
+                    restore_snapshot(snapshot, system)
+                if with_caches:
+                    # The snapshot carries any still-pending corrupted
+                    # line; the commit sink is a live closure, which
+                    # restore drops, and must be re-attached.
+                    self._install_cache_sink(system, fault)
+                # No re-capture on re-execution: the restore floor only
+                # ever moves down and the simulator is deterministic, so
+                # the first pass's snapshots remain the complete
+                # candidate set.
+                reason = self._run_on(system, budget, converge)
+        except WatchdogTimeout:
+            watchdog_expired = True
+        except DeadlockError:
+            deadlocked = True
         recovery = {
             "rollbacks": rollbacks,
             "reexecuted_instructions": reexecuted,
             "escalated": escalated,
         }
-        return system, recovery, watchdog_expired, deadlocked
+        return system, recovery, reason == CONVERGED, watchdog_expired, deadlocked
 
     # ------------------------------------------------------------------
-
-    def _snapshots_track(self, system: MulticoreSystem, fault: FaultDescriptor) -> bool:
-        """False when the applied fault flipped memory that snapshots omit.
-
-        Snapshots hold writable memory only.  A flip in a read-only
-        segment is invisible to a checkpoint match and survives a
-        restore, so its run must not converge and its system must not
-        be reused.
-        """
-        if fault.target_kind != TARGET_MEMORY:
-            return True
-        segment = self._memory_target(system, fault)[1]
-        return segment is None or segment.perms.write
-
-    def _run_to_end(
-        self, system: MulticoreSystem, fault: FaultDescriptor, budget: int, tracked: bool
-    ) -> bool:
-        """Run the faulty ``system`` on; True when it re-joined the golden run.
-
-        Without a convergence test this is one run to the end.  With
-        one, the run pauses at each golden state past the injection
-        point and stops early on a full state match (pausing is
-        schedule-neutral, so a run that never matches ends exactly as an
-        uninterrupted one).  Cache faults are excluded because a
-        corrupted line may still be pending in a cache, which the match
-        does not compare, and so are flips in memory the snapshots leave
-        out (``tracked`` false); checkpoint-less injectors stay plain
-        boot replays that check the rest.
-        """
-        if self.use_checkpoints and tracked and fault.target_kind != TARGET_CACHE:
-            for state in self._golden_states:
-                if state.instruction_count <= fault.injection_time:
-                    continue
-                reason = system.run(
-                    max_instructions=budget, stop_at_instruction=state.instruction_count
-                )
-                if reason != "breakpoint":
-                    return False
-                if snapshot_matches(state, system):
-                    self.convergences += 1
-                    return True
-        system.run(max_instructions=budget)
-        return False
 
     def _run_prefix(self, system: MulticoreSystem, injection_time: int, budget: int) -> str:
         """Run the fault-free ``system`` up to ``injection_time``.
@@ -521,11 +562,19 @@ class FaultInjector:
                     self._systems = {
                         key: kept for key, kept in self._systems.items() if kept is not system
                     }
+                # Cache faults never converge: a corrupted line may still
+                # be pending in a cache, which the state match does not
+                # compare.  Nor do flips in memory the snapshots leave out
+                # (``tracked`` false), and checkpoint-less injectors stay
+                # plain boot replays that check the rest.
+                converge = (
+                    self.use_checkpoints and tracked and fault.target_kind != TARGET_CACHE
+                )
                 if self.recovery_retries is None:
-                    converged = self._run_to_end(system, fault, budget, tracked)
+                    converged = self._run_on(system, budget, converge) == CONVERGED
                 else:
-                    system, recovery, watchdog_expired, deadlocked = self._run_with_recovery(
-                        system, fault, budget, with_caches
+                    system, recovery, converged, watchdog_expired, deadlocked = (
+                        self._run_with_recovery(system, fault, budget, tracked, converge)
                     )
         except WatchdogTimeout:
             watchdog_expired = True

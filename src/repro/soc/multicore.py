@@ -167,8 +167,8 @@ class MulticoreSystem:
                     # this boundary would capture the killed process, so
                     # the detection must win when both coincide.  The
                     # event is stamped with the exact stop position; the
-                    # system is abandoned by the recovery loop, so no
-                    # resume point is recorded.
+                    # recovery loop restores a checkpoint over the system
+                    # or abandons it, so no resume point is recorded.
                     kernel.detection_event["instruction"] = self.total_instructions
                     self.run_reason = "ft_detected"
                     return "ft_detected"

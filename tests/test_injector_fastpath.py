@@ -8,6 +8,12 @@ equal the one a checkpoint-less injector produces when it boots a fresh
 system for every fault on the reference interpreter.  Running the same
 faults in the opposite order on one injector catches state that leaks
 from one reuse of a system into the next.
+
+Under a ``rec`` scheme the rollback candidates are checkpoints, so a
+checkpoint-less injector legitimately recovers differently.  There the
+oracle is the same checkpointed injector on the reference interpreter
+with its one convergence test patched to never match: it re-executes
+every rollback and runs every pass to the end.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import pytest
 
 from repro.checkpoint import capture_snapshot, restore_snapshot, snapshot_matches
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
-from repro.injection.fault import TARGET_GPR, TARGET_MEMORY, FaultDescriptor
+from repro.injection.fault import TARGET_CACHE, TARGET_GPR, TARGET_MEMORY, FaultDescriptor
 from repro.injection.golden import GoldenRunner
 from repro.injection.injector import FaultInjector
 from repro.kernel.loader import TEXT_BASE
@@ -43,6 +49,8 @@ class ReferenceInjector(FaultInjector):
             self.scenario, model_caches=self.model_caches or with_caches, engine=False
         )
         launch_scenario(system, self.scenario, self.program)
+        if self.recovery_retries is not None:
+            system.kernel.recovery_mode = True
         return system
 
 
@@ -96,6 +104,134 @@ def test_reused_converging_injector_matches_fresh_reference(lane):
     assert backward == forward
     if golden.scenario.app == "IS" and golden.scenario.isa == "armv7":
         assert fast.convergences > 0
+
+
+# ---------------------------------------------------------------------------
+# rollback recovery: live convergence and clean rollbacks
+# ---------------------------------------------------------------------------
+
+REC_SCENARIOS = [
+    Scenario(app, mode, cores, isa, hardening=scheme)
+    for app, isa in (("IS", "armv7"), ("LU", "armv8"))
+    for mode, cores in (("serial", 1), ("omp", 2))
+    for scheme in ("dwc+rec", "dwc+rec1")
+]
+
+#: Enough seeded faults that every rec lane detects and rolls back.
+REC_FAULTS = 40
+
+
+def _rec_lane(scenario: Scenario):
+    campaign = ScenarioCampaign(scenario, CampaignConfig(seed=13, target_mix=TARGET_MIX))
+    return campaign.run_golden(), campaign.build_fault_list(REC_FAULTS)
+
+
+def _no_exit_oracle(golden, monkeypatch) -> FaultInjector:
+    """The checkpointed injector on the reference interpreter, without early exits."""
+    oracle = ReferenceInjector(golden.scenario, golden)
+    monkeypatch.setattr(oracle, "_converged", lambda state, system: False)
+    return oracle
+
+
+@pytest.fixture(scope="module", params=REC_SCENARIOS, ids=lambda s: s.scenario_id)
+def rec_lane(request):
+    """Fast-path results of a rec lane, which exit each fault took, and the oracle's records."""
+    golden, faults = _rec_lane(request.param)
+    fast = FaultInjector(golden.scenario, golden)
+    results, exits = [], []
+    for fault in faults:
+        matches, cleans = fast.convergences, fast.clean_rollbacks
+        results.append(fast.run_one(fault))
+        exits.append(
+            "clean" if fast.clean_rollbacks > cleans
+            else "match" if fast.convergences > matches
+            else None
+        )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        oracle = _no_exit_oracle(golden, monkeypatch)
+        expected = _records(oracle.run_many(faults))
+    assert oracle.convergences == oracle.clean_rollbacks == 0
+    return golden, faults, fast, results, exits, expected
+
+
+def test_rec_fast_path_matches_the_checkpointed_oracle(rec_lane):
+    golden, faults, fast, results, exits, expected = rec_lane
+    forward = _records(results)
+    assert forward == expected
+    assert "match" in exits and "clean" in exits
+    assert any(record["recovery_rollbacks"] for record in forward)
+
+    backward = _records(fast.run_many(faults[::-1]))[::-1]
+    assert backward == forward
+
+
+def test_clean_rollback_record_shape(rec_lane):
+    # A rollback to a golden checkpoint from before the upset, or to
+    # boot, ends the run without re-executing; its record must still
+    # read as the full re-execution's.
+    golden, _faults, _fast, results, exits, expected = rec_lane
+    clean = [
+        (result.as_record(), want)
+        for result, how, want in zip(results, exits, expected)
+        if how == "clean"
+    ]
+    assert clean
+    for record, want in clean:
+        assert record["outcome"] == "Recovered"
+        assert record["detail"].endswith("golden output reproduced")
+        assert record["executed_instructions"] == golden.total_instructions
+        assert record["recovery_rollbacks"] >= 1
+        assert not record["recovery_escalated"]
+        assert (
+            record["recovery_reexecuted_instructions"]
+            == want["recovery_reexecuted_instructions"]
+            > 0
+        )
+
+
+def test_exhausted_rec1_retries_still_escalate(monkeypatch):
+    # LU-OMP-2 has detections whose nearest rollback candidate is a
+    # live snapshot that re-detects: with one retry they must escalate.
+    golden, faults = _rec_lane(Scenario("LU", "omp", 2, "armv8", hardening="dwc+rec1"))
+    escalated = [
+        result
+        for result in FaultInjector(golden.scenario, golden).run_many(faults)
+        if result.recovery["escalated"]
+    ]
+    assert escalated
+    for result in escalated:
+        assert result.outcome == "Detected"
+        assert result.recovery["rollbacks"] == 1
+        assert "persisted through 1 rollback(s)" in result.detail
+    oracle = _no_exit_oracle(golden, monkeypatch)
+    assert _records(escalated) == _records(oracle.run_many([r.fault for r in escalated]))
+
+
+def test_pending_cache_line_survives_a_rollback():
+    # The detection comes after a live snapshot that still holds the
+    # corrupted line.  Restoring that snapshot brings the line back, the
+    # re-attached commit sink makes it architectural again, the run
+    # re-detects and walks back to a clean checkpoint: two rollbacks.
+    # A restore that left the sink off would recover after one.
+    scenario = Scenario("LU", "serial", 1, "armv8", hardening="dwc+rec")
+    golden = ScenarioCampaign(scenario, CampaignConfig()).run_golden()
+    fault = FaultDescriptor(
+        49,
+        injection_time=3807,
+        core_id=0,
+        target_kind=TARGET_CACHE,
+        register_index=533179,
+        bit=213,
+        cache_level="l1d",
+    )
+    result = FaultInjector(scenario, golden).run_one(fault)
+    assert result.outcome == "Recovered"
+    assert result.recovery == {
+        "rollbacks": 2,
+        "reexecuted_instructions": 10306,
+        "escalated": False,
+    }
+    assert result.executed_instructions == golden.total_instructions
 
 
 @pytest.fixture(scope="module")
