@@ -39,10 +39,9 @@ RESULT_PATH = OUTPUT_DIR / "BENCH_PR6.json"
 #: ">=3x on the injection-run configuration" acceptance line of PR 5.
 SEED_NO_CACHES_MIPS = 1.08
 
-#: PR 5 record of the with-caches shape before the cached compile tier:
-#: engine 0.77 MIPS / 1.17x over the slow path on this workload family
-#: (see ROADMAP PR 5 notes; BENCH_PR5.json measured 2.0 MIPS on the
-#: short IS run whose compile tier was already warm).
+#: Historical speedup of the with-caches shape before the cached compile
+#: tier existed: engine 0.77 MIPS / 1.17x over the slow path on this
+#: workload family, reported next to today's ratio in the record.
 PR5_WITH_CACHES_SPEEDUP = 1.17
 
 #: Engine must beat the (already sped-up) slow path by these factors.

@@ -7,8 +7,8 @@ profiling runs; this benchmark quantifies that trade-off.
 Only ``system.run`` is inside the measured region (system construction
 and workload launch happen in the per-round setup), so the number is
 the interpreter/engine throughput the campaign actually sees — the
-quantity the PR 5 pre-decoded block engine is gated on (see
-``test_bench_engine.py`` and ``BENCH_PR5.json``).
+quantity the pre-decoded block engine is gated on (see
+``test_bench_engine.py``).
 """
 
 import pytest

@@ -9,36 +9,43 @@ interpreter overhead is the binding constraint on how much of the
 scenario matrix fits in a compute budget.
 
 This module removes the per-instruction overhead without changing a
-single architecturally visible bit:
+single architecturally visible bit.  One code generator,
+:func:`_emit_instr`, holds the engine's only copy of every opcode's
+semantics; all compiled code is Python source it emitted and
+:func:`_compile_block` compiled:
 
-Pre-decode
+Lazy decode
     At first execution of a text segment (and after any invalidation)
-    every :class:`~repro.isa.instructions.Instr` is translated into a
-    specialized closure — register indices, immediates, masks, branch
-    targets and the handler itself are bound at decode time
-    (threaded-code style), so executing an instruction is one closure
-    call instead of fetch/decode/dispatch.  Closures receive the live
-    integer register list as an argument, fetched once per block.
+    the text is split into straight-line runs ending at a branch,
+    ``SVC`` or ``HALT`` (see
+    :data:`repro.isa.instructions.BLOCK_TERMINATOR_OPS`).  A
+    :class:`Block` exists for *every* instruction index — the suffix
+    of its run starting there — so branching into the middle of a run,
+    or resuming a paused simulation there, costs nothing.  Decode
+    records only each block's extent; its code and statistics are
+    built when it is compiled.
 
-Superblocks
-    Straight-line runs (ending at a branch, ``SVC`` or ``HALT`` — see
-    :data:`repro.isa.instructions.BLOCK_TERMINATOR_OPS`) become blocks
-    that execute as a unit: PC alignment/bounds checks and the
-    thread/halt checks happen once per block, and the
-    ``cycles``/``instructions``/instruction-class counters accumulate
-    in burst-local integers flushed once per burst.  A block entry
-    exists for *every* instruction index (each suffix of a run shares
-    the decoded closures), so branching into the middle of a run — or
-    resuming a paused simulation there — costs nothing.
+Fused superblocks
+    A block entered ``_COMPILE_THRESHOLD`` times is compiled into one
+    generated function that runs the whole run as straight-line code.
+    PC alignment/bounds checks and the thread/halt checks happen once
+    per block, and the ``cycles``/``instructions``/instruction-class
+    counters accumulate as one batched delta in burst-local integers
+    flushed once per burst.  Until then the block is cold and runs on
+    the reference interpreter: compiling costs far more than
+    interpreting code that runs only a few times.
+
+Per-instruction code
+    A budget that ends inside a block runs one instruction at a time
+    through length-1 blocks compiled by the same emitter on first use
+    and cached on the :class:`DecodedText`.  They share the fused
+    blocks' batched accounting and fault replay.
 
 Cache modelling
-    With ``model_caches`` the same decode-once/compile-hot treatment
-    applies: cold blocks run self-accounting per-instruction closures
-    (one ``caches.fetch`` per instruction, interpreter order), while
-    hot blocks compile I-side accounting per *I-cache line* — the
-    first instruction on each line performs the real ``l1i.access``
-    inline and the rest of the line's fetches are provably pure hits
-    batched as one counter delta per burst (see
+    With ``model_caches`` the compiled code accounts I-side fetches
+    per *I-cache line*: the first instruction on each line performs
+    the real ``l1i.access`` inline and the rest of the line's fetches
+    are provably pure hits batched as one counter delta per burst (see
     :func:`_compile_block`).  D-side accounting is emitted inline in
     program order, so the shared L2 observes the exact interleaving of
     instruction and data misses the interpreter produces.
@@ -47,19 +54,19 @@ Determinism contracts
     The engine is bit-exact against the seed interpreter at every
     instruction boundary:
 
-    * every closure that can raise (memory operations, syscalls,
-      undefined opcodes) stores its statically known next PC before
-      doing work, so a fault raised anywhere mid-block leaves the same
-      PC and — after :func:`_account_fault` replays the completed
-      prefix's counter deltas — the same statistics the interpreter
-      would have;
-    * an execution budget smaller than the current block deopts to
-      per-instruction stepping, so ``stop_at_instruction`` pauses at
-      the exact boundary (schedule-neutral resume for checkpoints and
-      the fault injector);
+    * every emitted instruction that can raise (memory operations,
+      syscalls, undefined opcodes, invalid condition codes) stores its
+      statically known next PC first, so a fault raised anywhere
+      mid-block leaves the same PC and — after :func:`_account_fault`
+      replays the completed prefix's counter deltas — the same
+      statistics the interpreter would have;
+    * an execution budget smaller than the current block steps
+      per-instruction code, so ``stop_at_instruction`` pauses at the
+      exact boundary (schedule-neutral resume for checkpoints and the
+      fault injector);
     * a per-instruction ``trace_hook`` (the functional profiler)
       forces the interpreter path entirely;
-    * decode specializes only on the *instruction encodings* (and the
+    * code specializes only on the *instruction encodings* (and the
       ``model_caches`` flag), never on register or memory values, so
       register-file and memory fault injection cannot invalidate a
       decoded block.  Mutating the text itself must be announced via
@@ -69,11 +76,12 @@ Determinism contracts
 Decoded text is cached per ``(text identity, text base, arch,
 model_caches, icache geometry)`` — compiled programs are shared across
 systems by the ``build_program`` LRU cache, so a whole campaign decodes
-each program once.
+and compiles each program once.
 """
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 
 from repro.cpu import alu, fpu
@@ -93,65 +101,23 @@ __all__ = [
 # condition evaluation (indexed by Cond value; shared with the slow path)
 # ---------------------------------------------------------------------------
 
-
-def _cond_eq(core):
-    return core.flag_z
-
-
-def _cond_ne(core):
-    return not core.flag_z
-
-
-def _cond_lt(core):
-    return core.flag_n != core.flag_v
-
-
-def _cond_ge(core):
-    return core.flag_n == core.flag_v
-
-
-def _cond_gt(core):
-    return (not core.flag_z) and core.flag_n == core.flag_v
-
-
-def _cond_le(core):
-    return core.flag_z or core.flag_n != core.flag_v
-
-
-def _cond_lo(core):
-    return not core.flag_c
-
-
-def _cond_hs(core):
-    return core.flag_c
-
-
-def _cond_mi(core):
-    return core.flag_n
-
-
-def _cond_pl(core):
-    return not core.flag_n
-
-
-def _cond_al(core):
-    return True
-
+#: condition-code expressions over the live flags, indexed by Cond value
+_COND_EXPRS = (
+    "core.flag_z",
+    "not core.flag_z",
+    "core.flag_n != core.flag_v",
+    "core.flag_n == core.flag_v",
+    "(not core.flag_z) and core.flag_n == core.flag_v",
+    "core.flag_z or core.flag_n != core.flag_v",
+    "not core.flag_c",
+    "core.flag_c",
+    "core.flag_n",
+    "not core.flag_n",
+    "True",
+)
 
 #: ``COND_FUNCS[Cond.X]`` evaluates condition X against a core's flags.
-COND_FUNCS = (
-    _cond_eq,
-    _cond_ne,
-    _cond_lt,
-    _cond_ge,
-    _cond_gt,
-    _cond_le,
-    _cond_lo,
-    _cond_hs,
-    _cond_mi,
-    _cond_pl,
-    _cond_al,
-)
+COND_FUNCS = tuple(eval(f"lambda core: {expr}", {"__builtins__": {}}) for expr in _COND_EXPRS)
 
 
 # ---------------------------------------------------------------------------
@@ -162,687 +128,52 @@ COND_FUNCS = (
 class Block:
     """One superblock suffix: the run of instructions starting at ``start``.
 
-    ``fast_ops`` (cache-less decode only) are bare architectural
-    closures ``op(core, gprs)`` whose statistics are applied as one
-    batched delta: ``items`` holds the aggregated instruction-class
-    counters as ``(STAT_FIELDS index, delta)`` pairs, while ``cycles``
-    and ``instructions`` advance by ``length``.  ``step_ops`` are the
-    self-accounting per-instruction closures used for the cache
-    modelling configuration and for budget-limited tail stepping.
-    ``instr_items`` keeps the per-instruction class deltas so a fault
-    raised mid-block can replay the completed prefix exactly.
-    ``recheck`` marks blocks after which the driver must re-test the
-    thread/halt state (the terminator was SVC or HALT).
-
-    Cache-modelling decode additionally splits the block's instruction
-    fetches into *leaders* and *repeats* (see the I-side batching notes
-    in :func:`_compile_block`): ``repeat_prefix[k]`` counts the repeat
-    fetches among instructions ``0..k`` of the block, ``i_repeats`` is
-    the block total, ``i_repeat_cycles`` its latency contribution
-    (``i_repeats * i_hit``) and ``i_hit`` the L1i hit latency the
-    repeats were compiled against.
+    Decode fills in only the extent and ``recheck``, which marks blocks
+    after which the driver must re-test the thread/halt state (the
+    terminator was SVC or HALT).  :func:`_compile_block` fills in the
+    rest: ``compiled(core, gprs)`` runs the block; ``items`` is its
+    batched statistics delta as ``(acc index, delta)`` pairs
+    (``STAT_FIELDS`` order, plus ``_REPEATS`` for batched L1i repeat hits);
+    ``instr_items`` keeps the per-instruction class deltas and, with
+    caches modelled, ``repeat_prefix[k]`` counts the batched repeat
+    fetches among instructions ``0..k``, so a fault raised mid-block
+    can replay the completed prefix exactly.
     """
 
-    __slots__ = (
-        "start",
-        "length",
-        "fast_ops",
-        "step_ops",
-        "items",
-        "instr_items",
-        "recheck",
-        "hits",
-        "compiled",
-        "repeat_prefix",
-        "i_repeats",
-        "i_repeat_cycles",
-        "i_hit",
-    )
+    __slots__ = ("start", "length", "recheck", "hits", "compiled", "items", "instr_items", "repeat_prefix")
 
-    def __init__(
-        self,
-        start,
-        length,
-        fast_ops,
-        step_ops,
-        items,
-        instr_items,
-        recheck,
-        repeat_prefix=None,
-        i_hit=0,
-    ):
+    def __init__(self, start, length, recheck):
         self.start = start
         self.length = length
-        self.fast_ops = fast_ops
-        self.step_ops = step_ops
-        self.items = items
-        self.instr_items = instr_items
         self.recheck = recheck
-        #: executions on the closure/step tier; at _COMPILE_THRESHOLD the
-        #: block is fused into one generated function (None = cold or
-        #: uncompilable)
+        #: entries while cold; at _COMPILE_THRESHOLD the block is fused
         self.hits = 0
         self.compiled = None
-        self.repeat_prefix = repeat_prefix
-        self.i_repeats = repeat_prefix[-1] if repeat_prefix else 0
-        self.i_repeat_cycles = self.i_repeats * i_hit
-        self.i_hit = i_hit
+        self.items = None
+        self.instr_items = None
+        self.repeat_prefix = None
 
 
 class DecodedText:
     """Pre-decoded view of one text segment for one configuration."""
 
-    __slots__ = ("text", "text_base", "length", "entries", "step_ops", "model_caches", "stale", "ctx")
+    __slots__ = ("text", "text_base", "length", "entries", "singles", "model_caches", "stale", "ctx")
 
-    def __init__(self, text, text_base, length, entries, step_ops, model_caches, ctx):
+    def __init__(self, text, text_base, length, entries, model_caches, ctx):
         self.text = text
         self.text_base = text_base
         self.length = length
         #: ``entries[i]`` is the Block for the suffix starting at index i
         self.entries = entries
-        #: index-aligned self-accounting closures (tail stepping)
-        self.step_ops = step_ops
+        #: ``singles[i]`` is the compiled length-1 block for instruction
+        #: i (budget tails), built on first use
+        self.singles = [None] * length
         self.model_caches = model_caches
         #: set by :func:`invalidate_text` when the underlying
         #: instruction list was mutated; forces a re-decode
         self.stale = False
-        #: decode context, kept for lazy superblock compilation
+        #: decode context, kept for lazy compilation
         self.ctx = ctx
-
-
-# ---------------------------------------------------------------------------
-# per-instruction decode: specialized closures
-# ---------------------------------------------------------------------------
-#
-# Closures have the signature ``op(core, gprs)`` where ``gprs`` is
-# ``core.regs._values`` — fetched once per block by the driver (the list
-# identity only changes in ``RegisterFile.restore``, which runs between
-# bursts; bit flips from the fault injector mutate it in place).
-#
-# Every closure that can raise stores its statically known next PC
-# *first*.  That keeps the PC architecturally exact at any raise site
-# (memory faults, syscall handlers, undefined opcodes), lets
-# _account_fault attribute an exception to the precise instruction, and
-# keeps the saved context exact when a syscall detaches the thread.
-# Branch terminators write their dynamic target instead, and the last
-# op of a run is wrapped with a PC store if it has none of its own, so
-# the PC is always correct at block exit.
-
-
-def _decode_instr(instr, index, ctx):
-    """Decode one instruction.
-
-    Returns ``(fast_op, items, sets_pc)``: the specialized closure, the
-    tuple of ``(counter_name, delta)`` static class-statistics the
-    instruction contributes (dynamic counters — taken branches,
-    syscalls — are updated live by the closure itself), and whether the
-    closure maintains ``core.pc`` on its own.
-    """
-    op = instr.op
-    rd, rn, rm, imm = instr.rd, instr.rn, instr.rm, instr.imm
-    mask = ctx["mask"]
-    xlen = ctx["xlen"]
-    xm = xlen - 1
-    text_base = ctx["text_base"]
-    model_caches = ctx["model_caches"]
-    this_pc = text_base + 4 * index
-    next_pc = this_pc + 4
-    INT = (("int_ops", 1),)
-    FLT = (("float_ops", 1),)
-
-    # -- integer register-register ------------------------------------------
-    if op == Op.ADD:
-        def fast(core, v):
-            v[rd] = (v[rn] + v[rm]) & mask
-        return fast, INT, False
-    if op == Op.SUB:
-        def fast(core, v):
-            v[rd] = (v[rn] - v[rm]) & mask
-        return fast, INT, False
-    if op == Op.RSB:
-        def fast(core, v):
-            v[rd] = (v[rm] - v[rn]) & mask
-        return fast, INT, False
-    if op == Op.MUL:
-        def fast(core, v):
-            v[rd] = (v[rn] * v[rm]) & mask
-        return fast, INT, False
-    if op == Op.MULHU:
-        def fast(core, v):
-            v[rd] = ((v[rn] * v[rm]) >> xlen) & mask
-        return fast, INT, False
-    if op == Op.UDIV:
-        udiv = alu.unsigned_divide
-
-        def fast(core, v):
-            v[rd] = udiv(v[rn], v[rm], xlen)
-        return fast, INT, False
-    if op == Op.SDIV:
-        sdiv = alu.signed_divide
-
-        def fast(core, v):
-            v[rd] = sdiv(v[rn], v[rm], xlen)
-        return fast, INT, False
-    if op == Op.AND:
-        def fast(core, v):
-            v[rd] = v[rn] & v[rm]
-        return fast, INT, False
-    if op == Op.ORR:
-        def fast(core, v):
-            v[rd] = v[rn] | v[rm]
-        return fast, INT, False
-    if op == Op.EOR:
-        def fast(core, v):
-            v[rd] = v[rn] ^ v[rm]
-        return fast, INT, False
-    if op == Op.BIC:
-        def fast(core, v):
-            v[rd] = v[rn] & ~v[rm] & mask
-        return fast, INT, False
-    if op == Op.LSL:
-        def fast(core, v):
-            v[rd] = (v[rn] << (v[rm] & xm)) & mask
-        return fast, INT, False
-    if op == Op.LSR:
-        def fast(core, v):
-            v[rd] = v[rn] >> (v[rm] & xm)
-        return fast, INT, False
-    if op == Op.ASR:
-        asr = alu.arithmetic_shift_right
-
-        def fast(core, v):
-            v[rd] = asr(v[rn], v[rm] & xm, xlen)
-        return fast, INT, False
-
-    # -- integer register-immediate -----------------------------------------
-    if op == Op.ADDI:
-        def fast(core, v):
-            v[rd] = (v[rn] + imm) & mask
-        return fast, INT, False
-    if op == Op.SUBI:
-        def fast(core, v):
-            v[rd] = (v[rn] - imm) & mask
-        return fast, INT, False
-    if op == Op.ANDI:
-        def fast(core, v):
-            v[rd] = v[rn] & imm & mask
-        return fast, INT, False
-    if op == Op.ORRI:
-        def fast(core, v):
-            v[rd] = (v[rn] | imm) & mask
-        return fast, INT, False
-    if op == Op.EORI:
-        def fast(core, v):
-            v[rd] = (v[rn] ^ imm) & mask
-        return fast, INT, False
-    if op == Op.LSLI:
-        sh = imm & xm
-
-        def fast(core, v):
-            v[rd] = (v[rn] << sh) & mask
-        return fast, INT, False
-    if op == Op.LSRI:
-        sh = imm & xm
-
-        def fast(core, v):
-            v[rd] = v[rn] >> sh
-        return fast, INT, False
-    if op == Op.ASRI:
-        asr = alu.arithmetic_shift_right
-        sh = imm & xm
-
-        def fast(core, v):
-            v[rd] = asr(v[rn], sh, xlen)
-        return fast, INT, False
-    if op == Op.MULI:
-        def fast(core, v):
-            v[rd] = (v[rn] * imm) & mask
-        return fast, INT, False
-
-    # -- moves and compares --------------------------------------------------
-    if op == Op.MOV:
-        def fast(core, v):
-            v[rd] = v[rn]
-        return fast, INT, False
-    if op == Op.MOVI:
-        value = imm & mask
-
-        def fast(core, v):
-            v[rd] = value
-        return fast, INT, False
-    if op == Op.MVN:
-        def fast(core, v):
-            v[rd] = ~v[rn] & mask
-        return fast, INT, False
-    if op in (Op.CMP, Op.CMPI):
-        # Inlined alu.sub_flags (bit-identical): CMP dominates branchy
-        # guest code, so the three to_signed calls are worth eliding.
-        top = xlen - 1
-        sign = ctx["sign_bit"]
-        if op == Op.CMP:
-            def fast(core, v):
-                a = v[rn]
-                b = v[rm]
-                result = (a - b) & mask
-                core.flag_n = bool(result >> top)
-                core.flag_z = result == 0
-                core.flag_c = a >= b
-                sa_neg = bool(a & sign)
-                core.flag_v = sa_neg != bool(b & sign) and bool(result & sign) != sa_neg
-        else:
-            operand = alu.to_unsigned(imm, xlen)
-            op_neg = bool(operand & sign)
-
-            def fast(core, v):
-                a = v[rn]
-                result = (a - operand) & mask
-                core.flag_n = bool(result >> top)
-                core.flag_z = result == 0
-                core.flag_c = a >= operand
-                sa_neg = bool(a & sign)
-                core.flag_v = sa_neg != op_neg and bool(result & sign) != sa_neg
-        return fast, INT, False
-    if op == Op.TST:
-        top = xlen - 1
-
-        def fast(core, v):
-            result = v[rn] & v[rm]
-            core.flag_n = bool(result >> top)
-            core.flag_z = result == 0
-        return fast, INT, False
-    if op == Op.CSET:
-        cond_fn = _cond_func(instr.cond)
-        if cond_fn is None:
-            return _bad_cond_op(instr.cond, next_pc, commit_branch=False), INT, True
-
-        def fast(core, v):
-            v[rd] = 1 if cond_fn(core) else 0
-        return fast, INT, False
-
-    # -- memory ---------------------------------------------------------------
-    if op in (Op.LDR, Op.LDRB):
-        size = ctx["word_bytes"] if op == Op.LDR else 1
-        items = (("loads", 1), ("bytes_read", size))
-        if rm is None:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, False)
-                    v[rd] = core.mem.read(address, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    v[rd] = core.mem.read((v[rn] + imm) & mask, size)
-        else:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm)) & mask
-                    core.stats.cycles += core.caches.data_access(address, False)
-                    v[rd] = core.mem.read(address, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    v[rd] = core.mem.read((v[rn] + (v[rm] << imm)) & mask, size)
-        return fast, items, True
-    if op in (Op.STR, Op.STRB):
-        size = ctx["word_bytes"] if op == Op.STR else 1
-        vmask = mask if op == Op.STR else 0xFF
-        items = (("stores", 1), ("bytes_written", size))
-        if rm is None:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, True)
-                    core.mem.write(address, v[rd] & vmask, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + imm) & mask, v[rd] & vmask, size)
-        else:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm)) & mask
-                    core.stats.cycles += core.caches.data_access(address, True)
-                    core.mem.write(address, v[rd] & vmask, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + (v[rm] << imm)) & mask, v[rd] & vmask, size)
-        return fast, items, True
-
-    # -- control flow ---------------------------------------------------------
-    if op == Op.B:
-        target = text_base + 4 * imm
-
-        def fast(core, v):
-            core.pc = target
-        return fast, (("branches", 1), ("branches_taken", 1)), True
-    if op == Op.BCC:
-        target = text_base + 4 * imm
-        cond_fn = _cond_func(instr.cond)
-        if cond_fn is None:
-            # The interpreter commits ``branches`` before evaluating the
-            # (invalid) condition; replicate, then defer its fault.
-            return _bad_cond_op(instr.cond, next_pc, commit_branch=True), (), True
-
-        def fast(core, v):
-            if cond_fn(core):
-                core.stats.branches_taken += 1
-                core.pc = target
-            else:
-                core.pc = next_pc
-        return fast, (("branches", 1),), True
-    if op == Op.CBZ:
-        target = text_base + 4 * imm
-
-        def fast(core, v):
-            if v[rn] == 0:
-                core.stats.branches_taken += 1
-                core.pc = target
-            else:
-                core.pc = next_pc
-        return fast, (("branches", 1),), True
-    if op == Op.CBNZ:
-        target = text_base + 4 * imm
-
-        def fast(core, v):
-            if v[rn] != 0:
-                core.stats.branches_taken += 1
-                core.pc = target
-            else:
-                core.pc = next_pc
-        return fast, (("branches", 1),), True
-    if op == Op.BL:
-        target = text_base + 4 * imm
-        lr = ctx["lr"]
-        lr_value = next_pc & mask
-
-        def fast(core, v):
-            v[lr] = lr_value
-            core.pc = target
-        return fast, (("branches", 1), ("branches_taken", 1), ("calls", 1)), True
-    if op == Op.BLR:
-        lr = ctx["lr"]
-        lr_value = next_pc & mask
-
-        def fast(core, v):
-            target = v[rn]
-            v[lr] = lr_value
-            core.pc = target
-        return fast, (("branches", 1), ("branches_taken", 1), ("calls", 1)), True
-    if op == Op.RET:
-        lr = ctx["lr"]
-
-        def fast(core, v):
-            core.pc = v[lr]
-        return fast, (("branches", 1), ("branches_taken", 1), ("returns", 1)), True
-
-    # -- floating point -------------------------------------------------------
-    if op in (Op.FADD, Op.FSUB, Op.FMUL, Op.FMIN, Op.FMAX, Op.FDIV):
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        fmask = ctx["fmask"]
-        if op == Op.FADD:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(b2d(f[rn]) + b2d(f[rm])) & fmask
-        elif op == Op.FSUB:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(b2d(f[rn]) - b2d(f[rm])) & fmask
-        elif op == Op.FMUL:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(b2d(f[rn]) * b2d(f[rm])) & fmask
-        elif op == Op.FMIN:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(min(b2d(f[rn]), b2d(f[rm]))) & fmask
-        elif op == Op.FMAX:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(max(b2d(f[rn]), b2d(f[rm]))) & fmask
-        else:  # FDIV keeps the IEEE special cases of fpu.fp_binary
-            fp_binary = fpu.fp_binary
-
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(fp_binary("div", b2d(f[rn]), b2d(f[rm]))) & fmask
-        return fast, FLT, False
-    if op == Op.FSQRT:
-        b2d, d2b, fsqrt = fpu.bits_to_double, fpu.double_to_bits, fpu.fp_sqrt
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = d2b(fsqrt(b2d(f[rn]))) & fmask
-        return fast, FLT, False
-    if op == Op.FNEG:
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = d2b(-b2d(f[rn])) & fmask
-        return fast, FLT, False
-    if op == Op.FABS:
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = d2b(abs(b2d(f[rn]))) & fmask
-        return fast, FLT, False
-    if op == Op.FCMP:
-        b2d, fcmp = fpu.bits_to_double, fpu.fp_compare
-
-        def fast(core, v):
-            f = core.fregs._values
-            core.flag_n, core.flag_z, core.flag_c, core.flag_v = fcmp(b2d(f[rn]), b2d(f[rm]))
-        return fast, FLT, False
-    if op == Op.FMOV:
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = f[rn]
-        return fast, FLT, False
-    if op == Op.FMOVI:
-        value = imm & ctx["fmask"]
-
-        def fast(core, v):
-            core.fregs._values[rd] = value
-        return fast, FLT, False
-    if op in (Op.FLDR, Op.FSTR):
-        size = ctx["float_bytes"]
-        single = size == 4
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        b2s, s2b = fpu.bits_to_single, fpu.single_to_bits
-        fmask = ctx["fmask"]
-        # Specialized per addressing mode and cache model like LDR/STR:
-        # these are decode-time constants, so the hot closure carries no
-        # per-execution branches (or helper calls) for them.  The
-        # single-precision conversion only exists on the ARMv7 shape,
-        # whose compiler never emits hardware FP — it is kept for
-        # interpreter parity and handled in the cached variant plus the
-        # uncached conversion branch below.
-        indexed = rm is not None
-        if op == Op.FLDR:
-            items = (("loads", 1), ("float_ops", 1), ("bytes_read", size))
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm) if indexed else v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, False)
-                    bits = core.mem.read(address, size)
-                    core.fregs._values[rd] = (d2b(b2s(bits)) if single else bits) & fmask
-            elif single:
-                if indexed:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.fregs._values[rd] = (
-                            d2b(b2s(core.mem.read((v[rn] + (v[rm] << imm)) & mask, size))) & fmask
-                        )
-                else:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.fregs._values[rd] = (
-                            d2b(b2s(core.mem.read((v[rn] + imm) & mask, size))) & fmask
-                        )
-            elif indexed:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.fregs._values[rd] = core.mem.read((v[rn] + (v[rm] << imm)) & mask, size) & fmask
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.fregs._values[rd] = core.mem.read((v[rn] + imm) & mask, size) & fmask
-        else:
-            items = (("stores", 1), ("float_ops", 1), ("bytes_written", size))
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm) if indexed else v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, True)
-                    bits = core.fregs._values[rd]
-                    core.mem.write(address, s2b(b2d(bits)) if single else bits, size)
-            elif single:
-                if indexed:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.mem.write(
-                            (v[rn] + (v[rm] << imm)) & mask, s2b(b2d(core.fregs._values[rd])), size
-                        )
-                else:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.mem.write((v[rn] + imm) & mask, s2b(b2d(core.fregs._values[rd])), size)
-            elif indexed:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + (v[rm] << imm)) & mask, core.fregs._values[rd], size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + imm) & mask, core.fregs._values[rd], size)
-        return fast, items, True
-    if op == Op.SCVTF:
-        d2b = fpu.double_to_bits
-        fmask = ctx["fmask"]
-        sign_bit = ctx["sign_bit"]
-        wrap = 1 << xlen
-
-        def fast(core, v):
-            value = v[rn]
-            if value & sign_bit:
-                value -= wrap
-            core.fregs._values[rd] = d2b(float(value)) & fmask
-        return fast, FLT, False
-    if op == Op.FCVTZS:
-        b2d, f2i = fpu.bits_to_double, fpu.float_to_int
-
-        def fast(core, v):
-            v[rd] = f2i(b2d(core.fregs._values[rn]), xlen)
-        return fast, FLT, False
-    if op == Op.FMOVRG:
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            core.fregs._values[rd] = v[rn] & fmask
-        return fast, FLT, False
-    if op == Op.FMOVGR:
-        def fast(core, v):
-            v[rd] = core.fregs._values[rn] & mask
-        return fast, FLT, False
-
-    # -- system ---------------------------------------------------------------
-    if op == Op.SVC:
-        # ``syscalls`` is committed live (before the handler) so a
-        # handler-raised GuestFault leaves exactly the interpreter's
-        # counter state; cycles/instructions stay burst-accounted.
-        def fast(core, v):
-            core.pc = next_pc
-            core.stats.syscalls += 1
-            handler = core.syscall_handler
-            if handler is None:
-                raise SimulatorError("SVC executed but no syscall handler installed (bare-metal core)")
-            handler(core, imm)
-        return fast, (), True
-    if op == Op.NOP:
-        def fast(core, v):
-            pass
-        return fast, (), False
-    if op == Op.HALT:
-        def fast(core, v):
-            core.pc = next_pc
-            core.halted = True
-        return fast, (), True
-    if op == Op.WFI:
-        def fast(core, v):
-            pass
-        return fast, (("idle_cycles", 1),), False
-
-    # -- undefined opcode: defer the interpreter's fault to execute time ------
-    def fast(core, v):
-        core.pc = next_pc
-        raise InstructionFault(
-            f"undefined opcode {op!r} at {this_pc:#x}", address=this_pc, core_id=core.core_id
-        )
-    return fast, (), True
-
-
-def _cond_func(cond):
-    """The condition evaluator for a decoded BCC/CSET (None if invalid)."""
-    if isinstance(cond, int) and 0 <= cond < len(COND_FUNCS):
-        return COND_FUNCS[cond]
-    return None
-
-
-def _bad_cond_op(cond, next_pc, commit_branch):
-    """Mirrors the interpreter for an invalid condition code: the fault
-    is deferred to execute time, with the PC already advanced (and, for
-    BCC, the ``branches`` counter already committed)."""
-    def fast(core, v):
-        core.pc = next_pc
-        if commit_branch:
-            core.stats.branches += 1
-        raise SimulatorError(f"unknown condition {cond!r}")
-    return fast
-
-
-def _with_pc(fast, next_pc):
-    """Wrap a PC-less closure so it advances the PC (run-final ops)."""
-    def op(core, v):
-        core.pc = next_pc
-        fast(core, v)
-    return op
-
-
-def _make_step_op(fast, items, this_pc, sets_pc, model_caches):
-    """Self-accounting per-instruction closure (interpreter-exact order)."""
-    next_pc = this_pc + 4
-    if model_caches:
-        def step_op(core, v):
-            stats = core.stats
-            stats.cycles += core.caches.fetch(this_pc)
-            if not sets_pc:
-                core.pc = next_pc
-            fast(core, v)
-            for name, delta in items:
-                setattr(stats, name, getattr(stats, name) + delta)
-            stats.instructions += 1
-    else:
-        def step_op(core, v):
-            stats = core.stats
-            stats.cycles += 1
-            if not sets_pc:
-                core.pc = next_pc
-            fast(core, v)
-            for name, delta in items:
-                setattr(stats, name, getattr(stats, name) + delta)
-            stats.instructions += 1
-    return step_op
 
 
 # ---------------------------------------------------------------------------
@@ -860,16 +191,14 @@ _DECODE_CACHE_CAPACITY = 64
 def decode_text(text, text_base, arch, model_caches, icache=None):
     """Decode ``text`` (cached) for one architecture/configuration.
 
-    ``icache`` is the L1 instruction cache's :class:`CacheConfig` when
-    ``model_caches`` is set: the cached compile tier bakes its line
+    ``icache`` is the L1 instruction cache's :class:`CacheConfig` and is
+    required when ``model_caches`` is set: compiled code bakes its line
     geometry and hit latency into the per-block fetch batching, so the
-    cache key must distinguish icache geometries.  Cache-modelling
-    decode without ``icache`` stays valid (and interpreter-exact) but
-    never compiles — blocks stay on the self-accounting step tier.
+    cache key must distinguish icache geometries.
     """
-    icache_key = (
-        (icache.line_bytes, icache.hit_latency) if (model_caches and icache is not None) else None
-    )
+    if model_caches and icache is None:
+        raise ValueError("cache-modelling decode needs the L1i config (icache=)")
+    icache_key = (icache.line_bytes, icache.hit_latency) if model_caches else None
     key = (id(text), text_base, arch.name, bool(model_caches), icache_key)
     cached = _DECODE_CACHE.get(key)
     if cached is not None and cached.text is text and not cached.stale:
@@ -927,13 +256,11 @@ STAT_FIELDS = (
 )
 _STAT_INDEX = {name: index for index, name in enumerate(STAT_FIELDS)}
 
-
-def _index_items(items):
-    return tuple((_STAT_INDEX[name], delta) for name, delta in items)
+#: burst accumulator slot for batched L1i repeat hits (see execute_burst)
+_REPEATS = len(STAT_FIELDS)
 
 
 def _decode_uncached(text, text_base, arch, model_caches, icache=None):
-    n = len(text)
     ctx = {
         "mask": arch.word_mask,
         "xlen": arch.xlen,
@@ -944,107 +271,44 @@ def _decode_uncached(text, text_base, arch, model_caches, icache=None):
         "lr": arch.abi.lr,
         "text_base": text_base,
         "model_caches": bool(model_caches),
-        # L1i geometry for the cached compile tier (None = unknown:
-        # decode stays valid but blocks never leave the step tier).
-        "i_line_shift": None,
-        "i_hit": 0,
     }
-    if model_caches and icache is not None:
+    if model_caches:
         ctx["i_line_shift"] = icache.line_bytes.bit_length() - 1
         ctx["i_hit"] = icache.hit_latency
-    fasts = [None] * n
-    all_items = [None] * n
-    step_ops = [None] * n
-    terminator = [False] * n
-    recheck = [False] * n
-    for index in range(n):
-        instr = text[index]
-        fast, items, sets_pc = _decode_instr(instr, index, ctx)
-        step_ops[index] = _make_step_op(fast, items, text_base + 4 * index, sets_pc, model_caches)
-        if not sets_pc and index + 1 == n:
-            # Run-final op without its own PC store: only possible when
-            # the run falls off the end of the text (terminators all set
-            # the PC).  Wrap it so the PC is exact at block exit and the
-            # out-of-range fetch fault that follows reports the
-            # interpreter's exact address.
-            fast = _with_pc(fast, text_base + 4 * index + 4)
-        fasts[index] = fast
-        all_items[index] = items
-        terminator[index] = instr.op in BLOCK_TERMINATOR_OPS
-        recheck[index] = instr.op in (Op.SVC, Op.HALT)
-
+    n = len(text)
     entries = [None] * n
-    start = 0
-    while start < n:
-        end = start
-        while end < n and not terminator[end]:
-            end += 1
-        if end < n:
-            end += 1  # include the terminator in its run
-        run_fasts = fasts[start:end]
-        run_items = all_items[start:end]
-        run_steps = step_ops[start:end]
-        run_recheck = recheck[end - 1]
-        line_shift = ctx["i_line_shift"]
-        if line_shift is not None:
-            # An instruction is a *repeat* fetch when the previous
-            # instruction of the run sits on the same I-cache line
-            # (consecutive PCs make the line sequence monotonic, so each
-            # line is one contiguous stretch).  A suffix block's first
-            # instruction is always a leader — the engine cannot know
-            # the line is resident at a branched-to block entry.
-            rep = [
-                0
-                if i == start
-                else int((text_base + 4 * i) >> line_shift == (text_base + 4 * (i - 1)) >> line_shift)
-                for i in range(start, end)
-            ]
-        # Suffix sums from the back: every index of the run gets its own
-        # Block sharing the decoded closures.
-        for offset in range(end - start - 1, -1, -1):
-            suffix_items: dict[str, int] = {}
-            for items in run_items[offset:]:
-                for name, delta in items:
-                    suffix_items[name] = suffix_items.get(name, 0) + delta
-            repeat_prefix = None
-            if line_shift is not None:
-                prefix = []
-                total = 0
-                for k in range(offset, end - start):
-                    if k > offset:  # position 0 of the suffix is a forced leader
-                        total += rep[k]
-                    prefix.append(total)
-                repeat_prefix = tuple(prefix)
-            entries[start + offset] = Block(
-                start=start + offset,
-                length=end - start - offset,
-                fast_ops=None if model_caches else tuple(run_fasts[offset:]),
-                step_ops=tuple(run_steps[offset:]),
-                items=_index_items(sorted(suffix_items.items())),
-                instr_items=tuple(_index_items(items) for items in run_items[offset:]),
-                recheck=run_recheck,
-                repeat_prefix=repeat_prefix,
-                i_hit=ctx["i_hit"],
-            )
-        start = end
-    return DecodedText(text, text_base, n, entries, step_ops, bool(model_caches), ctx)
+    # Walk backwards so each index knows the end of its run (a run that
+    # falls off the end of the text ends at n).
+    end = n
+    recheck = False
+    for index in range(n - 1, -1, -1):
+        op = text[index].op
+        if op in BLOCK_TERMINATOR_OPS:
+            end = index + 1
+            recheck = op == Op.SVC or op == Op.HALT
+        entries[index] = Block(index, end - index, recheck)
+    return DecodedText(text, text_base, n, entries, bool(model_caches), ctx)
 
 
 # ---------------------------------------------------------------------------
-# superblock compilation (the hot tier)
+# code generation: the engine's one implementation of every opcode
 # ---------------------------------------------------------------------------
 #
-# A block that stays hot on the closure tier is fused into one generated
-# Python function executing the whole run as straight-line code — no
-# per-instruction call, loop or dispatch overhead at all.  The generated
-# source mirrors the closures' semantics statement for statement (the
-# differential tests run hot workloads, so both tiers are exercised
-# against the interpreter).  Compilation is lazy so decode stays cheap
-# for short-lived programs (unit tests); campaigns re-execute the same
-# few hundred blocks millions of times, amortizing the one-time
-# ``compile()`` cost to nothing.
+# Generated functions have the signature ``block(core, v)`` where ``v``
+# is ``core.regs._values`` — fetched once per block by the driver (the
+# list identity only changes in ``RegisterFile.restore``, which runs
+# between bursts; bit flips from the fault injector mutate it in place).
+#
+# Every instruction that can raise stores its statically known next PC
+# *first*.  That keeps the PC architecturally exact at any raise site
+# (memory faults, syscall handlers, undefined opcodes, invalid
+# condition codes), lets _account_fault attribute an exception to the
+# precise instruction, and keeps the saved context exact when a syscall
+# detaches the thread.  Branch terminators write their dynamic target
+# instead, and a block whose last instruction is not a terminator ends
+# with a PC store, so the PC is always correct at block exit.
 
-#: closure-tier executions after which a block is fused
+#: block entries (on the reference interpreter) after which a block is fused
 _COMPILE_THRESHOLD = 4
 
 _CODEGEN_GLOBALS = {
@@ -1065,45 +329,92 @@ _CODEGEN_GLOBALS = {
     "f2i": fpu.float_to_int,
     "fp_binary": fpu.fp_binary,
     "fcmp": fpu.fp_compare,
+    "InstructionFault": InstructionFault,
     "SimulatorError": SimulatorError,
 }
 
-#: condition-code expressions over the live flags, indexed by Cond value
-_COND_EXPRS = (
-    "core.flag_z",
-    "not core.flag_z",
-    "core.flag_n != core.flag_v",
-    "core.flag_n == core.flag_v",
-    "(not core.flag_z) and core.flag_n == core.flag_v",
-    "core.flag_z or core.flag_n != core.flag_v",
-    "not core.flag_c",
-    "core.flag_c",
-    "core.flag_n",
-    "not core.flag_n",
-    "True",
-)
+_INT = (("int_ops", 1),)
+_FLT = (("float_ops", 1),)
+
+#: Single-statement opcodes: source template and class statistics.
+_SIMPLE = {
+    Op.ADD: ("v[{rd}] = (v[{rn}] + v[{rm}]) & {mask}", _INT),
+    Op.SUB: ("v[{rd}] = (v[{rn}] - v[{rm}]) & {mask}", _INT),
+    Op.RSB: ("v[{rd}] = (v[{rm}] - v[{rn}]) & {mask}", _INT),
+    Op.MUL: ("v[{rd}] = (v[{rn}] * v[{rm}]) & {mask}", _INT),
+    Op.MULHU: ("v[{rd}] = ((v[{rn}] * v[{rm}]) >> {xlen}) & {mask}", _INT),
+    Op.UDIV: ("v[{rd}] = udiv(v[{rn}], v[{rm}], {xlen})", _INT),
+    Op.SDIV: ("v[{rd}] = sdiv(v[{rn}], v[{rm}], {xlen})", _INT),
+    Op.AND: ("v[{rd}] = v[{rn}] & v[{rm}]", _INT),
+    Op.ORR: ("v[{rd}] = v[{rn}] | v[{rm}]", _INT),
+    Op.EOR: ("v[{rd}] = v[{rn}] ^ v[{rm}]", _INT),
+    Op.BIC: ("v[{rd}] = v[{rn}] & ~v[{rm}] & {mask}", _INT),
+    Op.LSL: ("v[{rd}] = (v[{rn}] << (v[{rm}] & {xm})) & {mask}", _INT),
+    Op.LSR: ("v[{rd}] = v[{rn}] >> (v[{rm}] & {xm})", _INT),
+    Op.ASR: ("v[{rd}] = asr(v[{rn}], v[{rm}] & {xm}, {xlen})", _INT),
+    Op.ADDI: ("v[{rd}] = (v[{rn}] + {imm}) & {mask}", _INT),
+    Op.SUBI: ("v[{rd}] = (v[{rn}] - {imm}) & {mask}", _INT),
+    Op.ANDI: ("v[{rd}] = v[{rn}] & {imm} & {mask}", _INT),
+    Op.ORRI: ("v[{rd}] = (v[{rn}] | {imm}) & {mask}", _INT),
+    Op.EORI: ("v[{rd}] = (v[{rn}] ^ {imm}) & {mask}", _INT),
+    Op.LSLI: ("v[{rd}] = (v[{rn}] << {shift}) & {mask}", _INT),
+    Op.LSRI: ("v[{rd}] = v[{rn}] >> {shift}", _INT),
+    Op.ASRI: ("v[{rd}] = asr(v[{rn}], {shift}, {xlen})", _INT),
+    Op.MULI: ("v[{rd}] = (v[{rn}] * {imm}) & {mask}", _INT),
+    Op.MOV: ("v[{rd}] = v[{rn}]", _INT),
+    Op.MOVI: ("v[{rd}] = {imm_word}", _INT),
+    Op.MVN: ("v[{rd}] = ~v[{rn}] & {mask}", _INT),
+    Op.FADD: ("f[{rd}] = d2b(b2d(f[{rn}]) + b2d(f[{rm}])) & {fmask}", _FLT),
+    Op.FSUB: ("f[{rd}] = d2b(b2d(f[{rn}]) - b2d(f[{rm}])) & {fmask}", _FLT),
+    Op.FMUL: ("f[{rd}] = d2b(b2d(f[{rn}]) * b2d(f[{rm}])) & {fmask}", _FLT),
+    Op.FMIN: ("f[{rd}] = d2b(min(b2d(f[{rn}]), b2d(f[{rm}]))) & {fmask}", _FLT),
+    Op.FMAX: ("f[{rd}] = d2b(max(b2d(f[{rn}]), b2d(f[{rm}]))) & {fmask}", _FLT),
+    # FDIV keeps the IEEE special cases of fpu.fp_binary
+    Op.FDIV: ("f[{rd}] = d2b(fp_binary('div', b2d(f[{rn}]), b2d(f[{rm}]))) & {fmask}", _FLT),
+    Op.FSQRT: ("f[{rd}] = d2b(fsqrt(b2d(f[{rn}]))) & {fmask}", _FLT),
+    Op.FNEG: ("f[{rd}] = d2b(-b2d(f[{rn}])) & {fmask}", _FLT),
+    Op.FABS: ("f[{rd}] = d2b(abs(b2d(f[{rn}]))) & {fmask}", _FLT),
+    Op.FCMP: ("core.flag_n, core.flag_z, core.flag_c, core.flag_v = fcmp(b2d(f[{rn}]), b2d(f[{rm}]))", _FLT),
+    Op.FMOV: ("f[{rd}] = f[{rn}]", _FLT),
+    Op.FMOVI: ("f[{rd}] = {imm_float}", _FLT),
+    Op.FCVTZS: ("v[{rd}] = f2i(b2d(f[{rn}]), {xlen})", _FLT),
+    Op.FMOVRG: ("f[{rd}] = v[{rn}] & {fmask}", _FLT),
+    Op.FMOVGR: ("v[{rd}] = f[{rn}] & {mask}", _FLT),
+    Op.NOP: ("pass", ()),
+    # WFI's idle cycle rides the batched block delta
+    Op.WFI: ("pass", (("idle_cycles", 1),)),
+}
 
 
-def _emit_instr(instr, index, ctx, lines) -> bool:
+def _emit_instr(instr, index, ctx, lines):
     """Append the straight-line source for one instruction to ``lines``.
 
-    Returns False when the instruction cannot be compiled (undefined
-    opcode, invalid condition code) — the block then stays on the
-    closure tier, which already defers those faults to execute time.
+    Returns the instruction's static class statistics as
+    ``(counter_name, delta)`` pairs; dynamic counters (taken branches,
+    syscalls) are updated live by the emitted code itself.  Undefined
+    opcodes and invalid condition codes emit a stub that raises the
+    interpreter's exact fault at execute time.
     """
     op = instr.op
     rd, rn, rm, imm = instr.rd, instr.rn, instr.rm, instr.imm
     mask = ctx["mask"]
     xlen = ctx["xlen"]
     xm = xlen - 1
+    fmask = ctx["fmask"]
     text_base = ctx["text_base"]
     this_pc = text_base + 4 * index
     next_pc = this_pc + 4
-    fmask = ctx["fmask"]
+    cached = ctx["model_caches"]
 
     def cond_expr(cond):
         if isinstance(cond, int) and 0 <= cond < len(_COND_EXPRS):
             return _COND_EXPRS[cond]
+        # Invalid condition: the interpreter has already advanced the PC
+        # (and, for BCC, committed ``branches``) when it raises.
+        lines.append(f"core.pc = {next_pc}")
+        if op == Op.BCC:
+            lines.append("core.stats.branches += 1")
+        lines.append(f"raise SimulatorError({f'unknown condition {cond!r}'!r})")
         return None
 
     def addr_expr():
@@ -1111,114 +422,93 @@ def _emit_instr(instr, index, ctx, lines) -> bool:
             return f"(v[{rn}] + {imm}) & {mask}"
         return f"(v[{rn}] + (v[{rm}] << {imm})) & {mask}"
 
-    if op == Op.ADD:
-        lines.append(f"v[{rd}] = (v[{rn}] + v[{rm}]) & {mask}")
-    elif op == Op.SUB:
-        lines.append(f"v[{rd}] = (v[{rn}] - v[{rm}]) & {mask}")
-    elif op == Op.RSB:
-        lines.append(f"v[{rd}] = (v[{rm}] - v[{rn}]) & {mask}")
-    elif op == Op.MUL:
-        lines.append(f"v[{rd}] = (v[{rn}] * v[{rm}]) & {mask}")
-    elif op == Op.MULHU:
-        lines.append(f"v[{rd}] = ((v[{rn}] * v[{rm}]) >> {xlen}) & {mask}")
-    elif op == Op.UDIV:
-        lines.append(f"v[{rd}] = udiv(v[{rn}], v[{rm}], {xlen})")
-    elif op == Op.SDIV:
-        lines.append(f"v[{rd}] = sdiv(v[{rn}], v[{rm}], {xlen})")
-    elif op == Op.AND:
-        lines.append(f"v[{rd}] = v[{rn}] & v[{rm}]")
-    elif op == Op.ORR:
-        lines.append(f"v[{rd}] = v[{rn}] | v[{rm}]")
-    elif op == Op.EOR:
-        lines.append(f"v[{rd}] = v[{rn}] ^ v[{rm}]")
-    elif op == Op.BIC:
-        lines.append(f"v[{rd}] = v[{rn}] & ~v[{rm}] & {mask}")
-    elif op == Op.LSL:
-        lines.append(f"v[{rd}] = (v[{rn}] << (v[{rm}] & {xm})) & {mask}")
-    elif op == Op.LSR:
-        lines.append(f"v[{rd}] = v[{rn}] >> (v[{rm}] & {xm})")
-    elif op == Op.ASR:
-        lines.append(f"v[{rd}] = asr(v[{rn}], v[{rm}] & {xm}, {xlen})")
-    elif op == Op.ADDI:
-        lines.append(f"v[{rd}] = (v[{rn}] + {imm}) & {mask}")
-    elif op == Op.SUBI:
-        lines.append(f"v[{rd}] = (v[{rn}] - {imm}) & {mask}")
-    elif op == Op.ANDI:
-        lines.append(f"v[{rd}] = v[{rn}] & {imm} & {mask}")
-    elif op == Op.ORRI:
-        lines.append(f"v[{rd}] = (v[{rn}] | {imm}) & {mask}")
-    elif op == Op.EORI:
-        lines.append(f"v[{rd}] = (v[{rn}] ^ {imm}) & {mask}")
-    elif op == Op.LSLI:
-        lines.append(f"v[{rd}] = (v[{rn}] << {imm & xm}) & {mask}")
-    elif op == Op.LSRI:
-        lines.append(f"v[{rd}] = v[{rn}] >> {imm & xm}")
-    elif op == Op.ASRI:
-        lines.append(f"v[{rd}] = asr(v[{rn}], {imm & xm}, {xlen})")
-    elif op == Op.MULI:
-        lines.append(f"v[{rd}] = (v[{rn}] * {imm}) & {mask}")
-    elif op == Op.MOV:
-        lines.append(f"v[{rd}] = v[{rn}]")
-    elif op == Op.MOVI:
-        lines.append(f"v[{rd}] = {imm & mask}")
-    elif op == Op.MVN:
-        lines.append(f"v[{rd}] = ~v[{rn}] & {mask}")
-    elif op in (Op.CMP, Op.TST, Op.CMPI):
+    simple = _SIMPLE.get(op)
+    if simple is not None:
+        template, items = simple
+        fields = {
+            "rd": rd, "rn": rn, "rm": rm, "imm": imm, "mask": mask, "xlen": xlen, "xm": xm, "fmask": fmask,
+        }
+        if op in (Op.LSLI, Op.LSRI, Op.ASRI):
+            fields["shift"] = imm & xm
+        elif op == Op.MOVI:
+            fields["imm_word"] = imm & mask
+        elif op == Op.FMOVI:
+            fields["imm_float"] = imm & fmask
+        lines.append(template.format(**fields))
+        return items
+    if op in (Op.CMP, Op.TST, Op.CMPI):
+        # Inlined alu.sub_flags (bit-identical): CMP dominates branchy
+        # guest code, so the three to_signed calls are worth eliding.
         sign = ctx["sign_bit"]
         if op == Op.TST:
             lines.append(f"r = v[{rn}] & v[{rm}]")
             lines.append(f"core.flag_n = bool(r >> {xm})")
             lines.append("core.flag_z = r == 0")
+            return _INT
+        lines.append(f"a = v[{rn}]")
+        if op == Op.CMP:
+            lines.append(f"b = v[{rm}]")
+            b_neg = f"bool(b & {sign})"
         else:
-            if op == Op.CMP:
-                lines.append(f"a = v[{rn}]")
-                lines.append(f"b = v[{rm}]")
-                b_neg = f"bool(b & {sign})"
-            else:
-                operand = alu.to_unsigned(imm, xlen)
-                lines.append(f"a = v[{rn}]")
-                lines.append(f"b = {operand}")
-                b_neg = "True" if operand & sign else "False"
-            lines.append(f"r = (a - b) & {mask}")
-            lines.append(f"core.flag_n = bool(r >> {xm})")
-            lines.append("core.flag_z = r == 0")
-            lines.append("core.flag_c = a >= b")
-            lines.append(f"sn = bool(a & {sign})")
-            lines.append(f"core.flag_v = sn != {b_neg} and bool(r & {sign}) != sn")
-    elif op == Op.CSET:
+            operand = alu.to_unsigned(imm, xlen)
+            lines.append(f"b = {operand}")
+            b_neg = "True" if operand & sign else "False"
+        lines.append(f"r = (a - b) & {mask}")
+        lines.append(f"core.flag_n = bool(r >> {xm})")
+        lines.append("core.flag_z = r == 0")
+        lines.append("core.flag_c = a >= b")
+        lines.append(f"sn = bool(a & {sign})")
+        lines.append(f"core.flag_v = sn != {b_neg} and bool(r & {sign}) != sn")
+        return _INT
+    if op == Op.CSET:
         expr = cond_expr(instr.cond)
-        if expr is None:
-            return False
-        lines.append(f"v[{rd}] = 1 if {expr} else 0")
-    elif op in (Op.LDR, Op.LDRB):
-        size = ctx["word_bytes"] if op == Op.LDR else 1
-        lines.append(f"core.pc = {next_pc}")
-        if ctx["model_caches"]:
-            # Effective address computed once, D-cache accounting before
-            # the architectural read (pending-fault commit order — see
-            # Core._data_access_cycles).
-            lines.append(f"a = {addr_expr()}")
-            lines.append("st.cycles += da(a, False)")
-            lines.append(f"v[{rd}] = mr(a, {size})")
+        if expr is not None:
+            lines.append(f"v[{rd}] = 1 if {expr} else 0")
+        return _INT
+    if op in (Op.LDR, Op.LDRB, Op.STR, Op.STRB, Op.FLDR, Op.FSTR):
+        # Effective address computed once; with caches modelled the
+        # D-cache access runs before the architectural memory operation
+        # (pending-fault commit order — see Core._data_access_cycles).
+        load = op in (Op.LDR, Op.LDRB, Op.FLDR)
+        if op in (Op.FLDR, Op.FSTR):
+            size = ctx["float_bytes"]
         else:
-            lines.append(f"v[{rd}] = mr({addr_expr()}, {size})")
-    elif op in (Op.STR, Op.STRB):
-        size = ctx["word_bytes"] if op == Op.STR else 1
-        value = f"v[{rd}]" if op == Op.STR else f"v[{rd}] & 255"
+            size = ctx["word_bytes"] if op in (Op.LDR, Op.STR) else 1
         lines.append(f"core.pc = {next_pc}")
-        if ctx["model_caches"]:
+        if cached:
             lines.append(f"a = {addr_expr()}")
-            lines.append("st.cycles += da(a, True)")
-            lines.append(f"mw(a, {value}, {size})")
+            lines.append(f"st.cycles += da(a, {not load})")
+        addr = "a" if cached else addr_expr()
+        # The single-precision conversions only exist on the ARMv7
+        # shape, whose compiler never emits hardware FP — they are kept
+        # for interpreter parity.
+        if op == Op.FLDR:
+            lines.append(f"bits = mr({addr}, {size})")
+            if size == 4:
+                lines.append("bits = d2b(b2s(bits))")
+            lines.append(f"f[{rd}] = bits & {fmask}")
+        elif op == Op.FSTR:
+            lines.append(f"bits = f[{rd}]")
+            if size == 4:
+                lines.append("bits = s2b(b2d(bits))")
+            lines.append(f"mw({addr}, bits, {size})")
+        elif load:
+            lines.append(f"v[{rd}] = mr({addr}, {size})")
         else:
-            lines.append(f"mw({addr_expr()}, {value}, {size})")
-    elif op == Op.B:
+            value = f"v[{rd}]" if op == Op.STR else f"v[{rd}] & 255"
+            lines.append(f"mw({addr}, {value}, {size})")
+        fp = (("float_ops", 1),) if op in (Op.FLDR, Op.FSTR) else ()
+        if load:
+            return (("loads", 1),) + fp + (("bytes_read", size),)
+        return (("stores", 1),) + fp + (("bytes_written", size),)
+    if op == Op.B:
         lines.append(f"core.pc = {text_base + 4 * imm}")
-    elif op in (Op.BCC, Op.CBZ, Op.CBNZ):
+        return (("branches", 1), ("branches_taken", 1))
+    if op in (Op.BCC, Op.CBZ, Op.CBNZ):
         if op == Op.BCC:
             expr = cond_expr(instr.cond)
             if expr is None:
-                return False
+                return ()  # ``branches`` was committed live by the stub
         elif op == Op.CBZ:
             expr = f"v[{rn}] == 0"
         else:
@@ -1228,72 +518,29 @@ def _emit_instr(instr, index, ctx, lines) -> bool:
         lines.append(f"    core.pc = {text_base + 4 * imm}")
         lines.append("else:")
         lines.append(f"    core.pc = {next_pc}")
-    elif op == Op.BL:
+        return (("branches", 1),)
+    if op == Op.BL:
         lines.append(f"v[{ctx['lr']}] = {next_pc & mask}")
         lines.append(f"core.pc = {text_base + 4 * imm}")
-    elif op == Op.BLR:
+        return (("branches", 1), ("branches_taken", 1), ("calls", 1))
+    if op == Op.BLR:
         lines.append(f"t = v[{rn}]")
         lines.append(f"v[{ctx['lr']}] = {next_pc & mask}")
         lines.append("core.pc = t")
-    elif op == Op.RET:
+        return (("branches", 1), ("branches_taken", 1), ("calls", 1))
+    if op == Op.RET:
         lines.append(f"core.pc = v[{ctx['lr']}]")
-    elif op in (Op.FADD, Op.FSUB, Op.FMUL):
-        sym = {Op.FADD: "+", Op.FSUB: "-", Op.FMUL: "*"}[op]
-        lines.append(f"f[{rd}] = d2b(b2d(f[{rn}]) {sym} b2d(f[{rm}])) & {fmask}")
-    elif op == Op.FMIN:
-        lines.append(f"f[{rd}] = d2b(min(b2d(f[{rn}]), b2d(f[{rm}]))) & {fmask}")
-    elif op == Op.FMAX:
-        lines.append(f"f[{rd}] = d2b(max(b2d(f[{rn}]), b2d(f[{rm}]))) & {fmask}")
-    elif op == Op.FDIV:
-        lines.append(f"f[{rd}] = d2b(fp_binary('div', b2d(f[{rn}]), b2d(f[{rm}]))) & {fmask}")
-    elif op == Op.FSQRT:
-        lines.append(f"f[{rd}] = d2b(fsqrt(b2d(f[{rn}]))) & {fmask}")
-    elif op == Op.FNEG:
-        lines.append(f"f[{rd}] = d2b(-b2d(f[{rn}])) & {fmask}")
-    elif op == Op.FABS:
-        lines.append(f"f[{rd}] = d2b(abs(b2d(f[{rn}]))) & {fmask}")
-    elif op == Op.FCMP:
-        lines.append(
-            f"core.flag_n, core.flag_z, core.flag_c, core.flag_v = fcmp(b2d(f[{rn}]), b2d(f[{rm}]))"
-        )
-    elif op == Op.FMOV:
-        lines.append(f"f[{rd}] = f[{rn}]")
-    elif op == Op.FMOVI:
-        lines.append(f"f[{rd}] = {imm & fmask}")
-    elif op in (Op.FLDR, Op.FSTR):
-        size = ctx["float_bytes"]
-        single = size == 4
-        cached = ctx["model_caches"]
-        lines.append(f"core.pc = {next_pc}")
-        if cached:
-            lines.append(f"a = {addr_expr()}")
-        addr = "a" if cached else addr_expr()
-        if op == Op.FLDR:
-            if cached:
-                lines.append("st.cycles += da(a, False)")
-            lines.append(f"bits = mr({addr}, {size})")
-            if single:
-                lines.append("bits = d2b(b2s(bits))")
-            lines.append(f"f[{rd}] = bits & {fmask}")
-        else:
-            lines.append(f"bits = f[{rd}]")
-            if single:
-                lines.append("bits = s2b(b2d(bits))")
-            if cached:
-                lines.append("st.cycles += da(a, True)")
-            lines.append(f"mw({addr}, bits, {size})")
-    elif op == Op.SCVTF:
+        return (("branches", 1), ("branches_taken", 1), ("returns", 1))
+    if op == Op.SCVTF:
         lines.append(f"x = v[{rn}]")
         lines.append(f"if x & {ctx['sign_bit']}:")
         lines.append(f"    x -= {1 << xlen}")
         lines.append(f"f[{rd}] = d2b(float(x)) & {fmask}")
-    elif op == Op.FCVTZS:
-        lines.append(f"v[{rd}] = f2i(b2d(f[{rn}]), {xlen})")
-    elif op == Op.FMOVRG:
-        lines.append(f"f[{rd}] = v[{rn}] & {fmask}")
-    elif op == Op.FMOVGR:
-        lines.append(f"v[{rd}] = f[{rn}] & {mask}")
-    elif op == Op.SVC:
+        return _FLT
+    if op == Op.SVC:
+        # ``syscalls`` is committed live (before the handler) so a
+        # handler-raised GuestFault leaves exactly the interpreter's
+        # counter state; cycles/instructions stay burst-accounted.
         lines.append(f"core.pc = {next_pc}")
         lines.append("core.stats.syscalls += 1")
         lines.append("h = core.syscall_handler")
@@ -1302,103 +549,107 @@ def _emit_instr(instr, index, ctx, lines) -> bool:
             "    raise SimulatorError('SVC executed but no syscall handler installed (bare-metal core)')"
         )
         lines.append(f"h(core, {imm})")
-    elif op == Op.NOP or op == Op.WFI:
-        pass  # WFI's idle_cycles ride the batched block delta
-    elif op == Op.HALT:
+        return ()
+    if op == Op.HALT:
         lines.append(f"core.pc = {next_pc}")
         lines.append("core.halted = True")
-    else:
-        return False  # undefined opcode: stays on the closure tier
-    return True
+        return ()
+    message = f"undefined opcode {op!r} at {this_pc:#x}"
+    lines.append(f"core.pc = {next_pc}")
+    lines.append(f"raise InstructionFault({message!r}, address={this_pc}, core_id=core.core_id)")
+    return ()
 
 
-#: Opcodes whose generated source touches the FP register file.
-_FP_SRC_OPS = frozenset(
-    {
-        Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV, Op.FSQRT, Op.FNEG, Op.FABS, Op.FMIN,
-        Op.FMAX, Op.FCMP, Op.FMOV, Op.FMOVI, Op.FLDR, Op.FSTR, Op.SCVTF,
-        Op.FCVTZS, Op.FMOVRG, Op.FMOVGR,
-    }
-)
+#: Per-block bindings, hoisted into the prologue when the body uses
+#: them.  The address space never changes mid-block (only syscalls
+#: swap it, and SVC is always block-final); cache objects and the stats
+#: record only change between bursts.
+_PROLOGUE = {
+    "f": "f = core.fregs._values",
+    "st": "st = core.stats",
+    "fa": "fa = core.caches.l1i.access",
+    "da": "da = core.caches.l1d.access",
+    "mr": "mr = core.mem.read",
+    "mw": "mw = core.mem.write",
+}
+_PROLOGUE_NAMES = re.compile(r"\b(?:%s)\b(?=[\[.(])" % "|".join(_PROLOGUE))
 
 
 def _compile_block(block, decoded):
-    """Fuse one block into a single generated function, or None.
+    """Fuse ``block`` into one generated function and its batched deltas.
 
-    The function has the closure/step tier's exact semantics: same PC
-    stores before raising operations, same live counters
-    (``branches_taken``, ``syscalls``), same final PC.  The batched
-    block delta still comes from the driver.
+    Sets ``block.compiled``, ``items``, ``instr_items`` and (with
+    caches modelled) ``repeat_prefix``.  The batched delta is applied
+    by the driver after the compiled function returns.
 
     Cache modelling: every PC of a straight-line block is known here,
     so I-side accounting splits per line.  The first instruction
-    touching each I-cache line (*leader* — block entry is always one)
-    does the real ``l1i.access`` inline, in program order relative to
-    the block's D-accesses (both can reach the shared L2, so their
-    interleaving decides L2 LRU state).  The remaining instructions of
-    the line (*repeats*) are provably pure hits — the leader left the
-    line resident, MRU and pending-free, and D-accesses cannot disturb
-    the L1i — so their effect is exactly a static counter delta
-    (``hits``/``read_accesses``/``cycles += hit latency``), batched
-    into the burst accumulator by the driver.  D-side accounting is
-    emitted inline against the hoisted ``l1d.access`` with the
-    effective address computed once per memory operation.
+    touching each I-cache line (*leader* — block entry is always one,
+    since the engine cannot know the line is resident at a branched-to
+    entry) does the real ``l1i.access`` inline, in program order
+    relative to the block's D-accesses (both can reach the shared L2,
+    so their interleaving decides L2 LRU state).  The remaining
+    instructions of the line (*repeats*) are provably pure hits — the
+    leader left the line resident, MRU and pending-free, and D-accesses
+    cannot disturb the L1i — so their effect is exactly a static
+    counter delta (``hits``/``read_accesses``/``cycles += hit
+    latency``), batched into the burst accumulator by the driver.
     """
     text = decoded.text
     ctx = decoded.ctx
+    base = ctx["text_base"]
     model_caches = decoded.model_caches
-    line_shift = ctx["i_line_shift"]
-    if model_caches and line_shift is None:
-        return None  # no icache geometry at decode time: stay on the step tier
     start = block.start
     end = start + block.length
     lines: list[str] = []
-    needs_f = False
-    needs_read = False
-    needs_write = False
-    prev_line = -1
+    instr_items = []
+    repeat_prefix = []
+    repeats = 0
+    shift = ctx.get("i_line_shift")
     for index in range(start, end):
-        instr = text[index]
-        op = instr.op
-        if op in _FP_SRC_OPS:
-            needs_f = True
-        if op in (Op.LDR, Op.LDRB, Op.FLDR):
-            needs_read = True
-        elif op in (Op.STR, Op.STRB, Op.FSTR):
-            needs_write = True
         if model_caches:
-            pc = ctx["text_base"] + 4 * index
-            iline = pc >> line_shift
-            if index == start or iline != prev_line:
+            pc = base + 4 * index
+            if index > start and pc >> shift == (pc - 4) >> shift:
+                repeats += 1
+            else:
                 lines.append(f"st.cycles += fa({pc})")
-            prev_line = iline
-        if not _emit_instr(instr, index, ctx, lines):
-            return None
-    last = text[end - 1]
-    if end == decoded.length and last.op not in BLOCK_TERMINATOR_OPS:
-        # Run falls off the end of the text: leave the interpreter's
-        # exact PC for the out-of-range fetch fault that follows.
-        lines.append(f"core.pc = {ctx['text_base'] + 4 * end}")
-    # Hoisted per-block bindings: the address space never changes
-    # mid-block (only syscalls swap it, and SVC is always block-final);
-    # cache objects and the stats record only change between bursts.
-    if needs_write:
-        lines.insert(0, "mw = core.mem.write")
-    if needs_read:
-        lines.insert(0, "mr = core.mem.read")
-    if model_caches and (needs_read or needs_write):
-        lines.insert(0, "da = core.caches.l1d.access")
+            repeat_prefix.append(repeats)
+        items = _emit_instr(text[index], index, ctx, lines)
+        instr_items.append(tuple((_STAT_INDEX[name], delta) for name, delta in items))
+    if text[end - 1].op not in BLOCK_TERMINATOR_OPS:
+        # The run continues at the next instruction — or falls off the
+        # end of the text, where the out-of-range fetch fault that
+        # follows reports the interpreter's exact address.
+        lines.append(f"core.pc = {base + 4 * end}")
+    # acc slots 0 and 1: instructions and (batched) fetch cycles
     if model_caches:
-        lines.insert(0, "fa = core.caches.l1i.access")
-        lines.insert(0, "st = core.stats")
-    if needs_f:
-        lines.insert(0, "f = core.fregs._values")
-    if not lines:
-        lines.append("pass")
-    source = "def _block(core, v):\n" + "\n".join("    " + line for line in lines)
+        totals = {0: block.length, 1: repeats * ctx["i_hit"], _REPEATS: repeats}
+    else:
+        totals = {0: block.length, 1: block.length}
+    for items in instr_items:
+        for stat, delta in items:
+            totals[stat] = totals.get(stat, 0) + delta
+    body = "\n".join("    " + line for line in lines)
+    used = set(_PROLOGUE_NAMES.findall(body))
+    prologue = [binding for name, binding in _PROLOGUE.items() if name in used]
+    source = "def _block(core, v):\n" + "".join(f"    {line}\n" for line in prologue) + body
     namespace: dict = {}
-    exec(compile(source, f"<superblock@{ctx['text_base'] + 4 * start:#x}>", "exec"), _CODEGEN_GLOBALS, namespace)
-    return namespace["_block"]
+    exec(compile(source, f"<superblock@{base + 4 * start:#x}>", "exec"), _CODEGEN_GLOBALS, namespace)
+    block.items = tuple(sorted((stat, delta) for stat, delta in totals.items() if delta))
+    block.instr_items = tuple(instr_items)
+    block.repeat_prefix = tuple(repeat_prefix) if model_caches else None
+    block.compiled = namespace["_block"]
+
+
+def _single(decoded, index):
+    """The compiled length-1 block for instruction ``index`` (cached).
+
+    Only a budget that ends inside a block steps single instructions,
+    so ``index`` is never the last of its run: never SVC or HALT.
+    """
+    block = decoded.singles[index] = Block(index, 1, False)
+    _compile_block(block, decoded)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -1406,48 +657,32 @@ def _compile_block(block, decoded):
 # ---------------------------------------------------------------------------
 
 
-def _account_fault(core, acc, block) -> None:
-    """Replay the statistics of a batched block interrupted by an exception.
+def _account_fault(core, decoded, acc, block) -> None:
+    """Replay the statistics of a block interrupted by an exception.
 
-    Every closure that can raise stores its next PC before doing work,
-    so the PC at the raise site identifies the faulting instruction.
-    The interpreter would have committed: all counters of the completed
-    prefix, plus the fetch cycle of the faulting instruction (its class
-    counters and the ``instructions`` increment never happen — matching
-    ``Core.step``'s raise points exactly).  Deltas land in the burst
-    accumulator, which the driver flushes before the exception leaves.
+    Every instruction that can raise stores its next PC before doing
+    work, so the PC at the raise site identifies the faulting
+    instruction ``j``.  The interpreter would have committed: all
+    counters of the completed prefix, plus the fetch of the faulting
+    instruction (its class counters and the ``instructions`` increment
+    never happen — matching ``Core.step``'s raise points exactly).
+    With caches modelled, leader fetches and D-access latencies were
+    already committed inline, so only the batched repeat fetches
+    through ``j`` remain.  Deltas land in the burst accumulator, which
+    the driver flushes before the exception leaves.
     """
-    j = ((core.pc - core.text_base) >> 2) - 1 - block.start
+    j = ((core.pc - decoded.text_base) >> 2) - 1 - block.start
     if j < 0:
         j = 0
     elif j >= block.length:
         j = block.length - 1
     acc[0] += j
-    acc[1] += j + 1
-    for items in block.instr_items[:j]:
-        for index, delta in items:
-            acc[index] += delta
-
-
-def _account_fault_cached(core, acc, block) -> None:
-    """Replay a cached compiled block interrupted by an exception.
-
-    Leader fetches and D-access latencies were committed inline before
-    the raise (matching the interpreter's order exactly); what is still
-    pending is the batched repeat-fetch effect.  The interpreter would
-    have committed: class counters and ``instructions`` for the
-    completed prefix, plus the *fetch* of the faulting instruction —
-    so repeats are replayed through index ``j`` inclusive.
-    """
-    j = ((core.pc - core.text_base) >> 2) - 1 - block.start
-    if j < 0:
-        j = 0
-    elif j >= block.length:
-        j = block.length - 1
-    acc[0] += j
-    repeats = block.repeat_prefix[j]
-    acc[1] += repeats * block.i_hit
-    acc[15] += repeats
+    if decoded.model_caches:
+        repeats = block.repeat_prefix[j]
+        acc[1] += repeats * decoded.ctx["i_hit"]
+        acc[_REPEATS] += repeats
+    else:
+        acc[1] += j + 1
     for items in block.instr_items[:j]:
         for index, delta in items:
             acc[index] += delta
@@ -1477,12 +712,14 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
 
     Stops early when the core's thread changes (a syscall detached or
     killed it) or — with ``stop_on_halt`` — when HALT executes; those
-    state tests run on entry and after SVC/HALT blocks (the only ops
-    that can change them).  Returns the executed instruction count.
+    state tests run on entry and after SVC/HALT (the only ops that can
+    change them).  Returns the executed instruction count.
 
-    Batched-block statistics accumulate in burst-local counters and are
-    flushed to ``core.stats`` on every exit path (including a mid-block
-    guest fault, where :func:`_account_fault` first reconstructs the
+    Hot blocks run fused, cold blocks on ``Core.step`` and a budget
+    ending inside a block on per-instruction compiled code.  Compiled
+    code accumulates statistics in burst-local counters, flushed to
+    ``core.stats`` on every exit path (including a mid-block guest
+    fault, where :func:`_account_fault` first reconstructs the
     interrupted block's exact prefix), so the counters are
     interpreter-exact whenever control leaves this function.  Syscall
     handlers run mid-burst and must not read ``core.stats`` — none do:
@@ -1493,12 +730,13 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
     thread = core.thread
     base = decoded.text_base
     entries = decoded.entries
+    singles = decoded.singles
     length = decoded.length
-    model_caches = decoded.model_caches
     regs = core.regs
     executed = 0
     check_state = True
-    acc = [0] * 16
+    step = core.step
+    acc = [0] * (_REPEATS + 1)
     try:
         while executed < budget:
             if check_state:
@@ -1518,90 +756,37 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
                     f"instruction fetch outside text segment at {pc:#x}", address=pc, core_id=core.core_id
                 )
             block = entries[index]
-            blen = block.length
-            if blen <= budget - executed:
-                gprs = regs._values
-                compiled = block.compiled
-                if compiled is None:
-                    hits = block.hits = block.hits + 1
-                    if hits >= _COMPILE_THRESHOLD:
-                        compiled = block.compiled = _compile_block(block, decoded)
-                        if compiled is None:
-                            block.hits = -1 << 40  # uncompilable: stop trying
-                if compiled is not None:
-                    # Hot tier: the whole run as one fused function.
-                    # Statistics land as one batched delta; with caches
-                    # modelled, leader fetches and D-accesses were
-                    # accounted inline and only the repeat-fetch hits
-                    # ride the accumulator (slot 15 -> L1i counters).
-                    try:
-                        compiled(core, gprs)
-                    except BaseException:
-                        if model_caches:
-                            _account_fault_cached(core, acc, block)
-                        else:
-                            _account_fault(core, acc, block)
-                        raise
-                    acc[0] += blen
-                    if model_caches:
-                        acc[1] += block.i_repeat_cycles
-                        acc[15] += block.i_repeats
-                    else:
-                        acc[1] += blen
-                    for stat_index, delta in block.items:
-                        acc[stat_index] += delta
-                    executed += blen
-                elif block.fast_ops is not None:
-                    # Cache-less closure tier (cold blocks): batched
-                    # statistics over the bare architectural closures.
-                    try:
-                        for op in block.fast_ops:
-                            op(core, gprs)
-                    except BaseException:
-                        _account_fault(core, acc, block)
-                        raise
-                    acc[0] += blen
-                    acc[1] += blen
-                    for stat_index, delta in block.items:
-                        acc[stat_index] += delta
-                    executed += blen
-                else:
-                    # Cache-modelling cold tier: per-instruction fetch
-                    # latencies via the self-accounting closures (still
-                    # one bounds check per block, zero dispatch cost).
-                    for op in block.step_ops:
-                        op(core, gprs)
-                    executed += blen
-                check_state = block.recheck
-            else:
-                # The budget ends inside this block: deopt to exact
-                # per-instruction stepping so stop_at_instruction pauses
-                # on the precise boundary (schedule-neutral resume).
-                step_ops = decoded.step_ops
-                while executed < budget:
-                    if core.thread is not thread:
-                        break
-                    if stop_on_halt and core.halted:
-                        break
-                    pc = core.pc
-                    offset = pc - base
-                    if offset & 0x3:
-                        raise AlignmentFault(
-                            f"misaligned instruction fetch at {pc:#x}", address=pc, core_id=core.core_id
-                        )
-                    index = offset >> 2
-                    if index < 0 or index >= length:
-                        raise InstructionFault(
-                            f"instruction fetch outside text segment at {pc:#x}",
-                            address=pc,
-                            core_id=core.core_id,
-                        )
-                    step_ops[index](core, regs._values)
-                    executed += 1
-                break
+            if block.length > budget - executed:
+                # The budget ends inside this block: run one compiled
+                # instruction so stop_at_instruction pauses on the
+                # precise boundary (schedule-neutral resume).
+                block = singles[index] or _single(decoded, index)
+            elif block.compiled is None:
+                block.hits += 1
+                if block.hits < _COMPILE_THRESHOLD:
+                    # Cold block: code that runs this rarely costs more
+                    # to compile than to interpret.
+                    for _ in range(block.length):
+                        step()
+                    executed += block.length
+                    check_state = block.recheck
+                    continue
+                _compile_block(block, decoded)
+            try:
+                block.compiled(core, regs._values)
+            except BaseException:
+                _account_fault(core, decoded, acc, block)
+                raise
+            # With caches modelled, leader fetches and D-accesses were
+            # accounted inline and only the repeat-fetch hits ride the
+            # accumulator (slot _REPEATS -> L1i counters).
+            for stat_index, delta in block.items:
+                acc[stat_index] += delta
+            executed += block.length
+            check_state = block.recheck
     finally:
         _flush(stats, acc)
-        repeats = acc[15]
+        repeats = acc[_REPEATS]
         if repeats:
             # Batched repeat fetches: each one is an L1i read hit at hit
             # latency (the cycles already flushed through acc[1]).

@@ -638,3 +638,65 @@ class TestDispatchTables:
             core.condition_holds(77)
         with pytest.raises(SimulatorError):
             core.condition_holds(None)
+
+
+# ---------------------------------------------------------------------------
+# fault parity on the compiled tier: every block compiles, faults included
+# ---------------------------------------------------------------------------
+
+
+class _UndefinedOp(int):
+    pass
+
+
+COMPILED_FAULT_PROGRAMS = {
+    "undefined-opcode": [
+        Instr(Op.MOVI, rd=2, imm=3), Instr(Op.NOP), Instr(_UndefinedOp(999)),
+        Instr(Op.MOVI, rd=3, imm=1), Instr(Op.HALT),
+    ],
+    "bcc-unknown-condition": [
+        Instr(Op.CMPI, rn=0, imm=0), Instr(Op.ADDI, rd=2, rn=2, imm=5),
+        Instr(Op.BCC, cond=77, imm=0), Instr(Op.HALT),
+    ],
+    "cset-unknown-condition": [
+        Instr(Op.CMPI, rn=0, imm=0), Instr(Op.ADDI, rd=2, rn=2, imm=5),
+        Instr(Op.CSET, rd=3, cond=77), Instr(Op.MOVI, rd=4, imm=1), Instr(Op.HALT),
+    ],
+    "svc-without-handler": [
+        Instr(Op.MOVI, rd=2, imm=1), Instr(Op.SVC, imm=3), Instr(Op.HALT),
+    ],
+    "unmapped-load-mid-block": [
+        Instr(Op.MOVI, rd=2, imm=9), Instr(Op.MOVI, rd=3, imm=0x800000),
+        Instr(Op.ADDI, rd=2, rn=2, imm=1), Instr(Op.LDR, rd=4, rn=3, imm=0),
+        Instr(Op.MOVI, rd=5, imm=1), Instr(Op.HALT),
+    ],
+}
+
+
+@pytest.mark.parametrize("budget", [50, 1], ids=["one-burst", "single-steps"])
+@pytest.mark.parametrize("factory", [bare_core, cached_core], ids=["no-caches", "with-caches"])
+@pytest.mark.parametrize("program", sorted(COMPILED_FAULT_PROGRAMS))
+def test_compiled_tier_fault_parity(program, factory, budget, monkeypatch):
+    """Faulting instructions compile to raising code that leaves exactly
+    the interpreter's error, executed count, state and cache state —
+    in fused blocks and in per-instruction code (a budget of 1 ends
+    inside every block longer than one instruction)."""
+    monkeypatch.setattr(block_engine, "_COMPILE_THRESHOLD", 1)
+    text = COMPILED_FAULT_PROGRAMS[program]
+    ref_core, ref_executed, ref_error = _run_reference(list(text), ARMV8, 50, factory)
+    core = factory(ARMV8, use_engine=True)
+    core.text = list(text)
+    eng_error = None
+    try:
+        while core.run_burst(budget) == budget:
+            pass
+    except Exception as exc:  # noqa: BLE001 — compared against the interpreter's
+        eng_error = exc
+    assert ref_error is not None
+    assert type(eng_error) is type(ref_error)
+    assert str(eng_error) == str(ref_error)
+    assert core.stats.instructions == ref_executed
+    assert _full_state(core) == _full_state(ref_core)
+    entered = [block for block in core._decoded.entries if block.hits]
+    assert entered or budget == 1
+    assert all(block.compiled is not None for block in entered)
