@@ -8,7 +8,9 @@ A fixed campaign of exactly that size then runs as the accuracy twin:
 the adaptive estimates must agree with it to within the two intervals'
 combined half-widths.
 
-Results go to ``BENCH_PR9.json`` at the repository root.  Hard gates:
+Results are written to ``benchmarks/output/BENCH_PR9.json`` (generated,
+not tracked; the ``BENCH_PR9.json`` committed at the repository root
+keeps the PR 9 record to compare against).  Hard gates:
 
 * every adaptive run converges (stopping rule fires before the budget);
 * every achieved half-width is at or under the plan's target;
@@ -25,7 +27,6 @@ every workload.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.analysis.efficiency_table import fixed_equivalent, render_efficiency_table
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
@@ -33,10 +34,9 @@ from repro.npb.suite import Scenario
 from repro.orchestration.database import ResultsDatabase
 from repro.stats import STOP_CONVERGED, MinedPrior, SamplingPlan
 
-from bench_helpers import write_output
+from bench_helpers import OUTPUT_DIR, write_output
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_PR9.json"
+RESULT_PATH = OUTPUT_DIR / "BENCH_PR9.json"
 
 PLAN = SamplingPlan(
     target_half_width=0.05,
@@ -139,6 +139,7 @@ def test_bench_adaptive_vs_fixed_count():
         },
         "prior": {"cells": len(prior.cells), "scenarios": prior.scenarios},
     }
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     from repro.analysis.efficiency_table import efficiency_rows

@@ -10,8 +10,9 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields as dataclasses_fields
-from typing import Optional
+from typing import Callable, Optional
 
+from repro.errors import SimulatorError
 from repro.injection.classify import (
     NOT_INJECTED,
     Outcome,
@@ -424,65 +425,108 @@ class ScenarioCampaign:
             num_processes=len(self.golden.process_names),
         )
 
-    def run_adaptive(self, plan, prior=None) -> ScenarioReport:
-        """CI-driven adaptive campaign, in process (the reference driver).
+    def execute(
+        self,
+        drain: Callable[[list[FaultDescriptor]], tuple[list[InjectionResult], list[dict]]],
+        faults: Optional[int] = None,
+        plan=None,
+        prior=None,
+        partial: Optional[dict] = None,
+        checkpoint: Optional[Callable[[str, dict], None]] = None,
+        progress: Callable[[str], None] = lambda message: None,
+    ) -> ScenarioReport:
+        """The one batch loop every campaign driver runs.
 
-        Draws deterministic stratified batches from the canonical fault
-        stream until the plan's stopping rule fires (see
-        :mod:`repro.stats.controller`).  Batch results are recorded in
-        ``fault_id`` order — the canonical order every driver (pool,
-        distributed) must reproduce for adaptive runs to be
-        bit-identical across execution modes.
+        ``drain(faults)`` injects one batch and returns ``(results,
+        job_failures)``.  Without a ``plan`` the campaign is one batch of
+        ``faults`` (default: the config's count), and failed jobs are
+        recorded on the report.  With a :class:`~repro.stats.plan.SamplingPlan`
+        an adaptive controller draws batches until its stopping rule
+        fires; a failed job then fails the scenario, since the
+        controller's accounting needs complete batches.  ``partial``
+        replays a stored checkpoint first, and ``checkpoint(scenario_id,
+        payload)`` persists one after every unconverged batch.  Every
+        batch is recorded in ``fault_id`` order, however the drain ran it.
         """
         from repro.stats.controller import AdaptiveController
 
         start = time.perf_counter()
         if self.golden is None:
             self.run_golden()
-        controller = AdaptiveController(campaign=self, plan=plan, prior=prior)
-        injector = FaultInjector(
-            self.scenario,
-            self.golden,
-            watchdog_multiplier=self.config.watchdog_multiplier,
-        )
+        scenario_id = self.scenario.scenario_id
         results: list[InjectionResult] = []
-        while True:
-            batch = controller.next_batch()
-            if batch is None:
-                break
-            batch_results = sorted(
-                injector.run_many(batch.faults), key=lambda r: r.fault.fault_id
+        job_failures: list[dict] = []
+        controller = None
+        if plan is None:
+            batches = [self.build_fault_list(faults)]
+            progress(
+                f"[inject] {scenario_id}: {len(batches[0])} faults, "
+                f"{len(self.golden.checkpoints)} checkpoints"
             )
-            controller.record_batch(batch, batch_results)
+        else:
+            controller = AdaptiveController(campaign=self, plan=plan, prior=prior)
+            if partial is not None:
+                restored = [InjectionResult.from_record(r) for r in partial.get("results", [])]
+                controller.restore(partial.get("batches", []), restored)
+                results.extend(restored)
+                progress(
+                    f"[adapt]  {scenario_id}: restored {len(controller.batches)} batch(es), "
+                    f"{controller.spent} faults spent"
+                )
+            batches = iter(controller.next_batch, None)
+        for batch in batches:
+            batch_results, failures = drain(batch if controller is None else batch.faults)
+            batch_results = sorted(batch_results, key=lambda r: r.fault.fault_id)
             results.extend(batch_results)
-        elapsed = time.perf_counter() - start
+            job_failures.extend(failures)
+            if controller is None:
+                continue
+            if failures:
+                raise SimulatorError(
+                    f"adaptive batch {batch.index} of {scenario_id} lost "
+                    f"{len(failures)} job(s) ({failures[0]['error']}); "
+                    "adaptive accounting requires complete batches"
+                )
+            record = controller.record_batch(batch, batch_results)
+            progress(
+                f"[adapt]  {scenario_id}: batch {record['index']} ({record['size']} faults), "
+                f"spent {controller.spent}, half-width {record['half_width']:.4f}"
+                + (f", stop: {record['stopping']}" if record["stopping"] else "")
+            )
+            if checkpoint is not None and controller.stopping is None:
+                checkpoint(
+                    scenario_id,
+                    {
+                        "scenario_id": scenario_id,
+                        "plan": plan.as_dict(),
+                        "batches": list(controller.batches),
+                        "results": [result.as_record() for result in results],
+                    },
+                )
         return summarize(
             self.scenario,
             self.golden,
             results,
-            elapsed,
+            time.perf_counter() - start,
             keep_individual_results=self.config.keep_individual_results,
             target_mix=self.resolved_target_mix(),
-            adaptive=controller.summary(),
+            job_failures=job_failures,
+            adaptive=controller.summary() if controller is not None else None,
         )
 
-    def run(self, count: Optional[int] = None) -> ScenarioReport:
-        start = time.perf_counter()
+    def _single_injector(self):
+        """A drain that runs every batch in process on one injector."""
         if self.golden is None:
             self.run_golden()
-        faults = self.build_fault_list(count)
         injector = FaultInjector(
-            self.scenario,
-            self.golden,
-            watchdog_multiplier=self.config.watchdog_multiplier,
+            self.scenario, self.golden, watchdog_multiplier=self.config.watchdog_multiplier
         )
-        results = injector.run_many(faults)
-        elapsed = time.perf_counter() - start
-        return summarize(
-            self.scenario,
-            self.golden,
-            results,
-            elapsed,
-            keep_individual_results=self.config.keep_individual_results,
-            target_mix=self.resolved_target_mix(),
-        )
+        return lambda faults: (injector.run_many(faults), [])
+
+    def run_adaptive(self, plan, prior=None) -> ScenarioReport:
+        """CI-driven adaptive campaign, in process (see :meth:`execute`)."""
+        return self.execute(self._single_injector(), plan=plan, prior=prior)
+
+    def run(self, count: Optional[int] = None) -> ScenarioReport:
+        """Fixed-count campaign, in process (see :meth:`execute`)."""
+        return self.execute(self._single_injector(), faults=count)

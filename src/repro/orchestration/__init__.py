@@ -4,17 +4,20 @@ The paper executes its 1,040,000 fault injections on an HPC system with
 more than 5,000 cores by batching injections into jobs (phase three of
 the workflow) and assembling all individual reports into a single
 database afterwards (phase four).  This package reproduces that
-pipeline at workstation scale — and hardens it for campaign length:
-a persistent suite pool with per-worker golden caches, pipelined
-golden/injection phases, streaming per-scenario shards with resume, and
-per-job fault isolation.  See ``docs/orchestration.md``.
+pipeline at workstation scale — and hardens it for campaign length.
+Every driver runs one batch loop (``ScenarioCampaign.execute``) inside
+one claim loop (``CampaignRunner.run_claims``) over a scenario source:
+the local suite, file leases on a shared store, or HTTP leases from the
+coordinator.  Around them sit a persistent worker pool whose jobs load
+spooled goldens lazily, pipelined golden/injection phases, streaming
+per-scenario shards with resume, and per-job fault isolation.  See
+``docs/orchestration.md``.
 """
 
 from repro.orchestration.jobs import CampaignJob, JobBatcher
 from repro.orchestration.logging import CampaignLogger
 from repro.orchestration.runner import (
     CampaignRunner,
-    GoldenCache,
     PersistentSuitePool,
     prepare_store,
 )
@@ -35,7 +38,6 @@ __all__ = [
     "CampaignStore",
     "DEFAULT_LEASE_TTL",
     "DuplicateReportError",
-    "GoldenCache",
     "LeaseHeartbeat",
     "PersistentSuitePool",
     "ResultsDatabase",

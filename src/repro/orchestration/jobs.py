@@ -6,9 +6,9 @@ synchronization overheads" (Section 3.2.4); the same batching keeps the
 process-pool overhead negligible here.
 
 Jobs shipped to a worker pool stay *light*: the golden reference (with
-its memory snapshots and checkpoints) is shared once per worker via the
-pool initializer, not pickled into every job.  A job optionally carries
-the golden result inline for standalone execution (tests, debugging).
+its memory snapshots and checkpoints) travels as a spool-file path that
+each worker loads once per scenario, not pickled into every job.  A job
+carries the golden result inline only for in-process execution.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class CampaignJob:
     descriptors it executes belong to the campaign's target dimension).
     Programs are rebuilt (deterministically) inside the worker, which is
     cheaper than shipping them.  ``golden`` is ``None`` for pool jobs —
-    the worker resolves it from its shared state — and set inline only
-    for standalone execution.
+    the worker loads it from ``golden_ref`` — and set inline for
+    in-process execution.
     """
 
     job_id: int
@@ -42,10 +42,8 @@ class CampaignJob:
     golden: Optional[GoldenRunResult] = None
     #: normalized (kind, weight) pairs; None = the default register mix
     target_mix: Optional[tuple[tuple[str, float], ...]] = None
-    #: spool-file path of the scenario's pickled golden reference; a
-    #: worker whose keyed cache misses (it joined the pool after the
-    #: install broadcast, or the broadcast timed out) loads it lazily,
-    #: so job correctness never depends on broadcast delivery
+    #: spool-file path of the scenario's pickled golden reference, which
+    #: a pool worker loads on its first job of the scenario
     golden_ref: Optional[str] = None
 
     def __len__(self) -> int:
@@ -71,16 +69,15 @@ class CampaignJob:
 class JobBatcher:
     """Splits a scenario's fault list into jobs of bounded size.
 
-    ``sort_by_injection_time`` orders the fault list by injection point
-    first, so each job's faults cluster around the same golden
-    checkpoints and the per-job fast-forward distance stays short.
+    The fault list is ordered by injection point first, so each job's
+    faults cluster around the same golden checkpoints and the per-job
+    fast-forward distance stays short.
     """
 
-    def __init__(self, faults_per_job: int = 64, sort_by_injection_time: bool = True):
+    def __init__(self, faults_per_job: int = 64):
         if faults_per_job < 1:
             raise ValueError(f"invalid faults_per_job {faults_per_job}")
         self.faults_per_job = faults_per_job
-        self.sort_by_injection_time = sort_by_injection_time
         self._next_job_id = 0
 
     def batch(
@@ -93,8 +90,7 @@ class JobBatcher:
         golden_ref: Optional[str] = None,
     ) -> list[CampaignJob]:
         """Build jobs; pass ``golden=None`` for payload-light pool jobs."""
-        if self.sort_by_injection_time:
-            faults = sorted(faults, key=lambda f: (f.injection_time, f.fault_id))
+        faults = sorted(faults, key=lambda f: (f.injection_time, f.fault_id))
         mix = normalize_target_mix(target_mix)
         jobs: list[CampaignJob] = []
         for start in range(0, len(faults), self.faults_per_job):

@@ -90,12 +90,12 @@ class CampaignLogger:
     def progress(self) -> Callable[[str], None]:
         """Adapter for the runner's ``progress`` callable contract.
 
-        Retry and failure progress lines surface as warnings so they
-        stay visible under ``--quiet``; everything else is info.
+        Retry, failure and discard progress lines surface as warnings so
+        they stay visible under ``--quiet``; everything else is info.
         """
 
         def emit(message: str) -> None:
-            if message.startswith(("[retry]", "[fail]", "[pool]")):
+            if message.startswith(("[retry]", "[fail]", "[discard]")):
                 self.warning(message)
             else:
                 self.info(message)

@@ -5,53 +5,49 @@ process because they are common to all injections of a scenario; phase
 three (the injections) fans out over worker processes; phase four
 (assembling the database) runs back in the parent.
 
-Suite-scale orchestration is built around four ideas:
+Every driver is built from two loops.  The batch loop,
+:meth:`ScenarioCampaign.execute`, runs a scenario's batches (a
+fixed-count campaign is one batch) and records each in ``fault_id``
+order; :meth:`CampaignRunner.run_one` hands it a drain that runs each
+batch as jobs on the pool, or in process.  The claim loop,
+:meth:`CampaignRunner.run_claims`, takes scenarios from a source — the
+local suite with golden prefetch (:meth:`~CampaignRunner.run_suite`),
+file leases on a shared store (:meth:`~CampaignRunner.run_leased`) or
+HTTP leases (:class:`repro.service.worker.WorkerAgent`) — and runs each
+through its golden, inject and assemble phases with one heartbeat, one
+interrupt policy and one failure policy.  So every driver yields
+bit-identical reports.
 
-**Persistent pool.**  One worker pool lives for the whole suite.  Each
-worker keeps a small keyed cache of golden references
-(:class:`GoldenCache`); the parent broadcasts an explicit *install*
-message when a scenario starts and an *evict* message when it ends,
-instead of tearing the pool down between scenarios.  Broadcast delivery
-is barrier-coordinated but never load-bearing: every job carries a
-spool-file reference (:attr:`CampaignJob.golden_ref`), so a worker that
-missed the broadcast lazily loads the golden it needs.
-
-**Pipelined phases.**  While scenario N's injection jobs drain on the
-pool, scenario N+1's golden run executes on a background thread.  The
-parent is idle while waiting on the pool (the workers are separate
-processes), so the golden phase no longer serialises the suite.
-
-**Streaming persistence and resume.**  With a
+One worker pool lives for the whole claim loop.  Each scenario's golden
+reference is spooled to a file that every pool job names
+(:attr:`CampaignJob.golden_ref`); a worker loads it into a one-entry
+cache on its first job of the scenario.  With a
 :class:`~repro.orchestration.store.CampaignStore`, every finished
-scenario is written to its own shard atomically; ``resume=True`` skips
-scenarios whose shards exist and retries recorded failures.  An
-exception in one scenario becomes a structured
-:class:`~repro.orchestration.store.ScenarioFailure` and the suite
-continues; a ``KeyboardInterrupt`` stops the suite but all completed
+scenario is written to its own shard atomically and ``resume=True``
+skips scenarios whose shards exist.  A failing scenario becomes a
+:class:`~repro.orchestration.store.ScenarioFailure` and the loop goes
+on; a failing job is retried and then recorded in the report's
+``job_failures``; a ``KeyboardInterrupt`` stops the loop but completed
 shards stay on disk.
-
-**Per-job fault isolation.**  Jobs run through ``imap_unordered`` with
-per-job error capture and bounded retry; a single poisoned job is
-recorded in the report's ``job_failures`` instead of discarding the
-scenario's other results.  Assembly sorts by job id, so the report is
-deterministic regardless of worker scheduling.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing
 import os
 import pickle
 import tempfile
 import threading
 import time
-from collections import OrderedDict
+from concurrent.futures import Future
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import SimulatorError
-from repro.injection.campaign import CampaignConfig, ScenarioCampaign, ScenarioReport, summarize
+from repro.injection.campaign import CampaignConfig, ScenarioCampaign, ScenarioReport
 from repro.injection.golden import GoldenRunResult
 from repro.injection.injector import FaultInjector, InjectionResult
 from repro.npb.suite import Scenario
@@ -60,147 +56,55 @@ from repro.orchestration.jobs import CampaignJob, JobBatcher
 from repro.orchestration.store import (
     DEFAULT_LEASE_TTL,
     CampaignStore,
+    LeaseBook,
     LeaseHeartbeat,
     ScenarioFailure,
 )
-from repro.stats.controller import AdaptiveController
 from repro.stats.plan import SamplingPlan
 from repro.stats.prior import MinedPrior
 
-#: How long a control broadcast waits for every worker to rendezvous.
-#: Broadcasts happen at scenario boundaries when the pool is idle, so
-#: hitting this means a worker is wedged; the suite then falls back to
-#: lazy spool-file loading rather than failing.
-CONTROL_BARRIER_TIMEOUT = 60.0
+#: This process's one-entry golden cache, ``{scenario_id: (spool path,
+#: golden)}``: a pool worker keeps the golden of the scenario it is
+#: working on, loaded from the spool file on its first job.
+_WORKER_CACHE: dict[str, tuple[Optional[str], GoldenRunResult]] = {}
 
 
-class GoldenCache:
-    """Keyed per-worker cache of golden references, LRU-bounded.
-
-    One instance lives at module level in every worker process (and in
-    the parent for in-process execution).  ``capacity`` stays small —
-    with pipelining at most two scenarios are in flight, so two entries
-    bound worker memory no matter how long the suite is.
-    """
-
-    def __init__(self, capacity: int = 2) -> None:
-        if capacity < 1:
-            raise SimulatorError(f"invalid golden cache capacity {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, GoldenRunResult]" = OrderedDict()
-
-    def install(self, scenario_id: str, golden: GoldenRunResult) -> None:
-        self._entries[scenario_id] = golden
-        self._entries.move_to_end(scenario_id)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def load(self, scenario_id: str, path: str) -> GoldenRunResult:
-        with open(path, "rb") as handle:
-            golden = pickle.load(handle)
-        self.install(scenario_id, golden)
-        return golden
-
-    def evict(self, scenario_id: str) -> None:
-        self._entries.pop(scenario_id, None)
-
-    def get(self, scenario_id: str) -> Optional[GoldenRunResult]:
-        golden = self._entries.get(scenario_id)
-        if golden is not None:
-            self._entries.move_to_end(scenario_id)
-        return golden
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def ids(self) -> list[str]:
-        return list(self._entries)
-
-    def __contains__(self, scenario_id: str) -> bool:
-        return scenario_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: Per-process golden cache (worker processes and in-process execution).
-_WORKER_CACHE = GoldenCache()
-
-#: Barrier shared by all pool workers, used to deliver exactly one
-#: control message per worker; ``None`` outside pool workers.
-_WORKER_BARRIER = None
-
-
-def _init_worker(barrier=None, cache_capacity: int = 2) -> None:
-    """Pool initializer: reset this worker's golden cache.
-
-    Runs once per worker for the lifetime of the *suite* (not per
-    scenario); goldens arrive later through install broadcasts or lazy
-    spool loads.
-    """
-    global _WORKER_BARRIER
-    _WORKER_BARRIER = barrier
-    _WORKER_CACHE.capacity = cache_capacity
+def _init_worker() -> None:
+    """Pool initializer: start with an empty golden cache."""
     _WORKER_CACHE.clear()
 
 
-def install_golden(scenario_id: str, golden: GoldenRunResult) -> None:
-    """Install one golden reference in this process's keyed cache."""
-    _WORKER_CACHE.install(scenario_id, golden)
+def install_golden(scenario_id: str, golden: GoldenRunResult, ref: Optional[str] = None) -> None:
+    """Make ``golden`` this process's cached golden, replacing any other."""
+    _WORKER_CACHE.clear()
+    _WORKER_CACHE[scenario_id] = (ref, golden)
 
 
 def evict_golden(scenario_id: str) -> None:
-    """Drop one golden reference from this process's keyed cache."""
-    _WORKER_CACHE.evict(scenario_id)
-
-
-def _worker_control(message: tuple) -> int:
-    """Apply one install/evict control message in a worker.
-
-    The message is applied *before* the barrier rendezvous, so delivery
-    hiccups (a broken barrier, a worker taking two messages because a
-    peer was slow) degrade to harmless duplicate application — install
-    and evict are idempotent, and a missed install is covered by the
-    jobs' lazy spool-file fallback.
-    """
-    kind = message[0]
-    if kind == "install":
-        _, scenario_id, path = message
-        if scenario_id not in _WORKER_CACHE:
-            try:
-                _WORKER_CACHE.load(scenario_id, path)
-            except FileNotFoundError:
-                pass  # stale broadcast: the scenario already finished
-    elif kind == "evict":
-        _WORKER_CACHE.evict(message[1])
-    else:
-        raise SimulatorError(f"unknown worker control message {message!r}")
-    if _WORKER_BARRIER is not None:
-        try:
-            _WORKER_BARRIER.wait(timeout=CONTROL_BARRIER_TIMEOUT)
-        except threading.BrokenBarrierError:
-            pass  # a peer timed out; the message was applied regardless
-    return os.getpid()
+    """Drop ``scenario_id``'s golden from this process's cache."""
+    _WORKER_CACHE.pop(scenario_id, None)
 
 
 def resolve_golden(job: CampaignJob) -> GoldenRunResult:
     """The golden reference for ``job``: inline, cached, or spooled."""
     if job.golden is not None:
         return job.golden
-    golden = _WORKER_CACHE.get(job.scenario.scenario_id)
-    if golden is not None:
+    scenario_id = job.scenario.scenario_id
+    ref, golden = _WORKER_CACHE.get(scenario_id, (None, None))
+    if golden is not None and (job.golden_ref is None or job.golden_ref == ref):
         return golden
-    if job.golden_ref is not None:
-        try:
-            return _WORKER_CACHE.load(job.scenario.scenario_id, job.golden_ref)
-        except FileNotFoundError as exc:
-            raise SimulatorError(
-                f"golden spool file for {job.scenario.scenario_id} disappeared: {exc}"
-            ) from exc
-    raise SimulatorError(
-        f"no golden reference for {job.scenario.scenario_id}: job carries none "
-        "and the worker cache has no entry for it"
-    )
+    if job.golden_ref is None:
+        raise SimulatorError(
+            f"no golden reference for {scenario_id}: job carries none "
+            "and the worker cache has no entry for it"
+        )
+    try:
+        with open(job.golden_ref, "rb") as handle:
+            golden = pickle.load(handle)
+    except FileNotFoundError as exc:
+        raise SimulatorError(f"golden spool file for {scenario_id} disappeared: {exc}") from exc
+    install_golden(scenario_id, golden, job.golden_ref)
+    return golden
 
 
 def execute_job(job: CampaignJob) -> list[InjectionResult]:
@@ -235,13 +139,13 @@ def _execute_job_guarded(job: CampaignJob):
 
 def _drain_jobs(
     jobs: list[CampaignJob],
-    submit: Callable[[list[CampaignJob]], Iterable[tuple]],
+    mapper: Callable[..., Iterable[tuple]],
     retries: int,
     progress: Callable[[str], None] = lambda message: None,
 ) -> tuple[list[InjectionResult], list[dict]]:
     """Collect guarded job executions with bounded retry.
 
-    ``submit`` maps a job list to an iterable of guarded result tuples
+    ``mapper(function, jobs)`` yields the guarded result tuples
     (``imap_unordered`` on a pool, a plain ``map`` in process).  Failed
     jobs are resubmitted up to ``retries`` extra rounds; whatever still
     fails becomes a structured entry of the report's ``job_failures``.
@@ -255,7 +159,7 @@ def _drain_jobs(
     outstanding = list(jobs)
     for round_index in range(max(0, retries) + 1):
         failed_ids: list[int] = []
-        for job_id, results, error in submit(outstanding):
+        for job_id, results, error in mapper(_execute_job_guarded, outstanding):
             attempts[job_id] = attempts.get(job_id, 0) + 1
             if error is None:
                 chunks[job_id] = results
@@ -281,42 +185,25 @@ def _drain_jobs(
     return results, failures
 
 
-class GoldenPrefetch:
-    """One golden run computed ahead of time on a daemon thread.
+def _prefetch_golden(compute: Callable[[Scenario], ScenarioCampaign], scenario: Scenario) -> Future:
+    """``compute(scenario)`` on a daemon thread, as a future.
 
-    A plain ``ThreadPoolExecutor`` would be joined at interpreter exit,
-    so a Ctrl-C during a suite would silently wait for the in-flight
-    golden run of the *next* scenario to finish — minutes, at paper
-    scale.  A daemon thread dies with the process instead; the suite's
-    interrupt contract ("completed shards are preserved, stop now")
-    costs at most the current scenario, never the prefetched one.
+    A ``ThreadPoolExecutor`` would be joined at interpreter exit, so a
+    Ctrl-C during a suite would silently wait for the in-flight golden
+    run of the *next* scenario to finish — minutes, at paper scale.  A
+    daemon thread dies with the process instead; the interrupt costs at
+    most the current scenario, never the prefetched one.
     """
+    future: Future = Future()
 
-    def __init__(self, compute: Callable[[Scenario], ScenarioCampaign], scenario: Scenario) -> None:
-        self._done = threading.Event()
-        self._result: Optional[ScenarioCampaign] = None
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(compute, scenario),
-            name=f"golden-prefetch-{scenario.scenario_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _run(self, compute: Callable[[Scenario], ScenarioCampaign], scenario: Scenario) -> None:
+    def run() -> None:
         try:
-            self._result = compute(scenario)
-        except BaseException as exc:  # noqa: BLE001 — re-raised in result()
-            self._error = exc
-        finally:
-            self._done.set()
+            future.set_result(compute(scenario))
+        except BaseException as exc:  # noqa: BLE001 — re-raised by result()
+            future.set_exception(exc)
 
-    def result(self) -> ScenarioCampaign:
-        self._done.wait()
-        if self._error is not None:
-            raise self._error
-        return self._result
+    threading.Thread(target=run, name=f"golden-prefetch-{scenario.scenario_id}", daemon=True).start()
+    return future
 
 
 def pool_context(start_method: Optional[str] = None):
@@ -339,85 +226,27 @@ def pool_context(start_method: Optional[str] = None):
 
 
 class PersistentSuitePool:
-    """A worker pool that lives for a whole suite run.
+    """A worker pool that lives for a whole claim loop.
 
-    Golden references are spooled to a temp directory once per scenario
-    and announced to the workers with an install broadcast; an evict
-    broadcast (plus spool-file removal) ends the scenario.  The barrier
-    guarantees each worker takes exactly one control message per
-    broadcast under normal operation; when a rendezvous fails the pool
-    keeps going, because jobs can always load the spool file themselves.
+    Goldens are spooled to a temp directory, one fresh file per scenario
+    run, so a worker's cached golden (see :func:`resolve_golden`) never
+    stands in for another campaign's.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: Optional[str] = None,
-        cache_capacity: int = 2,
-        progress: Callable[[str], None] = lambda message: None,
-    ) -> None:
+    def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
         if workers < 2:
             raise SimulatorError(f"PersistentSuitePool needs >= 2 workers, got {workers}")
         self.workers = workers
-        self.progress = progress
-        context = pool_context(start_method)
-        self._barrier = context.Barrier(workers)
         self._spool = tempfile.TemporaryDirectory(prefix="repro-golden-spool-")
-        self.pool = context.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(self._barrier, cache_capacity),
-        )
+        self._spooled = itertools.count()
+        self.pool = pool_context(start_method).Pool(processes=workers, initializer=_init_worker)
 
-    # ------------------------------------------------------------------
-
-    def spool_path(self, scenario_id: str) -> str:
-        return os.path.join(self._spool.name, f"{scenario_id}.golden.pickle")
-
-    def broadcast(self, message: tuple, timeout: float = CONTROL_BARRIER_TIMEOUT) -> bool:
-        """Deliver one control message to every worker (best effort)."""
-        handles = [self.pool.apply_async(_worker_control, (message,)) for _ in range(self.workers)]
-        deadline = time.monotonic() + timeout + 5.0
-        delivered = True
-        for handle in handles:
-            try:
-                handle.get(timeout=max(0.1, deadline - time.monotonic()))
-            except multiprocessing.TimeoutError:
-                delivered = False
-        if not delivered:
-            self._barrier.reset()  # unstick any waiters; lazy loads cover the miss
-            self.progress(f"[pool]   control broadcast {message[0]!r} timed out; relying on lazy loads")
-        return delivered
-
-    def install(self, scenario_id: str, golden: GoldenRunResult) -> str:
-        """Spool one golden reference and announce it to the workers."""
-        path = self.spool_path(scenario_id)
+    def spool(self, scenario_id: str, golden: GoldenRunResult) -> str:
+        """Write one golden reference to the spool; returns its path."""
+        path = os.path.join(self._spool.name, f"{next(self._spooled)}-{scenario_id}.golden.pickle")
         with open(path, "wb") as handle:
             pickle.dump(golden, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self.broadcast(("install", scenario_id, path))
         return path
-
-    def evict(self, scenario_id: str) -> None:
-        """Drop one scenario's golden from the workers and the spool."""
-        self.broadcast(("evict", scenario_id))
-        path = self.spool_path(scenario_id)
-        if os.path.exists(path):
-            os.unlink(path)
-
-    def run_jobs(
-        self,
-        jobs: list[CampaignJob],
-        retries: int = 1,
-        progress: Callable[[str], None] = lambda message: None,
-    ) -> tuple[list[InjectionResult], list[dict]]:
-        return _drain_jobs(
-            jobs,
-            lambda outstanding: self.pool.imap_unordered(_execute_job_guarded, outstanding),
-            retries,
-            progress,
-        )
-
-    # ------------------------------------------------------------------
 
     def close(self) -> None:
         self.pool.close()
@@ -446,23 +275,18 @@ def prepare_store(
     faults: Optional[int],
     resume: bool,
     plan: Optional[dict] = None,
-) -> dict[str, int]:
+) -> None:
     """Validate and (re)write a store's manifest for a campaign run.
 
-    The shared entry protocol of every driver — the local suite loop,
-    lease-mode workers and the coordinator service all pass through
-    here, so they enforce identical rules: a resume must match the
-    stored configuration (mismatching keys are named in the error), a
-    filtered resume keeps the manifest's scenario-id union, and a fresh
-    run refuses a store that already holds a campaign.  Returns the
-    prior failure-attempt counts (empty unless resuming).
+    The shared entry protocol of the local suite loop, lease-mode
+    workers (always resuming) and the coordinator service, so they
+    enforce identical rules: a resume must
+    match the stored configuration (mismatching keys are named in the
+    error), a filtered resume keeps the manifest's scenario-id union,
+    and a fresh run refuses a store that already holds a campaign.
     """
-    prior_attempts: dict[str, int] = {}
     if resume:
         store.check_resumable(suite_ids, config_dict, faults, plan=plan)
-        prior_attempts = {
-            failure.scenario_id: failure.attempts for failure in store.load_failures()
-        }
         # A filtered resume must not shrink the manifest: keep the
         # union so the full suite can still resume later.
         manifest = store.read_manifest()
@@ -479,7 +303,171 @@ def prepare_store(
             "resume=True to continue it, or point at a fresh directory"
         )
     store.write_manifest(suite_ids, config_dict, faults, plan=plan)
-    return prior_attempts
+
+
+@dataclass
+class Claim:
+    """One scenario a source hands to :meth:`CampaignRunner.run_claims`."""
+
+    scenario: Scenario
+    faults: Optional[int] = None
+    #: runs the claim instead of the loop's runner (an HTTP grant's campaign)
+    runner: Optional["CampaignRunner"] = None
+    #: a prefetched golden phase; ``None`` golden-runs in the loop
+    golden: Optional[Callable[[], ScenarioCampaign]] = None
+    partial: Optional[dict] = None
+    checkpoint: Optional[Callable[[str, dict], None]] = None
+    #: the lease to keep alive while the claim runs; ``None``: no lease
+    lease_ttl: Optional[float] = None
+    owner: str = ""
+
+
+class ScenarioSource:
+    """Where :meth:`CampaignRunner.run_claims` gets scenarios and puts results.
+
+    ``claim()`` returns the next :class:`Claim`, or ``None`` to end the
+    loop; ``commit(claim, report)`` returns ``False`` when the claim's
+    lease was no longer held; ``fail(claim, phase, exc)`` records a
+    failed phase.  Sources that lease also renew (``renew_lease``),
+    count discarded results and release an interrupted claim.
+    """
+
+    def renew_lease(self, scenario_id: str, owner: str) -> bool:
+        return True
+
+    def discard(self, claim: Claim) -> None:
+        pass
+
+    def interrupted(self, claim: Optional[Claim]) -> None:
+        pass
+
+
+class _SuiteSource(ScenarioSource):
+    """``run_suite``'s source: the suite in order, next golden prefetched."""
+
+    def __init__(self, runner, scenarios, faults, store, resume, database) -> None:
+        self.runner, self.scenarios, self.faults = runner, scenarios, faults
+        self.store, self.resume, self.database = store, resume, database
+        self.prior_attempts: dict[str, int] = {}
+        self.completed: set = set()
+        if store is not None:
+            prepare_store(
+                store,
+                [scenario.scenario_id for scenario in scenarios],
+                runner.config.as_dict(),
+                faults,
+                resume,
+                plan=runner.plan.as_dict() if runner.plan is not None else None,
+            )
+            self.prior_attempts = {f.scenario_id: f.attempts for f in store.load_failures()}
+            if resume:
+                self.completed = store.completed_ids()
+        self.queue = iter(scenarios)
+        self.pending = [s for s in scenarios if s.scenario_id not in self.completed]
+        self.prefetched: dict[str, Future] = {}
+        self.executed = self.done = 0
+        self.start = time.monotonic()
+
+    def _prefetch(self) -> None:
+        for ahead in self.pending[:2]:
+            if ahead.scenario_id not in self.prefetched:
+                self.prefetched[ahead.scenario_id] = _prefetch_golden(
+                    self.runner._compute_golden, ahead
+                )
+
+    def claim(self) -> Optional[Claim]:
+        for scenario in self.queue:
+            scenario_id = scenario.scenario_id
+            if scenario_id in self.completed:
+                self.database.add_report(self.store.load_shard(scenario_id))
+                self.done += 1
+                self.runner.progress(f"[skip]   {scenario_id}: resumed from shard")
+                continue
+            # Start the next golden too: it overlaps with this scenario's
+            # injections.
+            self._prefetch()
+            self.pending.pop(0)
+            claim = Claim(scenario, self.faults, golden=self.prefetched.pop(scenario_id).result)
+            if self.store is not None and self.runner.plan is not None:
+                claim.partial = self.store.load_partial(scenario_id) if self.resume else None
+                claim.checkpoint = self.store.write_partial
+            return claim
+        return None
+
+    def commit(self, claim: Claim, report: ScenarioReport) -> bool:
+        self.database.add_report(report)
+        if self.store is not None:
+            self.store.write_shard(report)
+        self.executed += 1
+        self.done += 1
+        total, failed = len(self.scenarios), len(self.database.failures)
+        elapsed = time.monotonic() - self.start
+        remaining = total - self.done - failed
+        line = (
+            f"[suite]  {self.done}/{total} scenarios done"
+            + (f", {failed} failed" if failed else "")
+            + (f", ETA {elapsed / self.executed * remaining:.0f}s" if remaining > 0 else "")
+        )
+        runner = self.runner
+        if runner.throughput and elapsed > 0:
+            line += f", {runner.guest_instructions / elapsed / 1e6:.2f} guest MIPS"
+            if runner.last_scenario_throughput is not None:
+                line += f", last scenario {runner.last_scenario_throughput[1]:.1f}s"
+        runner.progress(line)
+        return True
+
+    def fail(self, claim: Claim, phase: str, exc: Exception) -> None:
+        scenario_id = claim.scenario.scenario_id
+        failure = ScenarioFailure(
+            scenario_id, phase, type(exc).__name__, str(exc),
+            attempts=self.prior_attempts.get(scenario_id, 0) + 1,
+        )
+        self.database.add_failure(failure)
+        if self.store is not None:
+            self.store.write_failure(failure)
+
+
+class _StoreLeaseSource(ScenarioSource):
+    """``run_leased``'s source: file leases on a shared store."""
+
+    def __init__(self, runner, book: LeaseBook, by_id, faults, owner, database) -> None:
+        self.runner, self.book, self.by_id = runner, book, by_id
+        self.faults, self.owner, self.database = faults, owner, database
+        self.store = book.store
+
+    def claim(self) -> Optional[Claim]:
+        lease = self.book.claim(self.owner)
+        if lease is None:
+            return None
+        scenario_id = lease.scenario_id
+        self.runner.progress(f"[lease]  {scenario_id}: claimed by {self.owner}")
+        claim = Claim(self.by_id[scenario_id], self.faults, lease_ttl=self.book.ttl, owner=self.owner)
+        if self.runner.plan is not None:
+            # A reclaimed lease continues its predecessor's batch stream.
+            claim.partial = self.store.load_partial(scenario_id)
+            claim.checkpoint = lambda sid, payload: self.store.write_partial_leased(
+                sid, payload, self.owner
+            )
+        return claim
+
+    def renew_lease(self, scenario_id: str, owner: str) -> bool:
+        return self.store.renew_lease(scenario_id, owner)
+
+    def commit(self, claim: Claim, report: ScenarioReport) -> bool:
+        if not self.store.commit_leased(report, self.owner):
+            return False
+        self.database.add_report(report)
+        return True
+
+    def fail(self, claim: Claim, phase: str, exc: Exception) -> None:
+        scenario_id = claim.scenario.scenario_id
+        self.database.add_failure(
+            self.book.fail(self.owner, scenario_id, phase, type(exc).__name__, str(exc))
+        )
+
+    def interrupted(self, claim: Optional[Claim]) -> None:
+        if claim is not None:
+            self.store.release_lease(claim.scenario.scenario_id, self.owner)
 
 
 class CampaignRunner:
@@ -500,8 +488,6 @@ class CampaignRunner:
     job_retries:
         Extra execution rounds granted to failed jobs before they are
         recorded as ``job_failures`` on the scenario report.
-    golden_cache_capacity:
-        Entries kept in each worker's keyed golden cache.
     throughput:
         Report aggregate guest MIPS (injected-run guest instructions
         per wall second, summed across workers) and the last scenario's
@@ -527,7 +513,6 @@ class CampaignRunner:
         progress: Optional[Callable[[str], None]] = None,
         start_method: Optional[str] = None,
         job_retries: int = 1,
-        golden_cache_capacity: int = 2,
         throughput: bool = False,
         plan: Optional[SamplingPlan] = None,
         prior: Optional[MinedPrior] = None,
@@ -540,7 +525,6 @@ class CampaignRunner:
         self.batcher = JobBatcher(faults_per_job=faults_per_job)
         self.progress = progress or (lambda message: None)
         self.job_retries = job_retries
-        self.golden_cache_capacity = golden_cache_capacity
         self.throughput = throughput
         #: guest instructions executed by this runner's injection runs
         #: (reset per run_suite; exposed for tests/tooling)
@@ -556,12 +540,7 @@ class CampaignRunner:
     def _pool_scope(self):
         """A pool for the enclosed work, or ``None`` for in-process runs."""
         if self.workers and self.workers > 1:
-            with PersistentSuitePool(
-                self.workers,
-                start_method=self.start_method,
-                cache_capacity=self.golden_cache_capacity,
-                progress=self.progress,
-            ) as pool:
+            with PersistentSuitePool(self.workers, start_method=self.start_method) as pool:
                 yield pool
         else:
             yield None
@@ -572,103 +551,6 @@ class CampaignRunner:
         campaign = ScenarioCampaign(scenario, self.config)
         campaign.run_golden()
         return campaign
-
-    def _drain_fault_list(
-        self,
-        scenario: Scenario,
-        fault_list,
-        pool: Optional[PersistentSuitePool],
-        campaign: ScenarioCampaign,
-        golden_ref: Optional[str],
-    ) -> tuple[list[InjectionResult], list[dict], int]:
-        """Batch one fault list into jobs and drain them; returns
-        (results, job_failures, job_count)."""
-        jobs = self.batcher.batch(
-            scenario,
-            None,
-            fault_list,
-            watchdog_multiplier=self.config.watchdog_multiplier,
-            target_mix=campaign.resolved_target_mix(),
-            golden_ref=golden_ref,
-        )
-        if pool is not None:
-            results, job_failures = pool.run_jobs(jobs, self.job_retries, self.progress)
-        else:
-            results, job_failures = _drain_jobs(
-                jobs,
-                lambda outstanding: map(_execute_job_guarded, outstanding),
-                self.job_retries,
-                self.progress,
-            )
-        return results, job_failures, len(jobs)
-
-    def _partial_payload(
-        self, scenario_id: str, controller: AdaptiveController, results: list[InjectionResult]
-    ) -> dict:
-        return {
-            "scenario_id": scenario_id,
-            "plan": self.plan.as_dict() if self.plan is not None else None,
-            "batches": list(controller.batches),
-            "results": [result.as_record() for result in results],
-        }
-
-    def _run_adaptive(
-        self,
-        scenario: Scenario,
-        pool: Optional[PersistentSuitePool],
-        campaign: ScenarioCampaign,
-        golden_ref: Optional[str],
-        partial: Optional[dict],
-        checkpoint: Optional[Callable[[str, dict], None]],
-    ) -> tuple[list[InjectionResult], AdaptiveController]:
-        """Adaptive injection phase: drain controller batches on the pool.
-
-        Batch results are recorded in ``fault_id`` order — the canonical
-        order of :meth:`ScenarioCampaign.run_adaptive` — so every driver
-        (in-process, pooled, leased) produces bit-identical tallies and
-        draws.  A failed job inside a batch fails the whole scenario:
-        the controller's accounting assumes complete batches, and a
-        silently short batch would skew every later draw.
-
-        ``partial`` replays a stored checkpoint before drawing anything
-        new; ``checkpoint(scenario_id, payload)`` persists one after
-        every unconverged batch.
-        """
-        scenario_id = scenario.scenario_id
-        controller = AdaptiveController(campaign=campaign, plan=self.plan, prior=self.prior)
-        results: list[InjectionResult] = []
-        if partial is not None:
-            restored = [InjectionResult.from_record(r) for r in partial.get("results", [])]
-            controller.restore(partial.get("batches", []), restored)
-            results.extend(restored)
-            self.progress(
-                f"[adapt]  {scenario_id}: restored {len(controller.batches)} batch(es), "
-                f"{controller.spent} faults spent"
-            )
-        while True:
-            batch = controller.next_batch()
-            if batch is None:
-                break
-            batch_results, job_failures, _ = self._drain_fault_list(
-                scenario, batch.faults, pool, campaign, golden_ref
-            )
-            if job_failures:
-                raise SimulatorError(
-                    f"adaptive batch {batch.index} of {scenario_id} lost "
-                    f"{len(job_failures)} job(s) ({job_failures[0]['error']}); "
-                    "adaptive accounting requires complete batches"
-                )
-            batch_results = sorted(batch_results, key=lambda r: r.fault.fault_id)
-            record = controller.record_batch(batch, batch_results)
-            results.extend(batch_results)
-            self.progress(
-                f"[adapt]  {scenario_id}: batch {record['index']} ({record['size']} faults), "
-                f"spent {controller.spent}, half-width {record['half_width']:.4f}"
-                + (f", stop: {record['stopping']}" if record["stopping"] else "")
-            )
-            if checkpoint is not None and controller.stopping is None:
-                checkpoint(scenario_id, self._partial_payload(scenario_id, controller, results))
-        return results, controller
 
     def run_one(
         self,
@@ -681,80 +563,101 @@ class CampaignRunner:
     ) -> ScenarioReport:
         """Execute one scenario end to end: golden, fault list, jobs, report.
 
-        This is the scenario-granular unit every execution driver is
-        built from — the local suite loop, the lease loop
-        (:meth:`run_leased`) and the service worker agent all funnel
-        through here, so any driver combination yields bit-identical
-        reports.  ``campaign`` supplies a pre-computed golden run (the
-        suite's prefetch thread); without it the golden runs inline.
-
-        With a sampling plan on the runner, the injection phase is
-        adaptive (see :meth:`_run_adaptive`); ``partial`` and
-        ``checkpoint`` then carry batch-granular resume state.
+        :meth:`ScenarioCampaign.execute` with a drain that runs each
+        batch as jobs on ``pool`` (in process without one).  ``campaign``
+        supplies a pre-computed golden run; ``partial`` and
+        ``checkpoint`` carry an adaptive campaign's resume state.
         """
         start = time.perf_counter()
         if campaign is None:
             campaign = self._compute_golden(scenario)
-        golden = campaign.golden
-        scenario_id = scenario.scenario_id
-        if pool is not None:
-            golden_ref = pool.install(scenario_id, golden)
-        else:
-            install_golden(scenario_id, golden)
-            golden_ref = None
-        interrupted = False
-        adaptive: Optional[dict] = None
+        golden_ref = pool.spool(scenario.scenario_id, campaign.golden) if pool else None
+        guest = 0
+
+        def drain(batch):
+            nonlocal guest
+            jobs = self.batcher.batch(
+                scenario,
+                None if pool else campaign.golden,
+                batch,
+                watchdog_multiplier=self.config.watchdog_multiplier,
+                target_mix=campaign.resolved_target_mix(),
+                golden_ref=golden_ref,
+            )
+            results, failures = _drain_jobs(
+                jobs, pool.pool.imap_unordered if pool else map, self.job_retries, self.progress
+            )
+            guest += sum(result.executed_instructions for result in results)
+            return results, failures
+
         try:
-            if self.plan is not None:
-                results, controller = self._run_adaptive(
-                    scenario, pool, campaign, golden_ref, partial, checkpoint
-                )
-                adaptive = controller.summary()
-                job_failures: list[dict] = []
-            else:
-                fault_list = campaign.build_fault_list(faults)
-                job_count = -(-len(fault_list) // self.batcher.faults_per_job)
-                self.progress(
-                    f"[inject] {scenario_id}: {len(fault_list)} faults in {job_count} jobs, "
-                    f"{len(golden.checkpoints)} checkpoints"
-                )
-                results, job_failures, _ = self._drain_fault_list(
-                    scenario, fault_list, pool, campaign, golden_ref
-                )
-        except KeyboardInterrupt:
-            interrupted = True
-            raise
+            report = campaign.execute(
+                drain, faults, self.plan, self.prior, partial, checkpoint, self.progress
+            )
         finally:
-            if pool is not None:
-                # No evict broadcast on Ctrl-C: the workers are still
-                # busy with this scenario's queued jobs, so the control
-                # tasks would sit behind them until the barrier timeout
-                # — and the pool is about to be terminated anyway.
-                if not interrupted:
-                    pool.evict(scenario_id)
-            else:
-                evict_golden(scenario_id)
-        elapsed = time.perf_counter() - start
-        guest = sum(result.executed_instructions for result in results)
+            if golden_ref is not None:
+                os.unlink(golden_ref)
         self.guest_instructions += guest
-        self.last_scenario_throughput = (guest, elapsed)
-        report = summarize(
-            scenario,
-            golden,
-            results,
-            elapsed,
-            keep_individual_results=self.config.keep_individual_results,
-            target_mix=campaign.resolved_target_mix(),
-            job_failures=job_failures,
-            adaptive=adaptive,
-        )
+        self.last_scenario_throughput = (guest, time.perf_counter() - start)
         done = ", ".join(f"{k}={v}" for k, v in report.counts.items())
-        if job_failures:
-            done += f", failed_jobs={len(job_failures)}"
-        if adaptive is not None:
-            done += f", spent={adaptive['spent']}, stop={adaptive['stopping']}"
-        self.progress(f"[done]   {scenario_id}: {done}")
+        if report.job_failures:
+            done += f", failed_jobs={len(report.job_failures)}"
+        if report.adaptive is not None:
+            done += f", spent={report.adaptive['spent']}, stop={report.adaptive['stopping']}"
+        self.progress(f"[done]   {scenario.scenario_id}: {done}")
         return report
+
+    def run_claims(self, source: ScenarioSource) -> None:
+        """The one claim loop: run every scenario ``source`` hands out.
+
+        One pool serves the loop.  A claim runs the ``golden``,
+        ``inject`` and ``assemble`` (commit) phases; an exception in one
+        goes to ``source.fail`` and the loop goes on.  A lease is renewed
+        by a :class:`LeaseHeartbeat` through the source, and a result
+        whose lease was lost is discarded.  ``KeyboardInterrupt`` stops
+        the loop: the source releases what it holds, completed shards
+        stay on disk.
+        """
+        claim = None
+        try:
+            with self._pool_scope() as pool:
+                while (claim := source.claim()) is not None:
+                    self._run_claim(source, claim, pool)
+                    claim = None
+        except KeyboardInterrupt:
+            source.interrupted(claim)
+            self.progress("[stop]   interrupted — completed scenario shards are preserved")
+            raise
+
+    def _run_claim(self, source, claim: Claim, pool) -> None:
+        runner, scenario, phase = claim.runner or self, claim.scenario, "golden"
+        heartbeat = (
+            LeaseHeartbeat(source, scenario.scenario_id, claim.owner, claim.lease_ttl)
+            if claim.lease_ttl is not None
+            else contextlib.nullcontext()
+        )
+        try:
+            with heartbeat:
+                campaign = claim.golden() if claim.golden else runner._compute_golden(scenario)
+                phase = "inject"
+                report = runner.run_one(
+                    scenario, claim.faults, pool, campaign=campaign,
+                    partial=claim.partial, checkpoint=claim.checkpoint,
+                )
+            phase = "assemble"
+            if not getattr(heartbeat, "lost", False) and source.commit(claim, report):
+                return
+        except Exception as exc:  # noqa: BLE001 — isolate the scenario
+            self.progress(
+                f"[fail]   {scenario.scenario_id}: {phase} phase: {type(exc).__name__}: {exc}"
+            )
+            source.fail(claim, phase, exc)
+            return
+        self.progress(
+            f"[discard] {scenario.scenario_id}: lease not held at commit; "
+            "discarding result (a peer reclaims the scenario)"
+        )
+        source.discard(claim)
 
     # ------------------------------------------------------------------
     # public API
@@ -782,126 +685,12 @@ class CampaignRunner:
         :class:`ScenarioFailure` and the suite continues; an interrupt
         stops the suite but completed shards stay on disk.
         """
-        scenarios = list(scenarios)
         database = database if database is not None else ResultsDatabase()
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
-        prior_attempts: dict[str, int] = {}
-        plan_dict = self.plan.as_dict() if self.plan is not None else None
-        if store is not None:
-            prior_attempts = prepare_store(
-                store,
-                [scenario.scenario_id for scenario in scenarios],
-                self.config.as_dict(),
-                faults,
-                resume,
-                plan=plan_dict,
-            )
-        completed = store.completed_ids() if (store is not None and resume) else set()
-        pending = [scenario for scenario in scenarios if scenario.scenario_id not in completed]
-
-        suite_start = time.monotonic()
-        executed = 0
-        done = 0
         self.guest_instructions = 0
         self.last_scenario_throughput = None
-        prefetched: dict[str, GoldenPrefetch] = {}
-
-        def ensure_prefetch(index: int) -> None:
-            if 0 <= index < len(pending):
-                ahead = pending[index]
-                if ahead.scenario_id not in prefetched:
-                    prefetched[ahead.scenario_id] = GoldenPrefetch(self._compute_golden, ahead)
-
-        def record_failure(scenario: Scenario, phase: str, exc: Exception) -> None:
-            failure = ScenarioFailure(
-                scenario_id=scenario.scenario_id,
-                phase=phase,
-                error_type=type(exc).__name__,
-                error=str(exc),
-                attempts=prior_attempts.get(scenario.scenario_id, 0) + 1,
-            )
-            database.add_failure(failure)
-            if store is not None:
-                store.write_failure(failure)
-            self.progress(f"[fail]   {scenario.scenario_id}: {phase} phase: {failure.error_type}: {failure.error}")
-
-        try:
-            with self._pool_scope() as pool:
-                pending_pos = 0
-                for scenario in scenarios:
-                    scenario_id = scenario.scenario_id
-                    if scenario_id in completed:
-                        database.add_report(store.load_shard(scenario_id))
-                        done += 1
-                        self.progress(f"[skip]   {scenario_id}: resumed from shard")
-                        continue
-                    ensure_prefetch(pending_pos)
-                    prefetch = prefetched.pop(scenario_id)
-                    # Start the next golden now: it overlaps with this
-                    # scenario's injection jobs draining on the pool.
-                    ensure_prefetch(pending_pos + 1)
-                    pending_pos += 1
-                    try:
-                        campaign = prefetch.result()
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        record_failure(scenario, "golden", exc)
-                        continue
-                    partial = None
-                    checkpoint = None
-                    if store is not None and self.plan is not None:
-                        if resume:
-                            partial = store.load_partial(scenario_id)
-                        checkpoint = store.write_partial
-                    try:
-                        report = self.run_one(
-                            scenario,
-                            faults,
-                            pool,
-                            campaign=campaign,
-                            partial=partial,
-                            checkpoint=checkpoint,
-                        )
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        record_failure(scenario, "inject", exc)
-                        continue
-                    try:
-                        database.add_report(report)
-                        if store is not None:
-                            store.write_shard(report)
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        record_failure(scenario, "assemble", exc)
-                        continue
-                    executed += 1
-                    done += 1
-                    elapsed = time.monotonic() - suite_start
-                    remaining = len(scenarios) - done - len(database.failures)
-                    eta = (elapsed / executed) * remaining if executed else 0.0
-                    line = (
-                        f"[suite]  {done}/{len(scenarios)} scenarios done"
-                        + (f", {len(database.failures)} failed" if database.failures else "")
-                        + (f", ETA {eta:.0f}s" if remaining > 0 else "")
-                    )
-                    if self.throughput and elapsed > 0:
-                        mips = self.guest_instructions / elapsed / 1e6
-                        line += f", {mips:.2f} guest MIPS"
-                        if self.last_scenario_throughput is not None:
-                            line += f", last scenario {self.last_scenario_throughput[1]:.1f}s"
-                    self.progress(line)
-        except KeyboardInterrupt:
-            # Prefetch threads are daemons: an in-flight golden run of a
-            # scenario we will never execute must not delay the stop.
-            self.progress(
-                "[suite]  interrupted — completed scenario shards are preserved; "
-                "rerun with resume=True to continue"
-            )
-            raise
+        self.run_claims(_SuiteSource(self, list(scenarios), faults, store, resume, database))
         return database
 
     def run_leased(
@@ -915,90 +704,28 @@ class CampaignRunner:
     ) -> ResultsDatabase:
         """Lease-driven execution: partition a shared store with peers.
 
-        The distributed counterpart of :meth:`run_suite`'s local loop.
-        Any number of processes (or hosts mounting the same store root)
-        call this concurrently with the same suite; the store's lease
-        protocol guarantees each scenario executes exactly once.  Each
-        iteration claims the first unleased, uncompleted scenario,
-        executes it through :meth:`run_one` under a heartbeat that
-        keeps the lease alive, and commits the shard only if the lease
-        survived (a worker that stalls past the ttl discards its result
-        — the reclaiming peer's run is the one that counts).  Returns
-        the scenarios *this* worker completed; the union of all
-        workers' shards is bit-identical to a single-process
-        ``run_suite`` of the same suite and seed.
+        The distributed counterpart of :meth:`run_suite`.  Any number of
+        processes (or hosts mounting the same store root) call this
+        concurrently with the same suite; the store's lease protocol
+        guarantees each scenario executes exactly once.  A worker whose
+        lease expired mid-run discards its result — the reclaiming
+        peer's run is the one that counts — and a scenario that fails is
+        not claimed again by this call.  Returns the scenarios *this*
+        worker completed; the union of all workers' shards is
+        bit-identical to a single-process ``run_suite`` of the same
+        suite and seed.
         """
         if not isinstance(store, CampaignStore):
             store = CampaignStore(store)
-        scenarios = list(scenarios)
         by_id = {scenario.scenario_id: scenario for scenario in scenarios}
-        owner = owner or f"worker-{os.getpid()}"
         database = database if database is not None else ResultsDatabase()
-        plan_dict = self.plan.as_dict() if self.plan is not None else None
-        if store.read_manifest() is None:
-            # First worker in: publish the manifest peers will claim
-            # against.  Concurrent first workers write identical bytes,
-            # and _atomic_write_json makes the race harmless.
-            store.write_manifest(list(by_id), self.config.as_dict(), faults, plan=plan_dict)
-        else:
-            store.check_resumable(list(by_id), self.config.as_dict(), faults, plan=plan_dict)
-        prior_attempts = {
-            failure.scenario_id: failure.attempts for failure in store.load_failures()
-        }
-        # Scenarios that failed in *this* invocation are quarantined from
-        # further claims — mirroring run_suite's attempt-once-per-run
-        # semantics.  Without this, fail -> release -> claim_next would
-        # re-claim the same broken scenario forever.
-        attempted_failures: set = set()
-        with self._pool_scope() as pool:
-            while True:
-                claimable = [sid for sid in by_id if sid not in attempted_failures]
-                lease = store.claim_next(owner, scenario_ids=claimable, ttl=lease_ttl)
-                if lease is None:
-                    break
-                scenario = by_id[lease.scenario_id]
-                scenario_id = scenario.scenario_id
-                self.progress(f"[lease]  {scenario_id}: claimed by {owner}")
-                partial = None
-                checkpoint = None
-                if self.plan is not None:
-                    # A reclaimed lease continues its predecessor's batch
-                    # stream from the checkpoint; commit-iff-held writes
-                    # keep a stalled predecessor from clobbering ours.
-                    partial = store.load_partial(scenario_id)
-
-                    def checkpoint(sid: str, payload: dict, _store=store, _owner=owner):
-                        _store.write_partial_leased(sid, payload, _owner)
-
-                with LeaseHeartbeat(store, scenario_id, owner, lease_ttl) as heartbeat:
-                    try:
-                        report = self.run_one(
-                            scenario, faults, pool, partial=partial, checkpoint=checkpoint
-                        )
-                    except KeyboardInterrupt:
-                        store.release_lease(scenario_id, owner)
-                        raise
-                    except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        failure = ScenarioFailure(
-                            scenario_id=scenario_id,
-                            phase="run",
-                            error_type=type(exc).__name__,
-                            error=str(exc),
-                            attempts=prior_attempts.get(scenario_id, 0) + 1,
-                        )
-                        database.add_failure(failure)
-                        store.write_failure(failure)
-                        attempted_failures.add(scenario_id)
-                        store.release_lease(scenario_id, owner)
-                        self.progress(
-                            f"[fail]   {scenario_id}: {failure.error_type}: {failure.error}"
-                        )
-                        continue
-                if heartbeat.lost or not store.commit_leased(report, owner):
-                    self.progress(
-                        f"[lease]  {scenario_id}: lease lost during execution; "
-                        "discarding result (a peer reclaimed the scenario)"
-                    )
-                    continue
-                database.add_report(report)
+        # Every worker publishes (or checks) the manifest peers claim
+        # against; concurrent first workers write identical bytes.
+        prepare_store(
+            store, list(by_id), self.config.as_dict(), faults, resume=True,
+            plan=self.plan.as_dict() if self.plan is not None else None,
+        )
+        book = LeaseBook(store, list(by_id), lease_ttl)
+        owner = owner or f"worker-{os.getpid()}"
+        self.run_claims(_StoreLeaseSource(self, book, by_id, faults, owner, database))
         return database

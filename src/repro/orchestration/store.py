@@ -131,15 +131,16 @@ class ScenarioLease:
 class LeaseHeartbeat:
     """Background renewal of one lease while its scenario executes.
 
-    A daemon thread renews every ``ttl / 4`` seconds (so three
-    consecutive renewals must fail before the lease can expire).  If a
-    renewal reports the lease lost — the worker stalled past its ttl
-    and somebody reclaimed the scenario — the heartbeat records it and
-    stops; the worker checks :attr:`lost` before committing results.
+    ``holder`` renews: anything with ``renew_lease(scenario_id, owner)
+    -> bool``, a :class:`CampaignStore` or a claim-loop source.  A daemon
+    thread renews every ``ttl / 4`` seconds (so three consecutive
+    renewals must fail before the lease can expire).  If a renewal
+    reports the lease lost the heartbeat records it in :attr:`lost` and
+    stops; the worker checks it before committing results.
     """
 
-    def __init__(self, store: "CampaignStore", scenario_id: str, owner: str, ttl: float) -> None:
-        self.store = store
+    def __init__(self, holder, scenario_id: str, owner: str, ttl: float) -> None:
+        self.holder = holder
         self.scenario_id = scenario_id
         self.owner = owner
         self.interval = max(0.05, ttl / 4.0)
@@ -151,7 +152,7 @@ class LeaseHeartbeat:
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            if not self.store.renew_lease(self.scenario_id, self.owner):
+            if not self.holder.renew_lease(self.scenario_id, self.owner):
                 self.lost = True
                 return
 
@@ -162,6 +163,45 @@ class LeaseHeartbeat:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._stop.set()
         self._thread.join(timeout=5.0)
+
+
+class LeaseBook:
+    """Lease bookkeeping shared by lease-mode workers and the coordinator.
+
+    Claims skip scenarios that failed under this book, so one broken
+    scenario cannot trap the workers in a retry loop (a restart retries
+    it once more); failure attempts count on from the store's records.
+    """
+
+    def __init__(self, store: "CampaignStore", scenario_ids: Iterable[str], ttl: float) -> None:
+        self.store = store
+        self.scenario_ids = list(scenario_ids)
+        self.ttl = ttl
+        self.attempts = {failure.scenario_id: failure.attempts for failure in store.load_failures()}
+        self.failed_ids: set = set()
+
+    def claim(self, owner: str) -> Optional["ScenarioLease"]:
+        claimable = [sid for sid in self.scenario_ids if sid not in self.failed_ids]
+        return self.store.claim_next(owner, scenario_ids=claimable, ttl=self.ttl)
+
+    def pending(self) -> list[str]:
+        """Scenarios without a shard that have not failed under this book."""
+        return [
+            sid
+            for sid in self.store.pending_ids()
+            if sid in self.scenario_ids and sid not in self.failed_ids
+        ]
+
+    def fail(
+        self, owner: str, scenario_id: str, phase: str, error_type: str, error: str
+    ) -> ScenarioFailure:
+        """Record a failure, quarantine the scenario and free its lease."""
+        attempts = self.attempts[scenario_id] = self.attempts.get(scenario_id, 0) + 1
+        failure = ScenarioFailure(scenario_id, phase, error_type, error, attempts)
+        self.failed_ids.add(scenario_id)
+        self.store.write_failure(failure)
+        self.store.release_lease(scenario_id, owner)
+        return failure
 
 
 def _config_mismatches(stored: dict, requested: dict) -> list[str]:

@@ -5,9 +5,11 @@ campaign store (stdlib only — no external dependencies):
 
 * :mod:`repro.service.coordinator` — a ``ThreadingHTTPServer`` exposing
   the store's lease protocol (``/lease``, ``/renew``, ``/complete``,
-  ``/fail``) plus read-side endpoints (``/status``, ``/results/<table>``);
-* :mod:`repro.service.worker` — a poll-loop agent that executes leased
-  scenarios through the same ``CampaignRunner.run_one`` path as a local
+  ``/checkpoint``, ``/fail``) plus read-side endpoints (``/status``,
+  ``/results/<table>``), with the same ``LeaseBook`` bookkeeping
+  (quarantine, attempts, commit-iff-held) as lease-mode workers;
+* :mod:`repro.service.worker` — an agent whose HTTP leases feed the same
+  claim loop (``CampaignRunner.run_claims``) and batch loop as a local
   run, so distributed campaigns stay bit-identical;
 * :mod:`repro.service.results` — a cached query layer materializing a
   ``ResultsDatabase`` from shards for concurrent readers.

@@ -50,7 +50,7 @@ from repro.injection.campaign import CampaignConfig, ScenarioReport
 from repro.npb.suite import Scenario
 from repro.orchestration.logging import CampaignLogger
 from repro.orchestration.runner import prepare_store
-from repro.orchestration.store import DEFAULT_LEASE_TTL, CampaignStore, ScenarioFailure
+from repro.orchestration.store import DEFAULT_LEASE_TTL, CampaignStore, LeaseBook
 from repro.service.results import ResultsService
 from repro.stats.plan import SamplingPlan
 from repro.stats.prior import MinedPrior
@@ -81,7 +81,7 @@ class CampaignCoordinator:
         self.plan = plan
         self.prior = prior
         self._lock = threading.Lock()
-        self.prior_attempts = prepare_store(
+        prepare_store(
             self.store,
             list(self.by_id),
             self.config.as_dict(),
@@ -89,6 +89,10 @@ class CampaignCoordinator:
             resume,
             plan=plan.as_dict() if plan is not None else None,
         )
+        #: claims with failure quarantine and attempt counts, shared with
+        #: lease-mode workers: a failed scenario is not granted again in
+        #: this coordinator's lifetime (a ``resume=True`` restart retries it)
+        self.book = LeaseBook(self.store, self.by_id, lease_ttl)
         self.results = ResultsService(self.store)
         #: times each scenario was granted to a worker.  With healthy
         #: workers every count stays at 1; a count above 1 means a ttl
@@ -98,11 +102,6 @@ class CampaignCoordinator:
         #: every grant as ``(scenario_id, worker)``, in grant order —
         #: the audit trail behind the counter
         self.grant_log: list[tuple[str, str]] = []
-        #: scenarios that failed under this coordinator: quarantined
-        #: from re-granting for this coordinator's lifetime (restarting
-        #: with ``resume=True`` retries them once more), so one broken
-        #: scenario cannot trap the worker fleet in a retry loop
-        self.failed_ids: set = set()
 
     # ------------------------------------------------------------------
     # endpoints (HTTP-agnostic: each takes/returns JSON-safe dicts)
@@ -117,15 +116,9 @@ class CampaignCoordinator:
         case a peer dies and its lease expires.
         """
         with self._lock:
-            claimable = [sid for sid in self.by_id if sid not in self.failed_ids]
-            lease = self.store.claim_next(worker, scenario_ids=claimable, ttl=self.lease_ttl)
+            lease = self.book.claim(worker)
             if lease is None:
-                pending = [
-                    sid
-                    for sid in self.store.pending_ids()
-                    if sid in self.by_id and sid not in self.failed_ids
-                ]
-                return {"scenario": None, "done": not pending}
+                return {"scenario": None, "done": not self.book.pending()}
             self.lease_grants[lease.scenario_id] += 1
             self.grant_log.append((lease.scenario_id, worker))
         self.logger.info(f"leased {lease.scenario_id} to {worker}")
@@ -185,18 +178,8 @@ class CampaignCoordinator:
         return {"ok": ok}
 
     def fail(self, worker: str, scenario_id: str, phase: str, error_type: str, error: str) -> dict:
-        failure = ScenarioFailure(
-            scenario_id=scenario_id,
-            phase=phase,
-            error_type=error_type,
-            error=error,
-            attempts=self.prior_attempts.get(scenario_id, 0) + 1,
-        )
-        self.prior_attempts[scenario_id] = failure.attempts
         with self._lock:
-            self.failed_ids.add(scenario_id)
-            self.store.write_failure(failure)
-            self.store.release_lease(scenario_id, worker)
+            failure = self.book.fail(worker, scenario_id, phase, error_type, error)
         self.logger.warning(
             f"failed {scenario_id} ({worker}, {phase} phase): {error_type}: {error}"
         )
@@ -214,7 +197,7 @@ class CampaignCoordinator:
     @property
     def done(self) -> bool:
         """No grantable work left: every scenario has a shard or failed."""
-        return not [sid for sid in self.store.pending_ids() if sid not in self.failed_ids]
+        return not self.book.pending()
 
 
 class CoordinatorHandler(BaseHTTPRequestHandler):

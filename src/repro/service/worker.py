@@ -1,21 +1,22 @@
 """Worker agent: pull scenarios from a coordinator, push back shards.
 
-The execution half of the distributed campaign service.  A worker is a
-poll loop around one :class:`~repro.orchestration.runner.CampaignRunner`:
+The execution half of the distributed campaign service.  A worker runs
+the claim loop of :meth:`~repro.orchestration.runner.CampaignRunner.run_claims`
+— the one local suites and lease-mode workers run — over HTTP leases:
 
 1. ``POST /lease`` — ask for work.  The grant carries the scenario,
-   the campaign configuration and the fault count, so the worker
-   executes exactly the coordinator's campaign (never local flags that
-   could diverge).
-2. Execute through :meth:`CampaignRunner.run_one` — the same
-   scenario-granular path the local suite loop uses, so a distributed
-   campaign is bit-identical to a single-process run.
+   the campaign configuration, plan, prior and fault count, so the
+   worker executes exactly the coordinator's campaign (never local
+   flags that could diverge), bit-identical to a single-process run.
+2. The claim loop runs the golden, inject and assemble phases on the
+   agent's pool (one per :meth:`WorkerAgent.run`), renewing the lease
+   with ``POST /renew`` every ``ttl / 4`` seconds.
 3. ``POST /complete`` with the lossless shard payload (or ``/fail``
-   with a structured error).  A background heartbeat renews the lease
-   every ``ttl / 4`` seconds while the scenario runs; if the lease was
+   with the failed phase and a structured error).  If the lease was
    lost (the worker stalled past its ttl and the scenario was
-   reclaimed) the result is discarded — the reclaiming peer's run is
-   the one that counts.
+   reclaimed), or the coordinator cannot be reached to commit, the
+   result is discarded — the lease expires and a peer's run is the one
+   that counts.
 
 Idle polls (everything leased out by peers) and coordinator connection
 errors back off exponentially **with jitter**, so a fleet of workers
@@ -40,7 +41,7 @@ from repro.errors import SimulatorError
 from repro.injection.campaign import CampaignConfig
 from repro.npb.suite import Scenario
 from repro.orchestration.logging import CampaignLogger
-from repro.orchestration.runner import CampaignRunner
+from repro.orchestration.runner import CampaignRunner, Claim, ScenarioSource
 from repro.stats.plan import SamplingPlan
 from repro.stats.prior import MinedPrior
 
@@ -146,43 +147,15 @@ class CoordinatorClient:
         return self.request(path)
 
 
-class _RemoteHeartbeat:
-    """Renew one lease over HTTP while its scenario executes locally."""
-
-    def __init__(self, client: CoordinatorClient, worker: str, scenario_id: str, ttl: float) -> None:
-        self.client = client
-        self.worker = worker
-        self.scenario_id = scenario_id
-        self.interval = max(0.05, ttl / 4.0)
-        self.lost = False
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"renew-{scenario_id}", daemon=True
-        )
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                response = self.client.post(
-                    "/renew", {"worker": self.worker, "scenario_id": self.scenario_id}
-                )
-            except (ConnectionError, SimulatorError):
-                continue  # transient; the ttl gives us 4 tries before expiry
-            if not response.get("ok", False):
-                self.lost = True
-                return
-
-    def __enter__(self) -> "_RemoteHeartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-
-class WorkerAgent:
+class WorkerAgent(ScenarioSource):
     """One campaign worker: poll, execute, report, repeat.
+
+    The agent is the claim-loop source of :meth:`CampaignRunner.run_claims`
+    over the coordinator's HTTP leases.  A transport failure on
+    ``/lease``, ``/complete`` or ``/fail`` counts towards
+    ``max_connect_failures`` (a successful exchange resets the count);
+    a result that cannot be committed is discarded, and its lease
+    expires for a peer to reclaim.
 
     Parameters
     ----------
@@ -192,14 +165,14 @@ class WorkerAgent:
     worker_id:
         Lease owner name; defaults to ``worker-<pid>``.
     workers / faults_per_job / job_retries:
-        Forwarded to the per-config :class:`CampaignRunner` (``workers``
-        is this agent's *local* pool size — 0 runs injections in
-        process).
+        Forwarded to the :class:`CampaignRunner` that runs each grant
+        (``workers`` is this agent's *local* pool size, opened once per
+        :meth:`run` — 0 runs injections in process).
     poll_interval / backoff_max:
         Idle-poll base delay and the exponential backoff ceiling for
         idle polls and connection retries.
     max_connect_failures:
-        Consecutive unreachable-coordinator retries before giving up
+        Consecutive unreachable-coordinator exchanges before giving up
         with :class:`CoordinatorUnreachable`.
     rng:
         Jitter source, injectable for deterministic tests.
@@ -241,11 +214,11 @@ class WorkerAgent:
                 coordinator, logger=self.logger, rng=self.rng, sleep=self._sleep
             )
         )
-        self._runners: dict[str, CampaignRunner] = {}
         #: scenarios this agent completed / failed / discarded
         self.completed = 0
         self.failed = 0
         self.discarded = 0
+        self.connect_failures = 0
 
     # ------------------------------------------------------------------
 
@@ -264,36 +237,75 @@ class WorkerAgent:
         """Exponential backoff with multiplicative jitter in [0.5, 1.0]."""
         return jittered_backoff(attempt, base or self.poll_interval, self.backoff_max, self.rng)
 
-    def _runner_for(
-        self,
-        config_dict: dict,
-        plan_dict: Optional[dict] = None,
-        prior_dict: Optional[dict] = None,
-    ) -> CampaignRunner:
-        """One runner per distinct campaign (config, plan, prior) triple.
+    def _post(self, path: str, payload: dict) -> Optional[dict]:
+        """One counted exchange; ``None`` when the coordinator is unreachable."""
+        try:
+            response = self.client.post(path, payload)
+        except ConnectionError as exc:
+            self.connect_failures += 1
+            self.logger.warning(f"coordinator unreachable on {path}: {exc}")
+            return None
+        self.connect_failures = 0
+        return response
 
-        The plan and prior are part of the cache key: a runner carrying
-        the wrong stopping rule or allocation prior would silently draw
-        a different batch stream than the coordinator's campaign.
+    def run(self) -> int:
+        """Poll until the campaign is done (or stop is requested).
+
+        Returns the number of scenarios this agent completed.
         """
-        key = json.dumps(
-            {"config": config_dict, "plan": plan_dict, "prior": prior_dict}, sort_keys=True
-        )
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = CampaignRunner(
-                CampaignConfig.from_dict(config_dict),
-                workers=self.pool_workers,
-                faults_per_job=self.faults_per_job,
-                job_retries=self.job_retries,
-                progress=self.logger.progress(),
-                plan=SamplingPlan.from_dict(plan_dict) if plan_dict is not None else None,
-                prior=MinedPrior.from_dict(prior_dict) if prior_dict is not None else None,
-            )
-            self._runners[key] = runner
-        return runner
+        self.logger.info(f"polling {self.client.base_url} as {self.worker_id}")
+        CampaignRunner(workers=self.pool_workers, progress=self.logger.progress()).run_claims(self)
+        if self._stop.is_set():
+            self.logger.info(f"drained after stop request ({self.completed} completed)")
+        return self.completed
 
     # ------------------------------------------------------------------
+    # the claim-loop source
+    # ------------------------------------------------------------------
+
+    def claim(self) -> Optional[Claim]:
+        idle_polls = 0
+        while not self.stopping:
+            grant = self._post("/lease", {"worker": self.worker_id})
+            if grant is None:
+                if self.connect_failures >= self.max_connect_failures:
+                    raise CoordinatorUnreachable(
+                        f"coordinator unreachable after {self.connect_failures} attempts"
+                    )
+                self._sleep(self._backoff(self.connect_failures, base=0.5))
+            elif grant.get("scenario") is not None:
+                return self._claim_of(grant)
+            elif grant.get("done", False):
+                self.logger.info(f"campaign complete: {self.completed} scenario(s) by this worker")
+                return None
+            else:
+                idle_polls += 1
+                delay = self._backoff(idle_polls)
+                self.logger.debug(f"nothing claimable; polling again in {delay:.1f}s")
+                self._sleep(delay)
+        return None
+
+    def _claim_of(self, grant: dict) -> Claim:
+        """The grant's scenario, run with the grant's own campaign."""
+        plan, prior = grant.get("plan"), grant.get("prior")
+        runner = CampaignRunner(
+            CampaignConfig.from_dict(grant["config"]),
+            workers=self.pool_workers,
+            faults_per_job=self.faults_per_job,
+            job_retries=self.job_retries,
+            progress=self.logger.progress(),
+            plan=SamplingPlan.from_dict(plan) if plan is not None else None,
+            prior=MinedPrior.from_dict(prior) if prior is not None else None,
+        )
+        return Claim(
+            Scenario.from_dict(grant["scenario"]),
+            grant.get("faults"),
+            runner=runner,
+            partial=grant.get("partial") if plan is not None else None,
+            checkpoint=self._checkpoint if plan is not None else None,
+            lease_ttl=float(grant.get("lease_ttl") or 120.0),
+            owner=self.worker_id,
+        )
 
     def _checkpoint(self, scenario_id: str, payload: dict) -> None:
         """Push one batch checkpoint; best effort (the ttl is the backstop)."""
@@ -307,92 +319,43 @@ class WorkerAgent:
             # one — a reclaiming peer replays from the previous state.
             self.logger.debug(f"checkpoint of {scenario_id} not persisted: {exc}")
 
-    def _execute_grant(self, grant: dict) -> None:
-        scenario = Scenario.from_dict(grant["scenario"])
-        scenario_id = scenario.scenario_id
-        runner = self._runner_for(grant["config"], grant.get("plan"), grant.get("prior"))
-        ttl = float(grant.get("lease_ttl") or 120.0)
-        adaptive = grant.get("plan") is not None
-        with _RemoteHeartbeat(self.client, self.worker_id, scenario_id, ttl) as heartbeat:
-            try:
-                report = runner.run_one(
-                    scenario,
-                    grant.get("faults"),
-                    partial=grant.get("partial") if adaptive else None,
-                    checkpoint=self._checkpoint if adaptive else None,
-                )
-            except KeyboardInterrupt:
-                # No /fail: an interrupt is not a scenario failure.  The
-                # lease simply expires and a peer reclaims the scenario.
-                self.logger.warning(f"interrupted during {scenario_id}; lease will expire")
-                raise
-            except Exception as exc:  # noqa: BLE001 — reported, loop continues
-                self.failed += 1
-                self.client.post(
-                    "/fail",
-                    {
-                        "worker": self.worker_id,
-                        "scenario_id": scenario_id,
-                        "phase": "run",
-                        "error_type": type(exc).__name__,
-                        "error": str(exc),
-                    },
-                )
-                return
-        if heartbeat.lost:
-            self.discarded += 1
-            self.logger.warning(f"lease on {scenario_id} lost mid-run; discarding result")
-            return
-        response = self.client.post(
+    def renew_lease(self, scenario_id: str, owner: str) -> bool:
+        try:
+            response = self.client.post("/renew", {"worker": owner, "scenario_id": scenario_id})
+        except (ConnectionError, SimulatorError):
+            return True  # transient; the ttl gives us 4 tries before expiry
+        return bool(response.get("ok", False))
+
+    def commit(self, claim: Claim, report) -> bool:
+        scenario_id = claim.scenario.scenario_id
+        response = self._post(
             "/complete",
+            {"worker": self.worker_id, "scenario_id": scenario_id, "report": report.to_payload()},
+        )
+        if response is None or not response.get("ok", False):
+            return False
+        self.completed += 1
+        self.logger.info(f"committed {scenario_id}")
+        return True
+
+    def discard(self, claim: Claim) -> None:
+        self.discarded += 1
+
+    def fail(self, claim: Claim, phase: str, exc: Exception) -> None:
+        self.failed += 1
+        self._post(
+            "/fail",
             {
                 "worker": self.worker_id,
-                "scenario_id": scenario_id,
-                "report": report.to_payload(),
+                "scenario_id": claim.scenario.scenario_id,
+                "phase": phase,
+                "error_type": type(exc).__name__,
+                "error": str(exc),
             },
         )
-        if response.get("ok", False):
-            self.completed += 1
-            self.logger.info(f"committed {scenario_id}")
-        else:
-            self.discarded += 1
-            self.logger.warning(f"coordinator rejected {scenario_id}; result discarded")
 
-    def run(self) -> int:
-        """Poll until the campaign is done (or stop is requested).
-
-        Returns the number of scenarios this agent completed.
-        """
-        idle_polls = 0
-        connect_failures = 0
-        self.logger.info(f"polling {self.client.base_url} as {self.worker_id}")
-        while not self._stop.is_set():
-            try:
-                grant = self.client.post("/lease", {"worker": self.worker_id})
-            except ConnectionError as exc:
-                connect_failures += 1
-                if connect_failures >= self.max_connect_failures:
-                    raise CoordinatorUnreachable(
-                        f"coordinator unreachable after {connect_failures} attempts: {exc}"
-                    ) from exc
-                delay = self._backoff(connect_failures, base=0.5)
-                self.logger.debug(f"coordinator unreachable; retrying in {delay:.1f}s")
-                self._sleep(delay)
-                continue
-            connect_failures = 0
-            if grant.get("scenario") is None:
-                if grant.get("done", False):
-                    self.logger.info(
-                        f"campaign complete: {self.completed} scenario(s) by this worker"
-                    )
-                    break
-                idle_polls += 1
-                delay = self._backoff(idle_polls)
-                self.logger.debug(f"nothing claimable; polling again in {delay:.1f}s")
-                self._sleep(delay)
-                continue
-            idle_polls = 0
-            self._execute_grant(grant)
-        if self._stop.is_set():
-            self.logger.info(f"drained after stop request ({self.completed} completed)")
-        return self.completed
+    def interrupted(self, claim: Optional[Claim]) -> None:
+        # No /fail: an interrupt is not a scenario failure.  The lease
+        # simply expires and a peer reclaims the scenario.
+        if claim is not None:
+            self.logger.warning(f"interrupted during {claim.scenario.scenario_id}; lease will expire")

@@ -31,7 +31,6 @@ from repro.orchestration.store import (
 from repro.orchestration import runner as runner_module
 from repro.orchestration.runner import (
     CampaignRunner,
-    GoldenCache,
     PersistentSuitePool,
     _WORKER_CACHE,
     _execute_job_guarded,
@@ -242,61 +241,8 @@ class TestPoolContext:
         assert serial.counts == spawned.counts
 
 
-class TestGoldenCache:
-    """The keyed per-worker golden cache behind the persistent pool."""
-
-    def test_install_get_evict(self):
-        cache = GoldenCache(capacity=2)
-        cache.install("A", "golden-A")
-        assert cache.get("A") == "golden-A"
-        assert "A" in cache
-        cache.evict("A")
-        assert cache.get("A") is None
-        cache.evict("A")  # idempotent
-
-    def test_lru_eviction_order(self):
-        cache = GoldenCache(capacity=2)
-        cache.install("A", 1)
-        cache.install("B", 2)
-        assert cache.get("A") == 1  # refresh A: B is now least recent
-        cache.install("C", 3)
-        assert cache.ids() == ["A", "C"]
-        assert cache.get("B") is None
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulatorError):
-            GoldenCache(capacity=0)
-
-    def test_load_from_spool_file(self, golden, tmp_path):
-        spool = tmp_path / "g.pickle"
-        spool.write_bytes(pickle.dumps(golden))
-        cache = GoldenCache()
-        loaded = cache.load(golden.scenario.scenario_id, str(spool))
-        assert loaded.total_instructions == golden.total_instructions
-        assert golden.scenario.scenario_id in cache
-
-
 class TestPersistentPool:
-    """Install/evict broadcast on a pool that outlives scenarios."""
-
-    def test_install_broadcast_then_evict_clears_workers(self, golden):
-        scenario_id = golden.scenario.scenario_id
-        faults = FaultModel("armv8", 1, seed=11).generate(golden.total_instructions, 4)
-        with PersistentSuitePool(2) as pool:
-            pool.install(scenario_id, golden)
-            # No golden_ref on these jobs: success requires the install
-            # broadcast to have populated the worker caches.
-            jobs = JobBatcher(faults_per_job=2).batch(golden.scenario, None, faults)
-            results, failures = pool.run_jobs(jobs, retries=0)
-            assert len(results) == 4
-            assert failures == []
-            pool.evict(scenario_id)
-            assert not Path(pool.spool_path(scenario_id)).exists()
-            jobs = JobBatcher(faults_per_job=2).batch(golden.scenario, None, faults)
-            results, failures = pool.run_jobs(jobs, retries=0)
-            assert results == []
-            assert len(failures) == 2
-            assert all("no golden reference" in failure["error"] for failure in failures)
+    """The worker pool that outlives scenarios."""
 
     def test_pool_requires_two_workers(self):
         with pytest.raises(SimulatorError):
@@ -425,11 +371,6 @@ class TestSuiteResilience:
         assert len(resumed) == 2
         clean = self._runner().run_suite(self.GOOD)
         assert campaign_fingerprint(resumed) == campaign_fingerprint(clean)
-
-    def test_in_process_suite_evicts_golden_cache(self):
-        self._runner().run_suite(self.GOOD)
-        for scenario in self.GOOD:
-            assert scenario.scenario_id not in _WORKER_CACHE
 
     def test_resume_without_store_runs_everything(self):
         database = self._runner().run_suite(self.GOOD, resume=True)
@@ -746,15 +687,6 @@ class TestRunLeased:
         config = CampaignConfig(faults_per_scenario=6, seed=3)
         return CampaignRunner(config, workers=0, faults_per_job=3, **kwargs)
 
-    def test_leased_run_matches_local_suite(self, tmp_path):
-        store = CampaignStore(tmp_path / "store")
-        leased = self._runner().run_leased(self.SCENARIOS, store, owner="w1")
-        assert len(leased) == len(self.SCENARIOS)
-        assert store.completed_ids() == {s.scenario_id for s in self.SCENARIOS}
-        assert store.active_leases() == []
-        clean = self._runner().run_suite(self.SCENARIOS)
-        assert campaign_fingerprint(leased) == campaign_fingerprint(clean)
-
     def test_two_sequential_workers_partition_the_suite(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         # worker 1 takes everything; worker 2 arrives late and finds no work
@@ -769,7 +701,7 @@ class TestRunLeased:
         database = self._runner().run_leased([bad, self.SCENARIOS[0]], store, owner="w1")
         assert len(database) == 1
         assert [f.scenario_id for f in database.failures] == [bad.scenario_id]
-        assert store.load_failures()[0].phase == "run"
+        assert store.load_failures()[0].phase == "golden"
         assert store.active_leases() == []  # the failed scenario's lease was freed
 
     def test_leased_run_rejects_mismatched_store(self, tmp_path):

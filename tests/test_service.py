@@ -8,6 +8,7 @@ parser (including the back-compat shim for pre-subcommand invocations).
 
 import importlib.util
 import io
+import os
 import random
 import threading
 from pathlib import Path
@@ -18,7 +19,6 @@ from repro.errors import SimulatorError
 from repro.injection.campaign import CampaignConfig
 from repro.npb.suite import Scenario
 from repro.orchestration import CampaignRunner, CampaignStore
-from repro.orchestration.database import campaign_fingerprint
 from repro.orchestration.logging import CampaignLogger
 from repro.orchestration.store import ScenarioFailure
 from repro.service import (
@@ -389,25 +389,6 @@ def http_coordinator(tmp_path):
 class TestDistributedCampaign:
     """Coordinator + worker agents over real loopback HTTP."""
 
-    def test_two_workers_match_local_run_bit_for_bit(self, http_coordinator):
-        coordinator, url = http_coordinator
-        agents = [
-            WorkerAgent(url, worker_id=f"w{i}", poll_interval=0.05, backoff_max=0.2)
-            for i in (1, 2)
-        ]
-        threads = [threading.Thread(target=agent.run) for agent in agents]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-        assert coordinator.done is True
-        assert sum(agent.completed for agent in agents) == len(SCENARIOS)
-        assert all(agent.failed == 0 and agent.discarded == 0 for agent in agents)
-        assert sorted(coordinator.lease_grants.values()) == [1, 1]  # nothing ran twice
-        local = CampaignRunner(CONFIG, workers=0).run_suite(SCENARIOS)
-        distributed = coordinator.results.database()
-        assert campaign_fingerprint(distributed) == campaign_fingerprint(local)
-
     def test_status_and_results_endpoints_over_http(self, http_coordinator):
         coordinator, url = http_coordinator
         client = CoordinatorClient(url)
@@ -444,6 +425,75 @@ class TestDistributedCampaign:
         agent.request_stop()
         assert agent.run() == 0  # drains immediately, no scenario taken
         assert agent.stopping is True
+
+
+class TestWorkerAgentExecution:
+    """The agent runs grants on its own pool and survives a coordinator
+    outage at commit time."""
+
+    def test_worker_pool_runs_jobs_outside_the_agent(self, http_coordinator, tmp_path, monkeypatch):
+        from repro.orchestration import runner as runner_module
+
+        _, url = http_coordinator
+        pids = tmp_path / "pids"
+        real_execute = runner_module.execute_job
+
+        def recording(job):
+            with open(pids, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real_execute(job)
+
+        monkeypatch.setattr(runner_module, "execute_job", recording)
+        agent = WorkerAgent(url, worker_id="w1", workers=2, poll_interval=0.05)
+        assert agent.run() == len(SCENARIOS)
+        job_pids = {int(pid) for pid in pids.read_text().split()}
+        assert job_pids and os.getpid() not in job_pids
+
+    class OutageClient(CoordinatorClient):
+        """Grants ``scenario`` once; then every exchange but ``/renew``
+        is unreachable, or only ``/complete`` and ``/fail`` are."""
+
+        def __init__(self, scenario, lease_outage):
+            super().__init__("http://coordinator.invalid")
+            self.scenario = scenario
+            self.lease_outage = lease_outage
+            self.calls = []
+
+        def post(self, path, payload):
+            self.calls.append(path)
+            if path == "/renew":
+                return {"ok": True}
+            if path == "/lease" and self.calls.count("/lease") == 1:
+                return {"scenario": self.scenario.as_dict(), "faults": 2,
+                        "config": CONFIG.as_dict(), "lease_ttl": 60.0}
+            if path == "/lease" and not self.lease_outage:
+                return {"scenario": None, "done": True}
+            raise ConnectionError(f"coordinator unreachable at {path}")
+
+    def test_unreachable_complete_discards_the_result(self):
+        client = self.OutageClient(SCENARIOS[0], lease_outage=False)
+        agent = WorkerAgent(client, worker_id="w1", sleep=lambda seconds: None)
+        assert agent.run() == 0
+        assert (agent.completed, agent.discarded, agent.failed) == (0, 1, 0)
+        assert client.calls == ["/lease", "/complete", "/lease"]
+
+    def test_unreachable_fail_is_not_fatal(self):
+        client = self.OutageClient(Scenario("ZZ", "serial", 1, "armv8"), lease_outage=False)
+        agent = WorkerAgent(client, worker_id="w1", sleep=lambda seconds: None)
+        assert agent.run() == 0
+        assert (agent.completed, agent.discarded, agent.failed) == (0, 0, 1)
+        assert client.calls == ["/lease", "/fail", "/lease"]
+
+    def test_unreachable_commit_counts_towards_giving_up(self):
+        from repro.service import CoordinatorUnreachable
+
+        waits = []
+        client = self.OutageClient(SCENARIOS[0], lease_outage=True)
+        agent = WorkerAgent(client, worker_id="w1", max_connect_failures=3, sleep=waits.append)
+        with pytest.raises(CoordinatorUnreachable, match="after 3 attempts"):
+            agent.run()
+        assert client.calls == ["/lease", "/complete", "/lease", "/lease"]
+        assert len(waits) == 1  # the commit failure was the first strike
 
 
 class TestWorkerBackoff:
