@@ -687,6 +687,15 @@ class TestRunLeased:
         config = CampaignConfig(faults_per_scenario=6, seed=3)
         return CampaignRunner(config, workers=0, faults_per_job=3, **kwargs)
 
+    def test_leased_run_matches_local_suite(self, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        leased = self._runner().run_leased(self.SCENARIOS, store, owner="w1")
+        assert len(leased) == len(self.SCENARIOS)
+        assert store.completed_ids() == {s.scenario_id for s in self.SCENARIOS}
+        assert store.active_leases() == []
+        clean = self._runner().run_suite(self.SCENARIOS)
+        assert campaign_fingerprint(leased) == campaign_fingerprint(clean)
+
     def test_two_sequential_workers_partition_the_suite(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         # worker 1 takes everything; worker 2 arrives late and finds no work

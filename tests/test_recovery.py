@@ -6,10 +6,10 @@ in the classifier's dominance order, the injector's rollback loop
 retries with escalation), the recovery metadata's serialisation through
 records/payloads (including legacy-payload tolerance), the recovery
 analysis table — and the acceptance campaign: 2 ISAs x {serial, omp}
-x {dwc, dwc+rec} through ``run_suite``, with resume and adaptive runs
-producing bit-identical fingerprints (``tests/test_drivers.py`` holds
-every other driver to the same fingerprint), while non-recovery
-fingerprints stay pinned to their pre-recovery golden value.
+x {dwc, dwc+rec} through ``run_suite`` with every driver (reference,
+resume, leased, pooled, adaptive) producing bit-identical fingerprints,
+while non-recovery fingerprints stay pinned to their pre-recovery
+golden value.
 """
 
 import hashlib
@@ -467,6 +467,25 @@ class TestRecoveryAcceptanceSweep:
             suite, store=CampaignStore(store_dir), resume=True
         )
         assert campaign_fingerprint(resumed) == campaign_fingerprint(database)
+
+    def test_leased_driver_is_bit_identical(self, recovery_sweep, tmp_path):
+        suite, _store, config, database = recovery_sweep
+        leased = CampaignRunner(config, workers=0).run_leased(
+            suite, store=CampaignStore(tmp_path / "leased"), owner="w-acceptance"
+        )
+        assert campaign_fingerprint(leased) == campaign_fingerprint(database)
+
+    def test_pooled_driver_is_bit_identical(self, recovery_sweep):
+        _suite, _store, config, database = recovery_sweep
+        subset = [
+            Scenario("IS", "serial", 1, "armv8", hardening="dwc"),
+            Scenario("IS", "serial", 1, "armv8", hardening="dwc+rec"),
+        ]
+        pooled = CampaignRunner(config, workers=2).run_suite(subset)
+        reference = ResultsDatabase()
+        for scenario in subset:
+            reference.add_report(database.reports[scenario.scenario_id])
+        assert campaign_fingerprint(pooled) == campaign_fingerprint(reference)
 
     def test_adaptive_driver_is_deterministic_and_tracks_recovered(self, recovery_sweep):
         from repro.stats import SamplingPlan

@@ -19,6 +19,7 @@ from repro.errors import SimulatorError
 from repro.injection.campaign import CampaignConfig
 from repro.npb.suite import Scenario
 from repro.orchestration import CampaignRunner, CampaignStore
+from repro.orchestration.database import campaign_fingerprint
 from repro.orchestration.logging import CampaignLogger
 from repro.orchestration.store import ScenarioFailure
 from repro.service import (
@@ -388,6 +389,25 @@ def http_coordinator(tmp_path):
 
 class TestDistributedCampaign:
     """Coordinator + worker agents over real loopback HTTP."""
+
+    def test_two_workers_match_local_run_bit_for_bit(self, http_coordinator):
+        coordinator, url = http_coordinator
+        agents = [
+            WorkerAgent(url, worker_id=f"w{i}", poll_interval=0.05, backoff_max=0.2)
+            for i in (1, 2)
+        ]
+        threads = [threading.Thread(target=agent.run) for agent in agents]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert coordinator.done is True
+        assert sum(agent.completed for agent in agents) == len(SCENARIOS)
+        assert all(agent.failed == 0 and agent.discarded == 0 for agent in agents)
+        assert sorted(coordinator.lease_grants.values()) == [1, 1]  # nothing ran twice
+        local = CampaignRunner(CONFIG, workers=0).run_suite(SCENARIOS)
+        distributed = coordinator.results.database()
+        assert campaign_fingerprint(distributed) == campaign_fingerprint(local)
 
     def test_status_and_results_endpoints_over_http(self, http_coordinator):
         coordinator, url = http_coordinator

@@ -393,6 +393,17 @@ class TestAdaptiveController:
 class TestAdaptiveDrivers:
     """Every execution driver must reproduce the reference bit-for-bit."""
 
+    def test_runner_suite_matches_reference(self, stats_campaign, tmp_path):
+        _, reference = stats_campaign
+        runner = CampaignRunner(config=CONFIG, plan=PLAN)
+        database = runner.run_suite([SCENARIO], store=tmp_path / "store")
+        report = database.get(SCENARIO.scenario_id)
+        assert report.adaptive == reference.adaptive
+        assert report.counts == reference.counts
+        store = CampaignStore(tmp_path / "store")
+        assert store.read_manifest()["plan"] == PLAN.as_dict()
+        assert store.partial_ids() == set()  # cleared on completion
+
     def test_checkpoint_resume_matches_straight_run(self, stats_campaign):
         _, reference = stats_campaign
         checkpoints = []
@@ -404,6 +415,13 @@ class TestAdaptiveDrivers:
         )
         assert resumed.adaptive == reference.adaptive
         assert resumed.counts == reference.counts
+
+    def test_leased_driver_matches_reference(self, stats_campaign, tmp_path):
+        _, reference = stats_campaign
+        runner = CampaignRunner(config=CONFIG, plan=PLAN)
+        database = runner.run_leased([SCENARIO], store=tmp_path / "store", owner="w0")
+        report = database.get(SCENARIO.scenario_id)
+        assert report.adaptive == reference.adaptive
 
     def test_shard_round_trip_preserves_adaptive(self, stats_campaign, tmp_path):
         _, reference = stats_campaign
