@@ -206,7 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_execution_arguments(run)
     run.add_argument("--throughput", action="store_true",
                      help="report aggregate guest MIPS and per-scenario wall time "
-                          "in the suite ETA line (campaign speed visibility)")
+                          "in the suite ETA line (campaign speed visibility), "
+                          "plus injections per second; the MIPS figure sums the "
+                          "records' executed instructions, which for runs that "
+                          "converged or were decided from the golden run is the "
+                          "golden instruction count, not simulated work")
     persist = run.add_argument_group("persistence")
     persist.add_argument("--store", type=Path, default=None, metavar="DIR",
                          help="campaign store directory (shards + manifest)")
@@ -387,7 +391,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if args.throughput and elapsed > 0:
         print(f"throughput: {runner.guest_instructions / elapsed / 1e6:.2f} aggregate guest MIPS "
-              f"({runner.guest_instructions} guest instructions)")
+              f"({runner.guest_instructions} guest instructions), "
+              f"{runner.injections / elapsed:.1f} injections/s")
     print("outcomes: " + ", ".join(f"{k}={v}" for k, v in totals.items()))
     if plan is not None and len(database):
         from repro.analysis import efficiency_rows, render_efficiency_table

@@ -66,6 +66,7 @@ class Core:
         "halted",
         "trace_hook",
         "use_engine",
+        "access_log",
         "_decoded",
     )
 
@@ -104,6 +105,9 @@ class Core:
         #: False pins this core to the reference interpreter (:meth:`step`
         #: in a loop); the differential tests compare both paths
         self.use_engine = use_engine
+        #: the golden run's register-access log, shared by every core of
+        #: the system (see :mod:`repro.injection.defuse`); None: no log
+        self.access_log = None
         #: per-core reference to the decoded view of ``self.text``
         self._decoded = None
 

@@ -721,7 +721,10 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
     ``core.stats`` on every exit path (including a mid-block guest
     fault, where :func:`_account_fault` first reconstructs the
     interrupted block's exact prefix), so the counters are
-    interpreter-exact whenever control leaves this function.  Syscall
+    interpreter-exact whenever control leaves this function.  With an
+    ``access_log`` on the core, the burst appends ``(core_id, text)``
+    and then every dispatched block (a budget tail as its length-1
+    block) before running it.  Syscall
     handlers run mid-burst and must not read ``core.stats`` — none do:
     the kernel touches counters only via ``attach`` during scheduling,
     which happens between bursts.
@@ -737,6 +740,9 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
     check_state = True
     step = core.step
     acc = [0] * (_REPEATS + 1)
+    log = core.access_log
+    if log is not None:
+        log.append((core.core_id, decoded.text))
     try:
         while executed < budget:
             if check_state:
@@ -761,7 +767,9 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
                 # instruction so stop_at_instruction pauses on the
                 # precise boundary (schedule-neutral resume).
                 block = singles[index] or _single(decoded, index)
-            elif block.compiled is None:
+            if log is not None:
+                log.append(block)
+            if block.compiled is None:
                 block.hits += 1
                 if block.hits < _COMPILE_THRESHOLD:
                     # Cold block: code that runs this rarely costs more

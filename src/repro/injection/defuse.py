@@ -1,0 +1,260 @@
+"""Def-use summary of a golden run: what each GPR meets next.
+
+A register upset is harmless in two cases that the golden run alone can
+tell.  When the flipped register's next access is a *write*, nothing
+ever reads the wrong value: the faulty run is the golden run, and the
+fault is ``Vanished``.  When the register is *never* accessed again,
+the run is again the golden run, ending with one wrong register: the
+fault is ``ONA``.  Only a register read next needs simulating.  This is
+dynamic ACE analysis (ACE: bits required for Architecturally Correct
+Execution), as in def-use fault pruning.
+
+The log
+    While the golden run executes, every core shares one
+    ``access_log`` list (see :func:`repro.cpu.engine.execute_burst`
+    and :class:`repro.kernel.kernel.Kernel`).  Each engine burst appends
+    ``(core_id, text)`` and then every block it dispatches, before
+    running it; a budget tail appears as its length-1 block.  The
+    kernel appends ``(core_id, event)``: an attach loads every register
+    of the core (a write of all of them), a detach saves every one (a
+    read of all of them).  The log is in execution order, so the sum
+    of the block lengths before an item is the global instruction
+    count when it ran.
+
+Positions
+    The instruction executed after ``n`` instructions sits at position
+    ``n``; a fault injected at instruction count ``T`` precedes every
+    access at a position ``>= T``.  A scheduler event (between bursts)
+    sits at the count it happened at, so an attach or detach at ``T``
+    comes after the fault.  A detach from inside an SVC sits at the
+    SVC's own position, one less than the count that includes it.
+
+Masks
+    Every instruction has a first-access mask pair from
+    :mod:`repro.isa.roles`: registers it reads, and registers it writes
+    without reading.  ``SVC`` uses the exact roles of its system call
+    (:data:`repro.kernel.syscalls.SYSCALL_ROLES`), not the table's
+    conservative entry: it reads only the arguments that call takes and
+    writes the return register only when the call completes.  A call
+    that may block counts as reading the return register, since whether
+    it writes it depends on the run.  Folding the masks backwards over
+    a decoded block's instructions gives its suffix masks, so one log
+    item costs one lookup whatever its length.
+
+The summary
+    A backward pass over each core's items gives, at every item, the
+    registers read first and written first from its start on.  A query
+    bisects the core's items for the first one not yet finished at
+    ``T``; inside a block it takes the rest of the block from the
+    static suffix masks and continues with the next item.
+
+A log whose block lengths do not add up to the golden run's
+instruction count (an interpreter burst logs nothing) builds no summary
+at all, and the injector then decides nothing.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from repro.cpu.engine import Block
+from repro.isa.arch import ArchSpec
+from repro.isa.instructions import BLOCK_TERMINATOR_OPS, Instr, Op
+from repro.isa.roles import gpr_defs, gpr_uses
+from repro.kernel.kernel import ATTACH, SVC_DETACH
+from repro.kernel.syscalls import SYSCALL_ROLES, Syscall, SyscallRoles
+
+#: Next-access kinds of a register from an instruction count on.
+READ, WRITE, NEVER = "read", "write", "never"
+
+#: Per-text mask tables: (instruction reads, instruction writes,
+#: suffix reads, suffix writes), each indexed by instruction.
+TextMasks = tuple[list[int], list[int], list[int], list[int]]
+
+#: Rows of an attach (every register written) and a detach (every
+#: register read) in a summary's flat mask tables.
+_ATTACH_ROW, _DETACH_ROW = 0, 1
+
+
+def _mask(registers: Sequence[int]) -> int:
+    mask = 0
+    for register in registers:
+        mask |= 1 << register
+    return mask
+
+
+def instruction_roles(instr: Instr, arch: ArchSpec) -> tuple[list[int], list[int]]:
+    """(read, written) integer registers of one instruction, sorted.
+
+    ``SVC`` resolves its system call from the immediate; an unknown
+    call number keeps the table's conservative entry.
+    """
+    abi = arch.abi
+    if instr.op == Op.SVC:
+        roles: Optional[SyscallRoles] = None
+        try:
+            roles = SYSCALL_ROLES[Syscall(instr.imm)]
+        except ValueError:
+            pass
+        if roles is not None:
+            args = 0 if roles.float_arg and arch.has_hw_float else roles.args
+            uses = list(abi.arg_regs[:args])
+            defs: list[int] = []
+            if roles.returns:
+                (uses if roles.blocks else defs).append(abi.ret_reg)
+            return sorted(set(uses)), defs
+    return sorted(gpr_uses(instr, abi)), sorted(gpr_defs(instr, abi))
+
+
+def text_masks(text: Sequence[Instr], arch: ArchSpec) -> TextMasks:
+    """First-access masks of every instruction and every block suffix.
+
+    A suffix runs from an instruction to the end of its decoded run
+    (the next block terminator), like :class:`repro.cpu.engine.Block`.
+    """
+    count = len(text)
+    reads, writes = [0] * count, [0] * count
+    suffix_reads, suffix_writes = [0] * count, [0] * count
+    # operand fields -> (read, written) masks; programs repeat few shapes
+    shapes: dict[tuple, tuple[int, int]] = {}
+    after_reads = after_writes = 0
+    for index in range(count - 1, -1, -1):
+        instr = text[index]
+        shape = (instr.op, instr.rd, instr.rn, instr.rm, instr.imm if instr.op == Op.SVC else None)
+        known = shapes.get(shape)
+        if known is None:
+            uses, defs = instruction_roles(instr, arch)
+            read = _mask(uses)
+            known = shapes[shape] = (read, _mask(defs) & ~read)
+        read, written = known
+        reads[index], writes[index] = read, written
+        if instr.op in BLOCK_TERMINATOR_OPS:
+            after_reads = after_writes = 0
+        touched = read | written
+        after_reads = read | (after_reads & ~touched)
+        after_writes = written | (after_writes & ~touched)
+        suffix_reads[index], suffix_writes[index] = after_reads, after_writes
+    return reads, writes, suffix_reads, suffix_writes
+
+
+@dataclass
+class DefUseSummary:
+    """Per-core next-access table of a golden run's integer registers.
+
+    Every list in ``ends``/``starts``/``reads``/``writes``/``rows``
+    holds one entry per core item (a block or an event) in execution
+    order: its position span ``[start, end)``, the registers read first
+    and written first from its start to the end of the run, and its row
+    in the flat ``suffix_reads``/``suffix_writes`` tables (the row of
+    its first instruction for a block, complemented for a length-1
+    block).
+    """
+
+    num_gpr: int
+    ends: list[list[int]]
+    starts: list[list[int]]
+    reads: list[list[int]]
+    writes: list[list[int]]
+    rows: list[list[int]]
+    suffix_reads: list[int]
+    suffix_writes: list[int]
+
+    @property
+    def num_cores(self) -> int:
+        return len(self.ends)
+
+    def next_access(self, core_id: int, register: int, time: int) -> str:
+        """:data:`READ`, :data:`WRITE` or :data:`NEVER`: what a flip of
+        ``register`` on ``core_id`` at instruction count ``time`` meets next."""
+        ends = self.ends[core_id]
+        item = bisect_right(ends, time)
+        if item == len(ends):
+            return NEVER
+        reads, writes = self.reads[core_id], self.writes[core_id]
+        start = self.starts[core_id][item]
+        if start < time:
+            # Inside a block: the rest of it, then whatever follows.
+            at = self.rows[core_id][item] + time - start
+            read, written = self.suffix_reads[at], self.suffix_writes[at]
+            after_reads = after_writes = 0
+            if item + 1 < len(ends):
+                after_reads, after_writes = reads[item + 1], writes[item + 1]
+            touched = read | written
+            read |= after_reads & ~touched
+            written |= after_writes & ~touched
+        else:
+            read, written = reads[item], writes[item]
+        bit = 1 << register
+        if read & bit:
+            return READ
+        return WRITE if written & bit else NEVER
+
+
+def build_summary(
+    log: list, num_cores: int, arch: ArchSpec, total_instructions: int
+) -> Optional[DefUseSummary]:
+    """The summary of a golden run's ``access_log``; None if it is incomplete."""
+    everything = (1 << arch.num_gpr) - 1
+    # Flat mask tables: (instruction reads, instruction writes, suffix
+    # reads, suffix writes), the attach and detach rows first, then each
+    # text's rows at its offset.
+    tables: TextMasks = ([0, everything], [everything, 0], [0, everything], [everything, 0])
+    offsets: dict[int, int] = {}
+    ends: list[list[int]] = [[] for _ in range(num_cores)]
+    starts: list[list[int]] = [[] for _ in range(num_cores)]
+    rows: list[list[int]] = [[] for _ in range(num_cores)]
+    # The loop runs once per block the golden run dispatched, so it binds
+    # the current core's appends once per burst.
+    add_end, add_start, add_row = ends[0].append, starts[0].append, rows[0].append
+    block_class = Block
+    offset = count = 0
+    for item in log:
+        if item.__class__ is block_class:
+            length = item.length
+            add_start(count)
+            count += length
+            add_end(count)
+            add_row(offset + item.start if length > 1 else ~(offset + item.start))
+            continue
+        core_id, what = item
+        if what.__class__ is str:
+            position = count - 1 if what == SVC_DETACH else count
+            ends[core_id].append(position + 1)
+            starts[core_id].append(position)
+            rows[core_id].append(_ATTACH_ROW if what == ATTACH else _DETACH_ROW)
+            continue
+        add_end, add_start, add_row = ends[core_id].append, starts[core_id].append, rows[core_id].append
+        offset = offsets.get(id(what), -1)
+        if offset < 0:
+            offset = offsets[id(what)] = len(tables[0])
+            for table, masks in zip(tables, text_masks(what, arch)):
+                table.extend(masks)
+    if count != total_instructions:
+        return None
+    instr_reads, instr_writes, suffix_reads, suffix_writes = tables
+    reads: list[list[int]] = []
+    writes: list[list[int]] = []
+    for core_rows in rows:
+        core_reads: list[int] = []
+        core_writes: list[int] = []
+        add_read, add_write = core_reads.append, core_writes.append
+        after_reads = after_writes = 0
+        for row in reversed(core_rows):
+            if row >= 0:
+                read, written = suffix_reads[row], suffix_writes[row]
+            else:
+                read, written = instr_reads[~row], instr_writes[~row]
+            touched = read | written
+            after_reads = read | (after_reads & ~touched)
+            after_writes = written | (after_writes & ~touched)
+            add_read(after_reads)
+            add_write(after_writes)
+        core_reads.reverse()
+        core_writes.reverse()
+        reads.append(core_reads)
+        writes.append(core_writes)
+    return DefUseSummary(
+        arch.num_gpr, ends, starts, reads, writes, rows, suffix_reads, suffix_writes
+    )

@@ -23,6 +23,7 @@ from typing import Optional
 
 from repro.checkpoint import SystemSnapshot, capture_snapshot
 from repro.errors import SimulatorError
+from repro.injection.defuse import DefUseSummary, build_summary
 from repro.npb.suite import Scenario, build_program, create_system, instruction_budget, launch_scenario
 from repro.profiling.stats_collector import collect_microarch_stats
 
@@ -55,6 +56,9 @@ class GoldenRunResult:
     #: per process (data, heap and thread stacks), index-aligned with
     #: ``process_names``; derived from the loader's final segment map
     memory_ranges: list[list[tuple[int, int, str]]] = field(default_factory=list)
+    #: each core's integer-register next-access table, from which the
+    #: injector decides write-first and never-read register faults
+    defuse: Optional[DefUseSummary] = None
 
     def watchdog_budget(self, multiplier: int = 4, floor: int = 50_000) -> int:
         return max(floor, multiplier * self.total_instructions)
@@ -121,6 +125,9 @@ class GoldenRunner:
         system = create_system(scenario, model_caches=self.model_caches)
         launch_scenario(system, scenario, program)
         budget = instruction_budget(scenario)
+        access_log: list = []
+        for core in system.cores:
+            core.access_log = access_log
         start = time.perf_counter()
         checkpoints: list[SystemSnapshot] = []
         if interval:
@@ -139,6 +146,8 @@ class GoldenRunner:
         else:
             reason = system.run(max_instructions=budget)
         elapsed = time.perf_counter() - start
+        for core in system.cores:
+            core.access_log = None
         if reason != "completed":
             raise SimulatorError(f"golden run of {scenario.scenario_id} did not complete ({reason})")
         if not system.processes_ok():
@@ -162,4 +171,7 @@ class GoldenRunner:
             memory_ranges=[
                 process.address_space.injectable_ranges() for process in system.kernel.processes
             ],
+            defuse=build_summary(
+                access_log, len(system.cores), system.arch, system.total_instructions
+            ),
         )

@@ -1,12 +1,16 @@
 """Fault injector: runs one faulty execution and classifies it.
 
-Phase three of the paper's workflow.  Every injection restores the
-nearest golden state at or before the injection point onto the
-injector's reused system (a freshly built system boots from zero when
-there is none), simulates it up to the injection time, applies the
-single bit upset to the live state — a register, the PC, a data-memory
-byte or a live cache line — and runs on until normal termination,
-abnormal termination or the watchdog budget.
+Phase three of the paper's workflow.  A register upset that the golden
+run overwrites before reading it, or never accesses again, is decided
+from the golden run's def-use summary (:mod:`repro.injection.defuse`)
+without restoring or simulating anything: it is Vanished or ONA, with
+the golden instruction count, exactly as a run to the end would find.
+Every other injection restores the nearest golden state at or before
+the injection point onto the injector's reused system (a freshly built
+system boots from zero when there is none), simulates it up to the
+injection time, applies the single bit upset to the live state — a
+register, the PC, a data-memory byte or a live cache line — and runs on
+until normal termination, abnormal termination or the watchdog budget.
 
 Golden states are the golden checkpoints plus, for cache-less systems,
 the states the fault-free prefixes pass through at a finer spacing.
@@ -20,7 +24,9 @@ rollback to a golden checkpoint from before the upset (or to boot)
 re-executes the golden run, so it ends the run at once.  A converged
 ``rec`` run is Recovered when it rolled back, Vanished when it did not.
 Cache faults (a corrupted line may still be pending) and injectors
-without checkpoints (the boot-replay oracle) always run to the end.
+without checkpoints (the boot-replay oracle) always run to the end, and
+the latter decide nothing.  Every early exit, the def-use decision
+included, goes through :meth:`FaultInjector._converged`.
 
 Cache faults need a cache-modelling system: those injections enable the
 cache hierarchy regardless of the injector-wide ``model_caches`` flag
@@ -49,6 +55,7 @@ from repro.checkpoint import (
 from repro.errors import DeadlockError, SimulatorError, WatchdogTimeout
 from repro.hardening.schemes import recovery_retries
 from repro.injection.classify import NOT_INJECTED, Classification, classify_run
+from repro.injection.defuse import NEVER, READ
 from repro.injection.fault import (
     TARGET_CACHE,
     TARGET_FPR,
@@ -159,6 +166,9 @@ class FaultInjector:
         #: and ``rec`` runs that ended at a rollback to a clean state
         self.convergences = 0
         self.clean_rollbacks = 0
+        #: the convergences decided from the golden run's def-use
+        #: summary, before restoring or simulating anything
+        self.decided = 0
         #: the launched system restores reuse, per ``with_caches``
         self._systems: dict[bool, MulticoreSystem] = {}
         #: golden-run states for cache-less systems in ascending order:
@@ -327,7 +337,7 @@ class FaultInjector:
         return segment is None or segment.perms.write
 
     def _converged(
-        self, state: Optional[SystemSnapshot], system: Optional[MulticoreSystem]
+        self, state: Optional[SystemSnapshot | str], system: Optional[MulticoreSystem]
     ) -> bool:
         """True when the faulty run is the golden run from here on.
 
@@ -338,10 +348,17 @@ class FaultInjector:
         a rollback to ``state`` itself, a golden checkpoint at or before
         the injection point (boot when ``state`` is None): the
         re-execution starts from fault-free state and is the golden run
-        by construction.
+        by construction.  A def-use verdict as ``state`` (``system``
+        None) decides a register fault before anything runs: a register
+        written before it is read leaves the golden run, and one never
+        accessed again leaves the golden run with that register wrong.
         """
         if system is None:
-            self.clean_rollbacks += 1
+            if isinstance(state, str):
+                self.convergences += 1
+                self.decided += 1
+            else:
+                self.clean_rollbacks += 1
             return True
         if snapshot_matches(state, system):
             self.convergences += 1
@@ -540,46 +557,80 @@ class FaultInjector:
                 )
         return system.run(max_instructions=budget, stop_at_instruction=injection_time)
 
+    def _decide(self, fault: FaultDescriptor) -> Optional[str]:
+        """The golden run's verdict on a GPR ``fault``, when it needs no run.
+
+        :data:`~repro.injection.defuse.WRITE` when the golden run's next
+        access to the flipped register is a write, and
+        :data:`~repro.injection.defuse.NEVER` when it never accesses it
+        again; None when the register is read next, for other targets,
+        for a fault past the end of the run (which is never injected)
+        and for checkpoint-less injectors, which stay plain boot
+        replays.  A verdict is final only once :meth:`_converged`
+        accepts it.
+        """
+        summary = self.golden.defuse
+        if (
+            summary is None
+            or not self.use_checkpoints
+            or fault.target_kind != TARGET_GPR
+            or not 0 <= fault.injection_time <= self.golden.total_instructions
+        ):
+            return None
+        verdict = summary.next_access(
+            fault.core_id % summary.num_cores,
+            fault.register_index % summary.num_gpr,
+            fault.injection_time,
+        )
+        if verdict != READ and self._converged(verdict, None):
+            return verdict
+        return None
+
     def run_one(self, fault: FaultDescriptor) -> InjectionResult:
         """Execute a single fault injection and classify its outcome."""
         start = time.perf_counter()
-        with_caches = fault.target_kind == TARGET_CACHE
-        system = self._system_at(fault.injection_time, with_caches=with_caches)
-        budget = self.golden.watchdog_budget(self.watchdog_multiplier)
         watchdog_expired = False
         deadlocked = False
-        injected = False
-        converged = False
         detail_prefix = ""
         recovery: Optional[dict] = None
-        try:
-            reason = self._run_prefix(system, fault.injection_time, budget)
-            if reason == "breakpoint":
-                detail_prefix = self._apply_fault(system, fault)
-                injected = True
-                tracked = self._snapshots_track(system, fault)
-                if not tracked:
-                    self._systems = {
-                        key: kept for key, kept in self._systems.items() if kept is not system
-                    }
-                # Cache faults never converge: a corrupted line may still
-                # be pending in a cache, which the state match does not
-                # compare.  Nor do flips in memory the snapshots leave out
-                # (``tracked`` false), and checkpoint-less injectors stay
-                # plain boot replays that check the rest.
-                converge = (
-                    self.use_checkpoints and tracked and fault.target_kind != TARGET_CACHE
-                )
-                if self.recovery_retries is None:
-                    converged = self._run_on(system, budget, converge) == CONVERGED
-                else:
-                    system, recovery, converged, watchdog_expired, deadlocked = (
-                        self._run_with_recovery(system, fault, budget, tracked, converge)
+        verdict = self._decide(fault)
+        injected = converged = verdict is not None
+        if converged:
+            if self.recovery_retries is not None:
+                recovery = {"rollbacks": 0, "reexecuted_instructions": 0, "escalated": False}
+        else:
+            with_caches = fault.target_kind == TARGET_CACHE
+            system = self._system_at(fault.injection_time, with_caches=with_caches)
+            budget = self.golden.watchdog_budget(self.watchdog_multiplier)
+            try:
+                reason = self._run_prefix(system, fault.injection_time, budget)
+                if reason == "breakpoint":
+                    detail_prefix = self._apply_fault(system, fault)
+                    injected = True
+                    tracked = self._snapshots_track(system, fault)
+                    if not tracked:
+                        self._systems = {
+                            key: kept for key, kept in self._systems.items() if kept is not system
+                        }
+                    # Cache faults never converge: a corrupted line may
+                    # still be pending in a cache, which the state match
+                    # does not compare.  Nor do flips in memory the
+                    # snapshots leave out (``tracked`` false), and
+                    # checkpoint-less injectors stay plain boot replays
+                    # that check the rest.
+                    converge = (
+                        self.use_checkpoints and tracked and fault.target_kind != TARGET_CACHE
                     )
-        except WatchdogTimeout:
-            watchdog_expired = True
-        except DeadlockError:
-            deadlocked = True
+                    if self.recovery_retries is None:
+                        converged = self._run_on(system, budget, converge) == CONVERGED
+                    else:
+                        system, recovery, converged, watchdog_expired, deadlocked = (
+                            self._run_with_recovery(system, fault, budget, tracked, converge)
+                        )
+            except WatchdogTimeout:
+                watchdog_expired = True
+            except DeadlockError:
+                deadlocked = True
         elapsed = time.perf_counter() - start
         if not injected and (watchdog_expired or deadlocked):
             # The fault-free prefix never reached the injection point: the
@@ -607,8 +658,10 @@ class FaultInjector:
             )
         if converged:
             # The rest of the run is the golden run: it ends exactly as
-            # the golden run did, after the golden instruction count.
-            output_matches = memory_matches = state_matches = all_zero = True
+            # the golden run did, after the golden instruction count —
+            # with the flipped register still wrong if nothing accessed it.
+            output_matches = memory_matches = all_zero = True
+            state_matches = verdict != NEVER
             killed = detected = False
             executed = self.golden.total_instructions
         else:

@@ -27,6 +27,11 @@ from repro.kernel.threads import Process, ProcessState, Thread, ThreadState
 #: clamped so the host does not allocate unbounded buffers.
 MAX_MESSAGE_BYTES = 1 << 20
 
+#: Events of a core's ``access_log`` (see :mod:`repro.injection.defuse`):
+#: an attach loads every register of the core, a detach saves every one,
+#: either between bursts or, blocking or yielding, inside the running SVC.
+ATTACH, DETACH, SVC_DETACH = "attach", "detach", "svc-detach"
+
 
 class Kernel:
     """Guest operating system kernel for one simulated multicore system."""
@@ -144,6 +149,8 @@ class Kernel:
         core.text_base = self.loader.text_base
         core.mem = process.address_space
         core.load_context(thread.context)
+        if core.access_log is not None:
+            core.access_log.append((core.core_id, ATTACH))
         if thread.pending_retval is not None:
             core.regs.write(core.arch.abi.ret_reg, thread.pending_retval)
             thread.pending_retval = None
@@ -151,11 +158,13 @@ class Kernel:
         thread.core_id = core.core_id
         core.stats.context_switches += 1
 
-    def detach(self, core: Core) -> None:
+    def detach(self, core: Core, in_syscall: bool = False) -> None:
         thread = core.thread
         if thread is None:
             return
         thread.context = core.save_context()
+        if core.access_log is not None:
+            core.access_log.append((core.core_id, SVC_DETACH if in_syscall else DETACH))
         thread.core_id = None
         core.thread = None
         core.mem = None
@@ -254,7 +263,7 @@ class Kernel:
         thread.state = ThreadState.BLOCKED
         thread.block_reason = reason
         thread.block_key = key
-        self.detach(core)
+        self.detach(core, in_syscall=True)
         return thread
 
     def _wake(self, thread: Thread, retval: Optional[int] = None) -> None:
@@ -394,7 +403,7 @@ class Kernel:
 
     def _sys_yield(self, core: Core, thread: Thread) -> None:
         self._ret(core, 0)
-        self.detach(core)
+        self.detach(core, in_syscall=True)
         thread.slice_used = 0
         self.scheduler.add(thread)
 

@@ -411,6 +411,7 @@ class _SuiteSource(ScenarioSource):
         runner = self.runner
         if runner.throughput and elapsed > 0:
             line += f", {runner.guest_instructions / elapsed / 1e6:.2f} guest MIPS"
+            line += f", {runner.injections / elapsed:.1f} injections/s"
             if runner.last_scenario_throughput is not None:
                 line += f", last scenario {runner.last_scenario_throughput[1]:.1f}s"
         runner.progress(line)
@@ -490,9 +491,14 @@ class CampaignRunner:
         recorded as ``job_failures`` on the scenario report.
     throughput:
         Report aggregate guest MIPS (injected-run guest instructions
-        per wall second, summed across workers) and the last scenario's
-        wall time in the suite progress/ETA line, so campaign speed
-        regressions are visible from the CLI.
+        per wall second, summed across workers), injections per wall
+        second and the last scenario's wall time in the suite
+        progress/ETA line, so campaign speed regressions are visible
+        from the CLI.  The MIPS figure sums the records'
+        ``executed_instructions``: a run that converged or was decided
+        from the golden run's def-use summary counts the golden
+        instruction count, not the instructions it simulated, so
+        injections per second is the figure that tracks campaign speed.
     plan:
         A :class:`~repro.stats.plan.SamplingPlan` switches every driver
         (run_one/run_suite/run_leased) into *adaptive* mode: instead of
@@ -529,6 +535,8 @@ class CampaignRunner:
         #: guest instructions executed by this runner's injection runs
         #: (reset per run_suite; exposed for tests/tooling)
         self.guest_instructions = 0
+        #: injections this runner's jobs returned (reset per run_suite)
+        self.injections = 0
         #: (guest_instructions, wall_seconds) of the last scenario
         self.last_scenario_throughput: Optional[tuple[int, float]] = None
 
@@ -588,6 +596,7 @@ class CampaignRunner:
                 jobs, pool.pool.imap_unordered if pool else map, self.job_retries, self.progress
             )
             guest += sum(result.executed_instructions for result in results)
+            self.injections += len(results)
             return results, failures
 
         try:
@@ -689,6 +698,7 @@ class CampaignRunner:
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.guest_instructions = 0
+        self.injections = 0
         self.last_scenario_throughput = None
         self.run_claims(_SuiteSource(self, list(scenarios), faults, store, resume, database))
         return database

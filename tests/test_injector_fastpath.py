@@ -22,6 +22,7 @@ import pytest
 
 from repro.checkpoint import capture_snapshot, restore_snapshot, snapshot_matches
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
+from repro.injection.defuse import NEVER, WRITE
 from repro.injection.fault import TARGET_CACHE, TARGET_GPR, TARGET_MEMORY, FaultDescriptor
 from repro.injection.golden import GoldenRunner
 from repro.injection.injector import FaultInjector
@@ -350,3 +351,69 @@ def test_restore_onto_a_used_system_equals_a_fresh_restore(golden_omp):
     restore_snapshot(target, used)
     fresh = _system_at(golden_omp, 2)
     assert capture_snapshot(used) == capture_snapshot(fresh)
+
+
+# ---------------------------------------------------------------------------
+# register faults decided from the golden run's def-use summary
+# ---------------------------------------------------------------------------
+
+DECIDED_SCENARIOS = SCENARIOS + [
+    Scenario("IS", "mpi", 2, "armv7"),
+    Scenario("IS", "mpi", 2, "armv8"),
+    Scenario("LU", "mpi", 2, "armv8"),
+]
+
+
+def _verdict_faults(golden, first_id: int) -> list[FaultDescriptor]:
+    """One GPR fault the summary calls write-first and one it calls never-read."""
+    summary = golden.defuse
+    faults = []
+    for wanted in (WRITE, NEVER):
+        fault = next(
+            FaultDescriptor(
+                first_id + len(faults),
+                injection_time=time,
+                core_id=core,
+                target_kind=TARGET_GPR,
+                register_index=register,
+                bit=5,
+            )
+            for time in [*range(7, golden.total_instructions, 331), golden.total_instructions]
+            for core in range(summary.num_cores)
+            for register in range(summary.num_gpr)
+            if summary.next_access(core, register, time) == wanted
+        )
+        faults.append(fault)
+    return faults
+
+
+def test_decided_register_faults_match_the_boot_replay():
+    # The paper's register-file mix plus one fault of each decided
+    # class: every record the summary decides must be the one a boot
+    # replay on the reference interpreter writes, in either order on
+    # one injector, and the state match past the injection point must
+    # still end the runs it used to.
+    matched_past_injection = 0
+    for scenario in DECIDED_SCENARIOS:
+        campaign = ScenarioCampaign(scenario, CampaignConfig(seed=17))
+        golden = campaign.run_golden()
+        faults = campaign.build_fault_list(24)
+        faults += _verdict_faults(golden, len(faults))
+        fast = FaultInjector(scenario, golden)
+        decided = []
+        forward = []
+        for fault in faults:
+            before = fast.decided
+            forward += _records([fast.run_one(fault)])
+            if fast.decided > before:
+                decided.append(len(forward) - 1)
+        outcomes = {forward[index]["outcome"] for index in decided}
+        assert outcomes == {"Vanished", "ONA"}, scenario.scenario_id
+        reference = ReferenceInjector(scenario, golden, use_checkpoints=False)
+        expected = _records(reference.run_many([faults[index] for index in decided]))
+        assert [forward[index] for index in decided] == expected, scenario.scenario_id
+        assert reference.decided == reference.convergences == 0
+        backward = _records(fast.run_many(faults[::-1]))[::-1]
+        assert backward == forward, scenario.scenario_id
+        matched_past_injection += fast.convergences - fast.decided
+    assert matched_past_injection > 0

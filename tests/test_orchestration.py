@@ -864,6 +864,20 @@ class TestThroughputReporting:
         assert any("guest MIPS" in line for line in suite_lines)
         assert any("last scenario" in line for line in suite_lines)
 
+    def test_suite_line_carries_injections_per_second(self):
+        # Converged and decided runs report the golden instruction
+        # count, so guest MIPS overstates simulated work; the injection
+        # rate does not.
+        messages = []
+        config = CampaignConfig(faults_per_scenario=8, keep_individual_results=False)
+        runner = CampaignRunner(
+            config, workers=0, progress=messages.append, throughput=True
+        )
+        runner.run_suite([Scenario("IS", "serial", 1, "armv8")])
+        assert runner.injections == 8
+        suite_lines = [m for m in messages if m.startswith("[suite]")]
+        assert any("injections/s" in line for line in suite_lines)
+
     def test_throughput_off_keeps_line_clean(self):
         messages = []
         config = CampaignConfig(faults_per_scenario=8, keep_individual_results=False)
