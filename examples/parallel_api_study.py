@@ -7,9 +7,9 @@ the work across cores, and how large is the runtime's vulnerability
 window?
 
 The campaign runs on the resilient suite engine: a persistent worker
-pool, golden runs pipelined against injections, and every finished
-scenario streamed into a store directory — interrupt the run and start
-it again, and only the missing scenarios execute.
+pool and every finished scenario streamed into a store directory —
+interrupt the run and start it again, and only the missing scenarios
+execute.
 
 Run with::
 

@@ -9,8 +9,8 @@ Every driver runs one batch loop (``ScenarioCampaign.execute``) inside
 one claim loop (``CampaignRunner.run_claims``) over a scenario source:
 the local suite, file leases on a shared store, or HTTP leases from the
 coordinator.  Around them sit a persistent worker pool whose jobs load
-spooled goldens lazily, pipelined golden/injection phases, streaming
-per-scenario shards with resume, and per-job fault isolation.  See
+spooled goldens lazily, streaming per-scenario shards with resume, and
+per-job fault isolation.  See
 ``docs/orchestration.md``.
 """
 

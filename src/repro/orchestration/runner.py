@@ -1,4 +1,4 @@
-"""Campaign runner: a resilient, resumable, pipelined suite engine.
+"""Campaign runner: a resilient, resumable suite engine.
 
 Phases one and two (golden run, fault list) execute in the parent
 process because they are common to all injections of a scenario; phase
@@ -11,12 +11,12 @@ fixed-count campaign is one batch) and records each in ``fault_id``
 order; :meth:`CampaignRunner.run_one` hands it a drain that runs each
 batch as jobs on the pool, or in process.  The claim loop,
 :meth:`CampaignRunner.run_claims`, takes scenarios from a source — the
-local suite with golden prefetch (:meth:`~CampaignRunner.run_suite`),
-file leases on a shared store (:meth:`~CampaignRunner.run_leased`) or
-HTTP leases (:class:`repro.service.worker.WorkerAgent`) — and runs each
-through its golden, inject and assemble phases with one heartbeat, one
-interrupt policy and one failure policy.  So every driver yields
-bit-identical reports.
+local suite (:meth:`~CampaignRunner.run_suite`), file leases on a
+shared store (:meth:`~CampaignRunner.run_leased`) or HTTP leases
+(:class:`repro.service.worker.WorkerAgent`) — and runs each through its
+golden, inject and assemble phases, in turn on the loop's thread, with
+one heartbeat, one interrupt policy and one failure policy.  So every
+driver yields bit-identical reports.
 
 One worker pool lives for the whole claim loop.  Each scenario's golden
 reference is spooled to a file that every pool job names
@@ -39,9 +39,7 @@ import multiprocessing
 import os
 import pickle
 import tempfile
-import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
@@ -185,27 +183,6 @@ def _drain_jobs(
     return results, failures
 
 
-def _prefetch_golden(compute: Callable[[Scenario], ScenarioCampaign], scenario: Scenario) -> Future:
-    """``compute(scenario)`` on a daemon thread, as a future.
-
-    A ``ThreadPoolExecutor`` would be joined at interpreter exit, so a
-    Ctrl-C during a suite would silently wait for the in-flight golden
-    run of the *next* scenario to finish — minutes, at paper scale.  A
-    daemon thread dies with the process instead; the interrupt costs at
-    most the current scenario, never the prefetched one.
-    """
-    future: Future = Future()
-
-    def run() -> None:
-        try:
-            future.set_result(compute(scenario))
-        except BaseException as exc:  # noqa: BLE001 — re-raised by result()
-            future.set_exception(exc)
-
-    threading.Thread(target=run, name=f"golden-prefetch-{scenario.scenario_id}", daemon=True).start()
-    return future
-
-
 def pool_context(start_method: Optional[str] = None):
     """A multiprocessing context, falling back to spawn-safe methods.
 
@@ -313,8 +290,6 @@ class Claim:
     faults: Optional[int] = None
     #: runs the claim instead of the loop's runner (an HTTP grant's campaign)
     runner: Optional["CampaignRunner"] = None
-    #: a prefetched golden phase; ``None`` golden-runs in the loop
-    golden: Optional[Callable[[], ScenarioCampaign]] = None
     partial: Optional[dict] = None
     checkpoint: Optional[Callable[[str, dict], None]] = None
     #: the lease to keep alive while the claim runs; ``None``: no lease
@@ -343,7 +318,7 @@ class ScenarioSource:
 
 
 class _SuiteSource(ScenarioSource):
-    """``run_suite``'s source: the suite in order, next golden prefetched."""
+    """``run_suite``'s source: the suite in order, resumed shards skipped."""
 
     def __init__(self, runner, scenarios, faults, store, resume, database) -> None:
         self.runner, self.scenarios, self.faults = runner, scenarios, faults
@@ -363,17 +338,8 @@ class _SuiteSource(ScenarioSource):
             if resume:
                 self.completed = store.completed_ids()
         self.queue = iter(scenarios)
-        self.pending = [s for s in scenarios if s.scenario_id not in self.completed]
-        self.prefetched: dict[str, Future] = {}
         self.executed = self.done = 0
         self.start = time.monotonic()
-
-    def _prefetch(self) -> None:
-        for ahead in self.pending[:2]:
-            if ahead.scenario_id not in self.prefetched:
-                self.prefetched[ahead.scenario_id] = _prefetch_golden(
-                    self.runner._compute_golden, ahead
-                )
 
     def claim(self) -> Optional[Claim]:
         for scenario in self.queue:
@@ -383,11 +349,7 @@ class _SuiteSource(ScenarioSource):
                 self.done += 1
                 self.runner.progress(f"[skip]   {scenario_id}: resumed from shard")
                 continue
-            # Start the next golden too: it overlaps with this scenario's
-            # injections.
-            self._prefetch()
-            self.pending.pop(0)
-            claim = Claim(scenario, self.faults, golden=self.prefetched.pop(scenario_id).result)
+            claim = Claim(scenario, self.faults)
             if self.store is not None and self.runner.plan is not None:
                 claim.partial = self.store.load_partial(scenario_id) if self.resume else None
                 claim.checkpoint = self.store.write_partial
@@ -554,7 +516,7 @@ class CampaignRunner:
             yield None
 
     def _compute_golden(self, scenario: Scenario) -> ScenarioCampaign:
-        """Phase one for one scenario (also runs on the prefetch thread)."""
+        """Phase one for one scenario."""
         self.progress(f"[golden] {scenario.scenario_id}")
         campaign = ScenarioCampaign(scenario, self.config)
         campaign.run_golden()
@@ -647,7 +609,7 @@ class CampaignRunner:
         )
         try:
             with heartbeat:
-                campaign = claim.golden() if claim.golden else runner._compute_golden(scenario)
+                campaign = runner._compute_golden(scenario)
                 phase = "inject"
                 report = runner.run_one(
                     scenario, claim.faults, pool, campaign=campaign,

@@ -110,9 +110,31 @@ class TestCampaignRunner:
         assert any(message.startswith("[golden]") for message in messages)
         assert any(message.startswith("[done]") for message in messages)
 
+    def test_suite_runs_each_golden_inline_after_the_previous_scenario(self):
+        scenarios = [
+            Scenario("EP", "serial", 1, "armv8"),
+            Scenario("IS", "serial", 1, "armv8"),
+            Scenario("EP", "serial", 1, "armv7"),
+        ]
+        lines = []
+        config = CampaignConfig(faults_per_scenario=4, seed=1)
+        runner = CampaignRunner(
+            config, workers=0, progress=lambda message: lines.append((threading.get_ident(), message))
+        )
+        runner.run_suite(scenarios)
+        assert {ident for ident, _ in lines} == {threading.get_ident()}
+        messages = [message for _, message in lines]
+        golden = [messages.index(f"[golden] {s.scenario_id}") for s in scenarios]
+        done = [
+            next(i for i, m in enumerate(messages) if m.startswith(f"[done]   {s.scenario_id}:"))
+            for s in scenarios
+        ]
+        for previous_done, next_golden in zip(done, golden[1:]):
+            assert previous_done < next_golden
+
 
 class TestJobPayloads:
-    """Pool jobs must stay light: golden data ships once per worker."""
+    """Pool jobs must stay light: goldens travel as spool files, not in the task queue."""
 
     #: Generous ceiling for one pickled pool job (scenario + ~16 fault
     #: descriptors); the golden reference alone is orders of magnitude
@@ -120,8 +142,8 @@ class TestJobPayloads:
     MAX_JOB_PICKLE_BYTES = 16_384
 
     def test_pool_jobs_are_payload_light(self, golden):
-        # Campaign goldens carry checkpoints: that is what ships once per
-        # worker, and what jobs must never duplicate.
+        # Campaign goldens carry checkpoints: that is what is spooled once
+        # per scenario, and what jobs must never duplicate.
         campaign_golden = GoldenRunner(model_caches=False, checkpoint_interval=None).run(
             golden.scenario, collect_stats=False
         )
