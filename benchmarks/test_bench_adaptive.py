@@ -9,8 +9,7 @@ the adaptive estimates must agree with it to within the two intervals'
 combined half-widths.
 
 Results are written to ``benchmarks/output/BENCH_PR9.json`` (generated,
-not tracked; the ``BENCH_PR9.json`` committed at the repository root
-keeps the PR 9 record to compare against).  Hard gates:
+not tracked; CI uploads it as an artifact).  Hard gates:
 
 * every adaptive run converges (stopping rule fires before the budget);
 * every achieved half-width is at or under the plan's target;

@@ -13,8 +13,7 @@ campaign shapes:
   (1.17x with caches vs 2.4-2.7x without).
 
 Results are written to ``benchmarks/output/BENCH_PR6.json`` (generated,
-not tracked; the ``BENCH_PR6.json`` committed at the repository root
-keeps the PR 6 record to compare against).  Two hard gates:
+not tracked; CI uploads it as an artifact).  Two hard gates:
 
 * no-caches shape: engine >= 2x the slow path (preserved PR 5 gate;
   the slow path already carries the shared-layer speedups, so 2x

@@ -1,7 +1,5 @@
 """Developer smoke test for the guest runtimes (softfloat, OpenMP, MPI)."""
 
-import struct
-
 from repro.compiler import ast
 from repro.compiler.ast import ExprStmt, Function, FuncAddr, GlobalVar, If, Module, Return, assign, call, var
 from repro.compiler.linker import link

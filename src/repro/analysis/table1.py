@@ -10,11 +10,8 @@ floating point library.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.analysis.render import render_table
-from repro.injection.golden import GoldenRunner, GoldenRunResult
-from repro.npb.suite import Scenario, build_scenario_suite
+from repro.injection.golden import GoldenRunResult
 
 
 def _summary(values: list[float]) -> dict[str, float]:
@@ -25,14 +22,6 @@ def _summary(values: list[float]) -> dict[str, float]:
         "average": sum(values) / len(values),
         "larger": max(values),
     }
-
-
-def collect_golden_results(
-    scenarios: Iterable[Scenario],
-    runner: Optional[GoldenRunner] = None,
-) -> list[GoldenRunResult]:
-    runner = runner or GoldenRunner(model_caches=False)
-    return [runner.run(scenario, collect_stats=False) for scenario in scenarios]
 
 
 def table1_rows(
@@ -92,14 +81,6 @@ def instruction_ratio(golden_results: list[GoldenRunResult]) -> float:
     if not v7 or not v8:
         return 0.0
     return (sum(v7) / len(v7)) / (sum(v8) / len(v8))
-
-
-def default_scenarios(apps: Optional[list[str]] = None) -> list[Scenario]:
-    """The scenario set Table 1 summarises (optionally restricted by app)."""
-    suite = build_scenario_suite()
-    if apps is not None:
-        suite = suite.filter(apps=apps)
-    return list(suite)
 
 
 def render_table1(rows: list[dict]) -> str:

@@ -348,10 +348,6 @@ def fvar(name: str) -> Var:
     return Var(name, FLOAT)
 
 
-def binop(op: str, left: Expr, right: Expr) -> BinOp:
-    return BinOp(op, left, right)
-
-
 def add(a: Expr, b: Expr) -> BinOp:
     return BinOp("+", a, b)
 

@@ -66,11 +66,3 @@ def _build_table() -> dict[str, BuiltinSpec]:
 
 #: Builtin name -> specification.
 BUILTINS: dict[str, BuiltinSpec] = _build_table()
-
-
-def is_builtin(name: str) -> bool:
-    return name in BUILTINS
-
-
-def builtin_return_type(name: str) -> str:
-    return BUILTINS[name].return_type

@@ -189,10 +189,6 @@ class Core:
             self.flag_v,
         )
 
-    @property
-    def is_idle(self) -> bool:
-        return self.thread is None
-
     # -- condition evaluation ---------------------------------------------------
 
     def condition_holds(self, cond: Cond) -> bool:

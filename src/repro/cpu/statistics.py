@@ -8,7 +8,7 @@ function call counts, read/write ratio, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(slots=True)

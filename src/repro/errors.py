@@ -57,18 +57,6 @@ class InstructionFault(GuestFault):
     kind = "illegal-instruction"
 
 
-class ArithmeticFault(GuestFault):
-    """Integer division by zero or similar arithmetic trap (SIGFPE)."""
-
-    kind = "arithmetic"
-
-
-class GuestAbort(GuestFault):
-    """The guest program aborted itself (failed assertion, abort())."""
-
-    kind = "abort"
-
-
 class WatchdogTimeout(Exception):
     """The simulation exceeded its instruction budget (classified as Hang)."""
 

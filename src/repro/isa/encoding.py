@@ -10,7 +10,7 @@ compiler (larger immediates are materialised with MOVI sequences).
 
 from __future__ import annotations
 
-from repro.isa.instructions import Cond, Instr, Op
+from repro.isa.instructions import Instr, Op
 
 _OP_SHIFT = 24
 _RD_SHIFT = 19

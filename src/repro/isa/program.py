@@ -63,11 +63,6 @@ class Program:
             raise LinkError(f"undefined label {label!r} in program {self.name!r}")
         return text_base + 4 * self.labels[label]
 
-    def symbol_offset(self, name: str) -> int:
-        if name not in self.symbols:
-            raise LinkError(f"undefined data symbol {name!r} in program {self.name!r}")
-        return self.symbols[name].offset
-
     def entry_index(self) -> int:
         if self.entry not in self.labels:
             raise LinkError(f"entry point {self.entry!r} not defined in program {self.name!r}")

@@ -18,7 +18,7 @@ from repro.cpu import fpu
 from repro.cpu.core import Core, CoreContext
 from repro.errors import GuestFault, MemoryFault, SimulatorError
 from repro.isa.program import Program
-from repro.kernel.loader import STACK_GUARD, STACK_REGION_BASE, ProgramLoader
+from repro.kernel.loader import STACK_GUARD, ProgramLoader
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.kernel.syscalls import ANY_RANK, SBRK_FAILED, Syscall, SyscallError
 from repro.kernel.threads import Process, ProcessState, Thread, ThreadState
@@ -196,10 +196,6 @@ class Kernel:
         if self.scheduler.has_ready():
             return True
         return any(core.thread is not None for core in self.system.cores)
-
-    def all_blocked(self) -> bool:
-        """True when live processes exist but nothing can make progress."""
-        return self.has_live_processes() and not self.runnable_exists()
 
     # ------------------------------------------------------------------
     # termination paths

@@ -42,9 +42,6 @@ class RoundRobinScheduler:
     def has_ready(self) -> bool:
         return any(t.state == ThreadState.READY and t.process.is_live() for t in self._ready)
 
-    def ready_count(self) -> int:
-        return sum(1 for t in self._ready if t.state == ThreadState.READY and t.process.is_live())
-
     def should_preempt(self, thread: Thread) -> bool:
         return thread.slice_used >= self.quantum and self.has_ready()
 

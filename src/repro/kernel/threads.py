@@ -85,6 +85,3 @@ class Process:
 
     def output_text(self) -> str:
         return self.output.decode("utf-8", errors="replace")
-
-    def main_thread(self) -> Thread:
-        return self.threads[0]

@@ -295,7 +295,3 @@ class Cache:
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
-
-    def occupancy(self) -> float:
-        used = sum(len(ways) for ways in self._sets)
-        return used / max(1, self.config.num_lines)

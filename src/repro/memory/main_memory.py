@@ -145,9 +145,6 @@ class AddressSpace:
                 return segment
         raise SimulatorError(f"no segment named {name!r}")
 
-    def highest_address(self) -> int:
-        return max((s.end for s in self.segments), default=0)
-
     # -- access helpers ------------------------------------------------------
 
     def _segment_for(self, address: int, size: int, write: bool) -> MemorySegment:

@@ -142,6 +142,3 @@ class Dataset:
                 merged.update(index[key])
                 out.append(merged)
         return Dataset(out)
-
-    def to_records(self) -> list[dict]:
-        return [dict(record) for record in self.records]

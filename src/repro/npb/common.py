@@ -21,10 +21,8 @@ from repro.compiler.ast import (
     ExprStmt,
     FuncAddr,
     Function,
-    GlobalAddr,
     GlobalVar,
     If,
-    Module,
     Return,
     assign,
     call,

@@ -11,9 +11,8 @@ parallelisation model.
 from __future__ import annotations
 
 from repro.compiler import ast
-from repro.compiler.ast import Function, GlobalVar, If, Module, Return, assign, call, var
+from repro.compiler.ast import Function, If, Module, Return, assign, call, var
 
-from repro.npb import common
 from repro.npb.common import FLOAT, INT, build_mains, finish_both_checksums, partial_globals
 
 #: Number of Monte Carlo samples ("class T").

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from repro.compiler import ast
-from repro.compiler.ast import Function, GlobalVar, If, Module, Return, assign, var
+from repro.compiler.ast import Function, GlobalVar, Module, Return, assign, var
 
 from repro.npb.common import FLOAT, INT, build_mains, finish_float_checksum, partial_globals
 

@@ -21,7 +21,7 @@ from repro.hardening.schemes import (
     hardening_label,
     normalize_hardening,
 )
-from repro.isa.arch import ArchSpec, get_arch
+from repro.isa.arch import get_arch
 from repro.isa.program import Program
 from repro.npb import bt, cg, dc, dt, ep, ft, is_sort, lu, mg, sp, ua
 from repro.npb.common import MPI, OMP, SERIAL
@@ -225,9 +225,6 @@ class ScenarioSuite:
             and (hardenings is None or s.hardening in hardenings)
         ]
         return ScenarioSuite(selected)
-
-    def by_isa(self, isa: str) -> "ScenarioSuite":
-        return self.filter(isas=[isa])
 
     def with_target_mix(self, mix) -> "ScenarioSuite":
         """Every scenario of the suite carrying the given fault-target mix."""

@@ -8,10 +8,10 @@ pipeline at workstation scale — and hardens it for campaign length.
 Every driver runs one batch loop (``ScenarioCampaign.execute``) inside
 one claim loop (``CampaignRunner.run_claims``) over a scenario source:
 the local suite, file leases on a shared store, or HTTP leases from the
-coordinator.  Around them sit a persistent worker pool whose jobs load
-spooled goldens lazily, streaming per-scenario shards with resume, and
-per-job fault isolation.  See
-``docs/orchestration.md``.
+coordinator.  Around them sit a persistent pool (worker processes, or
+this process) whose jobs name a spooled golden and run a scenario on one
+injector per process, streaming per-scenario shards with resume, and
+per-job fault isolation.  See ``docs/orchestration.md``.
 """
 
 from repro.orchestration.jobs import CampaignJob, JobBatcher

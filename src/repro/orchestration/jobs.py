@@ -5,10 +5,10 @@ scheduling algorithm performance by reducing job management and
 synchronization overheads" (Section 3.2.4); the same batching keeps the
 process-pool overhead negligible here.
 
-Jobs shipped to a worker pool stay *light*: the golden reference (with
-its memory snapshots and checkpoints) travels as a spool-file path that
-each worker loads once per scenario, not pickled into every job.  A job
-carries the golden result inline only for in-process execution.
+Jobs stay *light*: the golden reference (with its memory snapshots and
+checkpoints) travels as a spool-file path, not pickled into every job.
+The process that runs a job builds its injector from that file once per
+scenario and runs the scenario's later jobs on it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.injection.fault import FaultDescriptor
-from repro.injection.golden import GoldenRunResult
 from repro.npb.suite import Scenario, normalize_target_mix
 
 
@@ -30,21 +29,18 @@ class CampaignJob:
     fault-target mix they were drawn from (so a worker can verify the
     descriptors it executes belong to the campaign's target dimension).
     Programs are rebuilt (deterministically) inside the worker, which is
-    cheaper than shipping them.  ``golden`` is ``None`` for pool jobs —
-    the worker loads it from ``golden_ref`` — and set inline for
-    in-process execution.
+    cheaper than shipping them.
     """
 
     job_id: int
     scenario: Scenario
+    #: spool-file path of the scenario's pickled golden reference, which
+    #: a process loads on its first job of the scenario
+    golden_ref: str
     faults: list[FaultDescriptor] = field(default_factory=list)
     watchdog_multiplier: int = 4
-    golden: Optional[GoldenRunResult] = None
     #: normalized (kind, weight) pairs; None = the default register mix
     target_mix: Optional[tuple[tuple[str, float], ...]] = None
-    #: spool-file path of the scenario's pickled golden reference, which
-    #: a pool worker loads on its first job of the scenario
-    golden_ref: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.faults)
@@ -83,13 +79,12 @@ class JobBatcher:
     def batch(
         self,
         scenario: Scenario,
-        golden: Optional[GoldenRunResult],
+        golden_ref: str,
         faults: list[FaultDescriptor],
         watchdog_multiplier: int = 4,
         target_mix=None,
-        golden_ref: Optional[str] = None,
     ) -> list[CampaignJob]:
-        """Build jobs; pass ``golden=None`` for payload-light pool jobs."""
+        """Build jobs naming the golden spooled at ``golden_ref``."""
         faults = sorted(faults, key=lambda f: (f.injection_time, f.fault_id))
         mix = normalize_target_mix(target_mix)
         jobs: list[CampaignJob] = []
@@ -99,11 +94,10 @@ class JobBatcher:
                 CampaignJob(
                     job_id=self._next_job_id,
                     scenario=scenario,
+                    golden_ref=golden_ref,
                     faults=chunk,
                     watchdog_multiplier=watchdog_multiplier,
-                    golden=golden,
                     target_mix=mix,
-                    golden_ref=golden_ref,
                 )
             )
             self._next_job_id += 1

@@ -9,7 +9,7 @@ Every driver is built from two loops.  The batch loop,
 :meth:`ScenarioCampaign.execute`, runs a scenario's batches (a
 fixed-count campaign is one batch) and records each in ``fault_id``
 order; :meth:`CampaignRunner.run_one` hands it a drain that runs each
-batch as jobs on the pool, or in process.  The claim loop,
+batch as jobs on the pool.  The claim loop,
 :meth:`CampaignRunner.run_claims`, takes scenarios from a source — the
 local suite (:meth:`~CampaignRunner.run_suite`), file leases on a
 shared store (:meth:`~CampaignRunner.run_leased`) or HTTP leases
@@ -18,10 +18,11 @@ golden, inject and assemble phases, in turn on the loop's thread, with
 one heartbeat, one interrupt policy and one failure policy.  So every
 driver yields bit-identical reports.
 
-One worker pool lives for the whole claim loop.  Each scenario's golden
-reference is spooled to a file that every pool job names
-(:attr:`CampaignJob.golden_ref`); a worker loads it into a one-entry
-cache on its first job of the scenario.  With a
+One pool lives for the whole claim loop; with ``workers <= 1`` it runs
+jobs in this process.  Each scenario's golden reference is spooled to a
+file that every job names (:attr:`CampaignJob.golden_ref`); the process
+that runs a job builds one injector from it on its first job of the
+scenario and runs the scenario's later jobs on that injector.  With a
 :class:`~repro.orchestration.store.CampaignStore`, every finished
 scenario is written to its own shard atomically and ``resume=True``
 skips scenarios whose shards exist.  A failing scenario becomes a
@@ -61,52 +62,40 @@ from repro.orchestration.store import (
 from repro.stats.plan import SamplingPlan
 from repro.stats.prior import MinedPrior
 
-#: This process's one-entry golden cache, ``{scenario_id: (spool path,
-#: golden)}``: a pool worker keeps the golden of the scenario it is
-#: working on, loaded from the spool file on its first job.
-_WORKER_CACHE: dict[str, tuple[Optional[str], GoldenRunResult]] = {}
+#: This process's one-entry injector cache, ``{golden_ref: injector}``:
+#: a process runs all the jobs of its current scenario on one injector,
+#: built from the scenario's spool file on its first job.
+_INJECTORS: dict[str, FaultInjector] = {}
 
 
 def _init_worker() -> None:
-    """Pool initializer: start with an empty golden cache."""
-    _WORKER_CACHE.clear()
+    """Pool initializer: start with an empty injector cache."""
+    _INJECTORS.clear()
 
 
-def install_golden(scenario_id: str, golden: GoldenRunResult, ref: Optional[str] = None) -> None:
-    """Make ``golden`` this process's cached golden, replacing any other."""
-    _WORKER_CACHE.clear()
-    _WORKER_CACHE[scenario_id] = (ref, golden)
-
-
-def evict_golden(scenario_id: str) -> None:
-    """Drop ``scenario_id``'s golden from this process's cache."""
-    _WORKER_CACHE.pop(scenario_id, None)
-
-
-def resolve_golden(job: CampaignJob) -> GoldenRunResult:
-    """The golden reference for ``job``: inline, cached, or spooled."""
-    if job.golden is not None:
-        return job.golden
-    scenario_id = job.scenario.scenario_id
-    ref, golden = _WORKER_CACHE.get(scenario_id, (None, None))
-    if golden is not None and (job.golden_ref is None or job.golden_ref == ref):
-        return golden
-    if job.golden_ref is None:
-        raise SimulatorError(
-            f"no golden reference for {scenario_id}: job carries none "
-            "and the worker cache has no entry for it"
+def _injector_for(job: CampaignJob) -> FaultInjector:
+    """This process's injector for ``job``'s golden, loaded on a miss."""
+    injector = _INJECTORS.get(job.golden_ref)
+    if injector is None:
+        try:
+            with open(job.golden_ref, "rb") as handle:
+                golden = pickle.load(handle)
+        except FileNotFoundError as exc:
+            raise SimulatorError(
+                f"golden spool file for {job.scenario.scenario_id} disappeared: {exc}"
+            ) from exc
+        _INJECTORS.clear()
+        injector = _INJECTORS[job.golden_ref] = FaultInjector(
+            job.scenario, golden, watchdog_multiplier=job.watchdog_multiplier
         )
-    try:
-        with open(job.golden_ref, "rb") as handle:
-            golden = pickle.load(handle)
-    except FileNotFoundError as exc:
-        raise SimulatorError(f"golden spool file for {scenario_id} disappeared: {exc}") from exc
-    install_golden(scenario_id, golden, job.golden_ref)
-    return golden
+    return injector
 
 
 def execute_job(job: CampaignJob) -> list[InjectionResult]:
-    """Execute one batch of injections (runs inside a worker process)."""
+    """Execute one batch of injections on this process's scenario injector.
+
+    An exception evicts the injector, so a retry starts from a fresh one.
+    """
     allowed = job.allowed_target_kinds()
     if allowed is not None:
         for fault in job.faults:
@@ -115,10 +104,11 @@ def execute_job(job: CampaignJob) -> list[InjectionResult]:
                     f"job {job.job_id} carries a {fault.target_kind!r} fault but its "
                     f"target mix only permits {sorted(allowed)}"
                 )
-    injector = FaultInjector(
-        job.scenario, resolve_golden(job), watchdog_multiplier=job.watchdog_multiplier
-    )
-    return injector.run_many(job.faults)
+    try:
+        return _injector_for(job).run_many(job.faults)
+    except BaseException:
+        _INJECTORS.pop(job.golden_ref, None)
+        raise
 
 
 def _execute_job_guarded(job: CampaignJob):
@@ -203,20 +193,24 @@ def pool_context(start_method: Optional[str] = None):
 
 
 class PersistentSuitePool:
-    """A worker pool that lives for a whole claim loop.
+    """Where a whole claim loop runs its jobs: a worker pool, or this process.
 
+    With ``workers <= 1`` no process is opened and jobs map in this
+    process; otherwise they go to a pool through ``imap_unordered``.
     Goldens are spooled to a temp directory, one fresh file per scenario
-    run, so a worker's cached golden (see :func:`resolve_golden`) never
-    stands in for another campaign's.
+    run, so a process's cached injector (see :func:`_injector_for`)
+    never stands in for another campaign's.
     """
 
     def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
-        if workers < 2:
-            raise SimulatorError(f"PersistentSuitePool needs >= 2 workers, got {workers}")
         self.workers = workers
         self._spool = tempfile.TemporaryDirectory(prefix="repro-golden-spool-")
         self._spooled = itertools.count()
-        self.pool = pool_context(start_method).Pool(processes=workers, initializer=_init_worker)
+        self.pool = None
+        self.map = map
+        if workers and workers > 1:
+            self.pool = pool_context(start_method).Pool(processes=workers, initializer=_init_worker)
+            self.map = self.pool.imap_unordered
 
     def spool(self, scenario_id: str, golden: GoldenRunResult) -> str:
         """Write one golden reference to the spool; returns its path."""
@@ -225,24 +219,17 @@ class PersistentSuitePool:
             pickle.dump(golden, handle, protocol=pickle.HIGHEST_PROTOCOL)
         return path
 
-    def close(self) -> None:
-        self.pool.close()
-        self.pool.join()
-        self._spool.cleanup()
-
-    def terminate(self) -> None:
-        self.pool.terminate()
-        self.pool.join()
-        self._spool.cleanup()
-
     def __enter__(self) -> "PersistentSuitePool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
+        if self.pool is not None:
+            if exc_type is None:
+                self.pool.close()
+            else:
+                self.pool.terminate()
+            self.pool.join()
+        self._spool.cleanup()
 
 
 def prepare_store(
@@ -506,15 +493,6 @@ class CampaignRunner:
     # building blocks
     # ------------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def _pool_scope(self):
-        """A pool for the enclosed work, or ``None`` for in-process runs."""
-        if self.workers and self.workers > 1:
-            with PersistentSuitePool(self.workers, start_method=self.start_method) as pool:
-                yield pool
-        else:
-            yield None
-
     def _compute_golden(self, scenario: Scenario) -> ScenarioCampaign:
         """Phase one for one scenario."""
         self.progress(f"[golden] {scenario.scenario_id}")
@@ -534,29 +512,30 @@ class CampaignRunner:
         """Execute one scenario end to end: golden, fault list, jobs, report.
 
         :meth:`ScenarioCampaign.execute` with a drain that runs each
-        batch as jobs on ``pool`` (in process without one).  ``campaign``
-        supplies a pre-computed golden run; ``partial`` and
-        ``checkpoint`` carry an adaptive campaign's resume state.
+        batch as jobs on ``pool`` (a pool of its own without one), all
+        naming the golden's spool file.  ``campaign`` supplies a
+        pre-computed golden run; ``partial`` and ``checkpoint`` carry an
+        adaptive campaign's resume state.
         """
+        if pool is None:
+            with PersistentSuitePool(self.workers, self.start_method) as pool:
+                return self.run_one(scenario, faults, pool, campaign, partial, checkpoint)
         start = time.perf_counter()
         if campaign is None:
             campaign = self._compute_golden(scenario)
-        golden_ref = pool.spool(scenario.scenario_id, campaign.golden) if pool else None
+        golden_ref = pool.spool(scenario.scenario_id, campaign.golden)
         guest = 0
 
         def drain(batch):
             nonlocal guest
             jobs = self.batcher.batch(
                 scenario,
-                None if pool else campaign.golden,
+                golden_ref,
                 batch,
                 watchdog_multiplier=self.config.watchdog_multiplier,
                 target_mix=campaign.resolved_target_mix(),
-                golden_ref=golden_ref,
             )
-            results, failures = _drain_jobs(
-                jobs, pool.pool.imap_unordered if pool else map, self.job_retries, self.progress
-            )
+            results, failures = _drain_jobs(jobs, pool.map, self.job_retries, self.progress)
             guest += sum(result.executed_instructions for result in results)
             self.injections += len(results)
             return results, failures
@@ -566,8 +545,8 @@ class CampaignRunner:
                 drain, faults, self.plan, self.prior, partial, checkpoint, self.progress
             )
         finally:
-            if golden_ref is not None:
-                os.unlink(golden_ref)
+            os.unlink(golden_ref)
+            _INJECTORS.pop(golden_ref, None)
         self.guest_instructions += guest
         self.last_scenario_throughput = (guest, time.perf_counter() - start)
         done = ", ".join(f"{k}={v}" for k, v in report.counts.items())
@@ -591,7 +570,7 @@ class CampaignRunner:
         """
         claim = None
         try:
-            with self._pool_scope() as pool:
+            with PersistentSuitePool(self.workers, self.start_method) as pool:
                 while (claim := source.claim()) is not None:
                     self._run_claim(source, claim, pool)
                     claim = None
@@ -636,8 +615,7 @@ class CampaignRunner:
 
     def run_scenario(self, scenario: Scenario, faults: Optional[int] = None) -> ScenarioReport:
         """Run the four-phase workflow for one scenario."""
-        with self._pool_scope() as pool:
-            return self.run_one(scenario, faults, pool)
+        return self.run_one(scenario, faults)
 
     def run_suite(
         self,

@@ -45,14 +45,6 @@ class FunctionalProfile:
             for name, count in sorted(self.function_instructions.items())
         }
 
-    def coverage_ratio(self, program_lines: dict[str, int]) -> dict[str, float]:
-        """Executed-statement coverage per function."""
-        out = {}
-        for name, total in program_lines.items():
-            covered = len(self.line_coverage.get(name, ()))
-            out[name] = covered / total if total else 0.0
-        return out
-
     def vulnerability_window(self, api_prefixes: tuple[str, ...] = ("omp_", "mpi_", "__sf_")) -> float:
         """Share of execution time spent inside runtime/API functions.
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from repro.compiler import ast
 from repro.compiler.ast import (
-    Assign,
-    Break,
     Function,
     If,
     IntConst,

@@ -206,9 +206,6 @@ class MulticoreSystem:
     def aggregate_stats(self) -> CoreStats:
         return aggregate_stats([core.stats for core in self.cores])
 
-    def per_core_stats(self) -> list[CoreStats]:
-        return [core.stats for core in self.cores]
-
     def load_balance(self) -> float:
         return load_balance([core.stats for core in self.cores])
 

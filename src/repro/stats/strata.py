@@ -28,7 +28,7 @@ space without shipping it over the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.injection.fault import (
     CACHE_LEVELS,

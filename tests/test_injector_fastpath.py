@@ -33,6 +33,9 @@ SCENARIOS = [
     Scenario(app, mode, cores, isa)
     for app, isa in (("IS", "armv7"), ("IS", "armv8"), ("LU", "armv8"))
     for mode, cores in (("serial", 1), ("omp", 2))
+] + [
+    Scenario(app, "mpi", 2, isa)
+    for app, isa in (("IS", "armv7"), ("IS", "armv8"), ("LU", "armv8"))
 ]
 
 #: Register, PC, memory and cache faults in one list.

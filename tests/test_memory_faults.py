@@ -9,6 +9,8 @@ memory and cache injections classified into the five outcome
 categories, and is bit-reproducible given (scenario, seed, count).
 """
 
+import pickle
+
 import pytest
 
 from repro.analysis.target_table import (
@@ -471,11 +473,13 @@ class TestTargetMixAxis:
         assert len(swept) == 2 * len(suite)
         assert len({s.scenario_id for s in swept}) == len(swept)
 
-    def test_jobs_carry_and_enforce_the_mix(self, golden_cached):
+    def test_jobs_carry_and_enforce_the_mix(self, golden_cached, tmp_path):
         model = FaultModel("armv8", 1, seed=2, target_mix={"gpr": 1.0})
         faults = model.generate(golden_cached.total_instructions, 4)
+        spool = tmp_path / "golden.pickle"
+        spool.write_bytes(pickle.dumps(golden_cached))
         jobs = JobBatcher(faults_per_job=8).batch(
-            golden_cached.scenario, golden_cached, faults, target_mix={"gpr": 1.0}
+            golden_cached.scenario, str(spool), faults, target_mix={"gpr": 1.0}
         )
         assert jobs[0].target_mix == (("gpr", 1.0),)
         assert jobs[0].describe()["target_mix"] == {"gpr": 1.0}

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import pickle
 import sys
 import threading
@@ -32,13 +33,11 @@ from repro.orchestration import runner as runner_module
 from repro.orchestration.runner import (
     CampaignRunner,
     PersistentSuitePool,
-    _WORKER_CACHE,
+    _INJECTORS,
     _execute_job_guarded,
-    evict_golden,
+    _injector_for,
     execute_job,
-    install_golden,
     pool_context,
-    resolve_golden,
 )
 
 
@@ -67,10 +66,19 @@ def golden():
     return GoldenRunner(model_caches=False).run(Scenario("IS", "serial", 1, "armv8"), collect_stats=False)
 
 
+@pytest.fixture
+def golden_ref(golden, tmp_path):
+    """``golden`` spooled the way a pool spools it; the test's cache entry is dropped after."""
+    spool = tmp_path / "golden.pickle"
+    spool.write_bytes(pickle.dumps(golden))
+    yield str(spool)
+    _INJECTORS.pop(str(spool), None)
+
+
 class TestJobBatcher:
-    def test_batch_sizes(self, golden):
+    def test_batch_sizes(self, golden, golden_ref):
         faults = FaultModel("armv8", 1, seed=1).generate(golden.total_instructions, 25)
-        jobs = JobBatcher(faults_per_job=10).batch(golden.scenario, golden, faults)
+        jobs = JobBatcher(faults_per_job=10).batch(golden.scenario, golden_ref, faults)
         assert [len(job) for job in jobs] == [10, 10, 5]
         assert [job.job_id for job in jobs] == [0, 1, 2]
         assert jobs[0].describe()["scenario_id"] == golden.scenario.scenario_id
@@ -79,9 +87,9 @@ class TestJobBatcher:
         with pytest.raises(ValueError):
             JobBatcher(faults_per_job=0)
 
-    def test_execute_job_returns_results(self, golden):
+    def test_execute_job_returns_results(self, golden, golden_ref):
         faults = FaultModel("armv8", 1, seed=2).generate(golden.total_instructions, 4)
-        job = JobBatcher(faults_per_job=8).batch(golden.scenario, golden, faults)[0]
+        job = JobBatcher(faults_per_job=8).batch(golden.scenario, golden_ref, faults)[0]
         results = execute_job(job)
         assert len(results) == 4
         assert all(r.scenario_id == golden.scenario.scenario_id for r in results)
@@ -132,6 +140,22 @@ class TestCampaignRunner:
         for previous_done, next_golden in zip(done, golden[1:]):
             assert previous_done < next_golden
 
+    def test_scenario_jobs_share_one_injector(self, monkeypatch):
+        constructed = []
+
+        class CountingInjector(runner_module.FaultInjector):
+            def __init__(self, *args, **kwargs):
+                constructed.append(args[0].scenario_id)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "FaultInjector", CountingInjector)
+        config = CampaignConfig(faults_per_scenario=12, seed=5)
+        report = CampaignRunner(config, workers=0, faults_per_job=4).run_scenario(
+            Scenario("IS", "serial", 1, "armv8")
+        )
+        assert sum(report.counts.values()) == 12
+        assert constructed == ["IS-SER-1-armv8"]
+
 
 class TestJobPayloads:
     """Pool jobs must stay light: goldens travel as spool files, not in the task queue."""
@@ -141,55 +165,70 @@ class TestJobPayloads:
     #: bigger, so a regression reattaching it to jobs trips this fast.
     MAX_JOB_PICKLE_BYTES = 16_384
 
-    def test_pool_jobs_are_payload_light(self, golden):
+    def test_pool_jobs_are_payload_light(self, golden, golden_ref):
         # Campaign goldens carry checkpoints: that is what is spooled once
         # per scenario, and what jobs must never duplicate.
         campaign_golden = GoldenRunner(model_caches=False, checkpoint_interval=None).run(
             golden.scenario, collect_stats=False
         )
         faults = FaultModel("armv8", 1, seed=3).generate(campaign_golden.total_instructions, 64)
-        jobs = JobBatcher(faults_per_job=16).batch(campaign_golden.scenario, None, faults)
+        jobs = JobBatcher(faults_per_job=16).batch(campaign_golden.scenario, golden_ref, faults)
         golden_size = len(pickle.dumps(campaign_golden))
         for job in jobs:
-            assert job.golden is None
             assert len(pickle.dumps(job)) < self.MAX_JOB_PICKLE_BYTES
         assert golden_size > 10 * self.MAX_JOB_PICKLE_BYTES
 
-    def test_light_job_resolves_worker_cached_golden(self, golden):
-        faults = FaultModel("armv8", 1, seed=4).generate(golden.total_instructions, 3)
-        job = JobBatcher(faults_per_job=8).batch(golden.scenario, None, faults)[0]
-        install_golden(golden.scenario.scenario_id, golden)
-        assert resolve_golden(job) is golden
-        results = execute_job(job)
-        assert len(results) == 3
-        evict_golden(golden.scenario.scenario_id)
+    def test_jobs_of_one_golden_share_an_injector(self, golden, golden_ref):
+        faults = FaultModel("armv8", 1, seed=4).generate(golden.total_instructions, 6)
+        first, second = JobBatcher(faults_per_job=3).batch(golden.scenario, golden_ref, faults)
+        assert len(execute_job(first)) == 3
+        injector = _INJECTORS[golden_ref]
+        assert injector.golden.total_instructions == golden.total_instructions
+        assert len(execute_job(second)) == 3
+        assert _injector_for(second) is injector
+        assert list(_INJECTORS) == [golden_ref]
 
-    def test_unresolvable_golden_raises(self, golden):
+    def test_unresolvable_golden_raises(self, golden, tmp_path):
         faults = FaultModel("armv8", 1, seed=5).generate(golden.total_instructions, 2)
-        job = JobBatcher(faults_per_job=8).batch(golden.scenario, None, faults)[0]
-        evict_golden(golden.scenario.scenario_id)
-        install_golden("EP-SER-1-armv8", golden)
-        with pytest.raises(SimulatorError):
-            resolve_golden(job)
-        evict_golden("EP-SER-1-armv8")
+        job = JobBatcher(faults_per_job=8).batch(golden.scenario, str(tmp_path / "gone"), faults)[0]
+        with pytest.raises(SimulatorError, match="disappeared"):
+            _injector_for(job)
+        assert job.golden_ref not in _INJECTORS
 
-    def test_job_resolves_golden_from_spool_file(self, golden, tmp_path):
-        """The spool reference is the lazy fallback when the cache misses."""
-        spool = tmp_path / "golden.pickle"
-        spool.write_bytes(pickle.dumps(golden))
-        faults = FaultModel("armv8", 1, seed=4).generate(golden.total_instructions, 2)
-        job = JobBatcher(faults_per_job=8).batch(
-            golden.scenario, None, faults, golden_ref=str(spool)
-        )[0]
-        evict_golden(golden.scenario.scenario_id)
-        resolved = resolve_golden(job)
-        assert resolved.total_instructions == golden.total_instructions
-        assert golden.scenario.scenario_id in _WORKER_CACHE
-        evict_golden(golden.scenario.scenario_id)
+    def test_failing_job_evicts_its_injector(self, golden, golden_ref, monkeypatch):
+        faults = FaultModel("armv8", 1, seed=4).generate(golden.total_instructions, 4)
+        first, second = JobBatcher(faults_per_job=2).batch(golden.scenario, golden_ref, faults)
+        execute_job(first)
+        assert golden_ref in _INJECTORS
 
-    def test_batcher_sorts_faults_by_injection_time(self, golden):
+        def boom(self, faults):
+            raise RuntimeError("injection failed")
+
+        monkeypatch.setattr(runner_module.FaultInjector, "run_many", boom)
+        with pytest.raises(RuntimeError):
+            execute_job(second)
+        assert golden_ref not in _INJECTORS
+
+    def test_single_worker_pool_runs_jobs_in_process(self, golden, golden_ref, monkeypatch):
+        pids = []
+        real_execute = runner_module.execute_job
+
+        def recording(job):
+            pids.append(os.getpid())
+            return real_execute(job)
+
+        monkeypatch.setattr(runner_module, "execute_job", recording)
+        faults = FaultModel("armv8", 1, seed=7).generate(golden.total_instructions, 4)
+        jobs = JobBatcher(faults_per_job=2).batch(golden.scenario, golden_ref, faults)
+        with PersistentSuitePool(1) as pool:
+            assert pool.pool is None
+            results = list(pool.map(_execute_job_guarded, jobs))
+        assert [error for _, _, error in results] == [None, None]
+        assert pids == [os.getpid(), os.getpid()]
+
+    def test_batcher_sorts_faults_by_injection_time(self, golden, golden_ref):
         faults = FaultModel("armv8", 1, seed=6).generate(golden.total_instructions, 30)
-        jobs = JobBatcher(faults_per_job=10).batch(golden.scenario, golden, faults)
+        jobs = JobBatcher(faults_per_job=10).batch(golden.scenario, golden_ref, faults)
         times = [fault.injection_time for job in jobs for fault in job.faults]
         assert times == sorted(times)
         assert sorted(f.fault_id for job in jobs for f in job.faults) == list(range(30))
@@ -250,8 +289,6 @@ class TestPoolContext:
         # spawn workers import repro afresh: make sure the children can
         # find the package even when only conftest put src on sys.path.
         src = str(Path(__file__).resolve().parent.parent / "src")
-        import os
-
         existing = [p for p in os.environ.get("PYTHONPATH", "").split(":") if p]
         monkeypatch.setenv("PYTHONPATH", ":".join([src] + existing))
         scenario = Scenario("EP", "serial", 1, "armv8")
@@ -261,14 +298,6 @@ class TestPoolContext:
             config, workers=2, faults_per_job=2, start_method="spawn"
         ).run_scenario(scenario)
         assert serial.counts == spawned.counts
-
-
-class TestPersistentPool:
-    """The worker pool that outlives scenarios."""
-
-    def test_pool_requires_two_workers(self):
-        with pytest.raises(SimulatorError):
-            PersistentSuitePool(1)
 
 
 class TestJobIsolation:
@@ -318,10 +347,9 @@ class TestJobIsolation:
         assert retried.counts == clean.counts
         assert seen[2] == 2
 
-    def test_guarded_execution_captures_error_type(self, golden):
+    def test_guarded_execution_captures_error_type(self, golden, tmp_path):
         faults = FaultModel("armv8", 1, seed=12).generate(golden.total_instructions, 2)
-        job = JobBatcher(faults_per_job=4).batch(golden.scenario, None, faults)[0]
-        evict_golden(golden.scenario.scenario_id)
+        job = JobBatcher(faults_per_job=4).batch(golden.scenario, str(tmp_path / "gone"), faults)[0]
         job_id, results, error = _execute_job_guarded(job)
         assert job_id == job.job_id
         assert results is None
