@@ -188,6 +188,28 @@ class TestJobPayloads:
         assert _injector_for(second) is injector
         assert list(_INJECTORS) == [golden_ref]
 
+    def test_light_job_resolves_worker_cached_golden(self, golden, tmp_path):
+        """A cache hit serves the job without reading its spool file."""
+        faults = FaultModel("armv8", 1, seed=4).generate(golden.total_instructions, 3)
+        ref = str(tmp_path / "never-written.pickle")
+        job = JobBatcher(faults_per_job=8).batch(golden.scenario, ref, faults)[0]
+        cached = runner_module.FaultInjector(golden.scenario, golden)
+        _INJECTORS[ref] = cached
+        try:
+            assert _injector_for(job) is cached
+            assert len(execute_job(job)) == 3
+        finally:
+            _INJECTORS.pop(ref, None)
+
+    def test_job_resolves_golden_from_spool_file(self, golden, golden_ref):
+        """The spool file is read on a cache miss, and its injector cached."""
+        faults = FaultModel("armv8", 1, seed=4).generate(golden.total_instructions, 2)
+        job = JobBatcher(faults_per_job=8).batch(golden.scenario, golden_ref, faults)[0]
+        _INJECTORS.pop(golden_ref, None)
+        injector = _injector_for(job)
+        assert injector.golden.total_instructions == golden.total_instructions
+        assert _INJECTORS[golden_ref] is injector
+
     def test_unresolvable_golden_raises(self, golden, tmp_path):
         faults = FaultModel("armv8", 1, seed=5).generate(golden.total_instructions, 2)
         job = JobBatcher(faults_per_job=8).batch(golden.scenario, str(tmp_path / "gone"), faults)[0]
@@ -298,6 +320,20 @@ class TestPoolContext:
             config, workers=2, faults_per_job=2, start_method="spawn"
         ).run_scenario(scenario)
         assert serial.counts == spawned.counts
+
+
+class TestPersistentPool:
+    """The worker pool that outlives scenarios."""
+
+    def test_pool_requires_two_workers(self):
+        """Worker processes open only from two workers up; fewer map in process."""
+        for workers in (0, 1):
+            with PersistentSuitePool(workers) as pool:
+                assert pool.pool is None
+                assert pool.map is map
+        with PersistentSuitePool(2) as pool:
+            assert pool.pool is not None
+            assert pool.map == pool.pool.imap_unordered
 
 
 class TestJobIsolation:
