@@ -35,11 +35,33 @@ Fused superblocks
     the reference interpreter: compiling costs far more than
     interpreting code that runs only a few times.
 
-Per-instruction code
-    A budget that ends inside a block runs one instruction at a time
-    through length-1 blocks compiled by the same emitter on first use
-    and cached on the :class:`DecodedText`.  They share the fused
-    blocks' batched accounting and fault replay.
+Memory path
+    Emitted loads and stores call the address space's uncounted
+    accessors specialised by size (``load4(a)``, ``store8(a, x)``, ...;
+    see :class:`repro.memory.main_memory.AddressSpace`).  Each tries
+    the two last-hit segments and falls back to the exact slow path of
+    ``read``/``write``, so fault types and messages are the
+    interpreter's.  The address space's four access counters are not
+    bumped per access: a block's loads, stores and bytes moved are part
+    of its batched delta, and the burst adds them to the counters on
+    every exit, next to ``CoreStats``.  The counters stay exact at every
+    burst boundary, which matters because the kernel capture that the
+    injector's convergence test compares includes them.
+
+Budget tails and prefixes
+    A budget that ends inside a block (every burst of a multicore run,
+    every pause) runs only the block's first ``r`` instructions, so a
+    pause lands on the exact boundary.  Each instruction's code is a
+    length-1 block compiled on first use; a tail runs as one *prefix
+    block* for ``(index, r)`` that calls those length-1 blocks in a row
+    and carries their summed statistics, so it costs one dispatch and
+    one batched delta instead of ``r``.  Prefixes are built from code
+    that already exists and are never compiled on their own: every
+    compile is paid again by each campaign set-up and by each pool
+    worker, and a compiled prefix would have to run some 400 times
+    before it beat the one built from length-1 blocks (see
+    ``docs/performance.md``).  All of these share the fused blocks'
+    batched accounting and fault replay.
 
 Cache modelling
     With ``model_caches`` the compiled code accounts I-side fetches
@@ -60,10 +82,10 @@ Determinism contracts
       mid-block leaves the same PC and — after :func:`_account_fault`
       replays the completed prefix's counter deltas — the same
       statistics the interpreter would have;
-    * an execution budget smaller than the current block steps
-      per-instruction code, so ``stop_at_instruction`` pauses at the
-      exact boundary (schedule-neutral resume for checkpoints and the
-      fault injector);
+    * an execution budget smaller than the current block runs a
+      prefix of it, so ``stop_at_instruction`` pauses at the exact
+      boundary (schedule-neutral resume for checkpoints and the fault
+      injector);
     * a per-instruction ``trace_hook`` (the functional profiler)
       forces the interpreter path entirely;
     * code specializes only on the *instruction encodings* (and the
@@ -126,7 +148,8 @@ COND_FUNCS = tuple(eval(f"lambda core: {expr}", {"__builtins__": {}}) for expr i
 
 
 class Block:
-    """One superblock suffix: the run of instructions starting at ``start``.
+    """One superblock suffix: the run of instructions starting at ``start``
+    (or, for a budget tail, its first ``length`` instructions).
 
     Decode fills in only the extent and ``recheck``, which marks blocks
     after which the driver must re-test the thread/halt state (the
@@ -157,7 +180,7 @@ class Block:
 class DecodedText:
     """Pre-decoded view of one text segment for one configuration."""
 
-    __slots__ = ("text", "text_base", "length", "entries", "singles", "model_caches", "stale", "ctx")
+    __slots__ = ("text", "text_base", "length", "entries", "singles", "prefixes", "model_caches", "stale", "ctx")
 
     def __init__(self, text, text_base, length, entries, model_caches, ctx):
         self.text = text
@@ -168,6 +191,9 @@ class DecodedText:
         #: ``singles[i]`` is the compiled length-1 block for instruction
         #: i (budget tails), built on first use
         self.singles = [None] * length
+        #: ``prefixes[(i, r)]`` runs the first ``r`` instructions of
+        #: block ``i`` (budget tails), built on first use
+        self.prefixes = {}
         self.model_caches = model_caches
         #: set by :func:`invalidate_text` when the underlying
         #: instruction list was mutated; forces a re-decode
@@ -483,7 +509,7 @@ def _emit_instr(instr, index, ctx, lines):
         # shape, whose compiler never emits hardware FP — they are kept
         # for interpreter parity.
         if op == Op.FLDR:
-            lines.append(f"bits = mr({addr}, {size})")
+            lines.append(f"bits = ld{size}({addr})")
             if size == 4:
                 lines.append("bits = d2b(b2s(bits))")
             lines.append(f"f[{rd}] = bits & {fmask}")
@@ -491,12 +517,12 @@ def _emit_instr(instr, index, ctx, lines):
             lines.append(f"bits = f[{rd}]")
             if size == 4:
                 lines.append("bits = s2b(b2d(bits))")
-            lines.append(f"mw({addr}, bits, {size})")
+            lines.append(f"st{size}({addr}, bits)")
         elif load:
-            lines.append(f"v[{rd}] = mr({addr}, {size})")
+            lines.append(f"v[{rd}] = ld{size}({addr})")
         else:
-            value = f"v[{rd}]" if op == Op.STR else f"v[{rd}] & 255"
-            lines.append(f"mw({addr}, {value}, {size})")
+            # the sized store masks the value to its width (STRB: low byte)
+            lines.append(f"st{size}({addr}, v[{rd}])")
         fp = (("float_ops", 1),) if op in (Op.FLDR, Op.FSTR) else ()
         if load:
             return (("loads", 1),) + fp + (("bytes_read", size),)
@@ -563,14 +589,15 @@ def _emit_instr(instr, index, ctx, lines):
 #: Per-block bindings, hoisted into the prologue when the body uses
 #: them.  The address space never changes mid-block (only syscalls
 #: swap it, and SVC is always block-final); cache objects and the stats
-#: record only change between bursts.
+#: record only change between bursts.  ``ldN``/``stN`` are the address
+#: space's uncounted N-byte accessors.
 _PROLOGUE = {
     "f": "f = core.fregs._values",
     "st": "st = core.stats",
     "fa": "fa = core.caches.l1i.access",
     "da": "da = core.caches.l1d.access",
-    "mr": "mr = core.mem.read",
-    "mw": "mw = core.mem.write",
+    **{f"ld{size}": f"ld{size} = core.mem.load{size}" for size in (1, 4, 8)},
+    **{f"st{size}": f"st{size} = core.mem.store{size}" for size in (1, 4, 8)},
 }
 _PROLOGUE_NAMES = re.compile(r"\b(?:%s)\b(?=[\[.(])" % "|".join(_PROLOGUE))
 
@@ -614,13 +641,16 @@ def _compile_block(block, decoded):
             else:
                 lines.append(f"st.cycles += fa({pc})")
             repeat_prefix.append(repeats)
+        last = len(lines)
         items = _emit_instr(text[index], index, ctx, lines)
         instr_items.append(tuple((_STAT_INDEX[name], delta) for name, delta in items))
-    if text[end - 1].op not in BLOCK_TERMINATOR_OPS:
+    exit_pc = f"core.pc = {base + 4 * end}"
+    if text[end - 1].op not in BLOCK_TERMINATOR_OPS and lines[last] != exit_pc:
         # The run continues at the next instruction — or falls off the
         # end of the text, where the out-of-range fetch fault that
-        # follows reports the interpreter's exact address.
-        lines.append(f"core.pc = {base + 4 * end}")
+        # follows reports the interpreter's exact address.  A last
+        # instruction that can raise has stored this PC already.
+        lines.append(exit_pc)
     # acc slots 0 and 1: instructions and (batched) fetch cycles
     if model_caches:
         totals = {0: block.length, 1: repeats * ctx["i_hit"], _REPEATS: repeats}
@@ -649,6 +679,43 @@ def _single(decoded, index):
     """
     block = decoded.singles[index] = Block(index, 1, False)
     _compile_block(block, decoded)
+    return block
+
+
+def _chain(functions):
+    """One function that runs compiled ``functions`` in order."""
+
+    def chained(core, v):
+        for function in functions:
+            function(core, v)
+
+    return chained
+
+
+def _prefix(decoded, index, count):
+    """The block for the first ``count`` instructions of block ``index``
+    (cached): the length-1 block itself, or a prefix of them.
+
+    A prefix calls the length-1 blocks in a row and carries their
+    summed statistics; each is its own fetch leader, so with caches
+    modelled no repeat fetches are batched.  Its ``instr_items`` let
+    :func:`_account_fault` replay a fault raised inside any of them.
+    """
+    singles = decoded.singles
+    rows = [singles[i] or _single(decoded, i) for i in range(index, index + count)]
+    if count == 1:
+        block = rows[0]
+    else:
+        block = Block(index, count, False)
+        totals: dict = {}
+        for row in rows:
+            for stat, delta in row.items:
+                totals[stat] = totals.get(stat, 0) + delta
+        block.items = tuple(sorted(totals.items()))
+        block.instr_items = tuple(row.instr_items[0] for row in rows)
+        block.repeat_prefix = (0,) * count if decoded.model_caches else None
+        block.compiled = _chain(tuple(row.compiled for row in rows))
+    decoded.prefixes[index, count] = block
     return block
 
 
@@ -716,24 +783,30 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
     change them).  Returns the executed instruction count.
 
     Hot blocks run fused, cold blocks on ``Core.step`` and a budget
-    ending inside a block on per-instruction compiled code.  Compiled
-    code accumulates statistics in burst-local counters, flushed to
-    ``core.stats`` on every exit path (including a mid-block guest
-    fault, where :func:`_account_fault` first reconstructs the
-    interrupted block's exact prefix), so the counters are
-    interpreter-exact whenever control leaves this function.  With an
-    ``access_log`` on the core, the burst appends ``(core_id, text)``
-    and then every dispatched block (a budget tail as its length-1
-    block) before running it.  Syscall
-    handlers run mid-burst and must not read ``core.stats`` — none do:
-    the kernel touches counters only via ``attach`` during scheduling,
-    which happens between bursts.
+    ending inside a block on a prefix of it (:func:`_prefix`).
+    Compiled code accumulates statistics in burst-local counters: each
+    completed block adds its ``items``, and :func:`_account_fault` adds
+    the exact prefix of a block interrupted by a guest fault.  On every
+    exit the totals go to ``core.stats``, and the loads, stores and
+    bytes moved also to the address space's access counters, which the
+    compiled accessors leave alone; so both are interpreter-exact
+    whenever control leaves this function.  The address space cannot
+    change mid-burst: the kernel swaps it only on attach, between
+    bursts, and a detach ends the burst.  With an ``access_log`` on the
+    core, the burst appends ``(core_id, text)`` and then every
+    dispatched block (a budget tail as its single-instruction rows)
+    before running it.  Syscall handlers run mid-burst and must not
+    read ``core.stats`` or the access counters — none do: the kernel
+    touches counters only via ``attach`` during scheduling, which
+    happens between bursts.
     """
     stats = core.stats
+    mem = core.mem
     thread = core.thread
     base = decoded.text_base
     entries = decoded.entries
     singles = decoded.singles
+    prefixes = decoded.prefixes
     length = decoded.length
     regs = core.regs
     executed = 0
@@ -763,11 +836,17 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
                 )
             block = entries[index]
             if block.length > budget - executed:
-                # The budget ends inside this block: run one compiled
-                # instruction so stop_at_instruction pauses on the
-                # precise boundary (schedule-neutral resume).
-                block = singles[index] or _single(decoded, index)
-            if log is not None:
+                # The budget ends inside this block: run just its first
+                # instructions, so stop_at_instruction pauses on the
+                # precise boundary (schedule-neutral resume).  The log
+                # gets a prefix's single-instruction rows: the def-use
+                # summary reads a logged block as the suffix of its run.
+                block = prefixes.get((index, budget - executed)) or _prefix(
+                    decoded, index, budget - executed
+                )
+                if log is not None:
+                    log.extend(singles[index : index + block.length])
+            elif log is not None:
                 log.append(block)
             if block.compiled is None:
                 block.hits += 1
@@ -794,6 +873,11 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
             check_state = block.recheck
     finally:
         _flush(stats, acc)
+        if acc[8] or acc[9]:
+            mem.read_count += acc[8]
+            mem.write_count += acc[9]
+            mem.bytes_read += acc[10]
+            mem.bytes_written += acc[11]
         repeats = acc[_REPEATS]
         if repeats:
             # Batched repeat fetches: each one is an L1i read hit at hit

@@ -28,6 +28,46 @@ _WORD_IO = {
 }
 
 
+def _sized_accessors(size: int):
+    """Uncounted aligned ``load``/``store`` of ``size`` bytes (compiled code).
+
+    Each takes the two-entry last-hit fast path and otherwise falls
+    back to the exact slow path of :meth:`AddressSpace.read` and
+    ``write``, so fault types and messages are identical.  Neither
+    bumps the access counters: the block engine adds them from its
+    batched per-burst deltas (see :func:`repro.cpu.engine.execute_burst`).
+    """
+    layout = struct.Struct({1: "<B", 4: "<I", 8: "<Q"}[size])
+    unpack_from, pack_into = layout.unpack_from, layout.pack_into
+    misaligned = size - 1
+    value_mask = (1 << (8 * size)) - 1
+
+    def load(self, address: int) -> int:
+        segment = self._last_hit
+        if segment is None or not (segment.base <= address and address + size <= segment.end):
+            segment = self._prev_hit
+            if segment is None or not (segment.base <= address and address + size <= segment.end):
+                return self._read_slow(address, size, True)
+        if address & misaligned or not segment.perms.read:
+            return self._read_slow(address, size, True)
+        return unpack_from(segment.data, address - segment.base)[0]
+
+    def store(self, address: int, value: int) -> None:
+        segment = self._last_hit
+        if segment is None or not (segment.base <= address and address + size <= segment.end):
+            segment = self._prev_hit
+            if segment is None or not (segment.base <= address and address + size <= segment.end):
+                self._write_slow(address, value, size, True)
+                return
+        if address & misaligned or not segment.perms.write:
+            self._write_slow(address, value, size, True)
+            return
+        pack_into(segment.data, address - segment.base, value & value_mask)
+
+    load.__name__, store.__name__ = f"load{size}", f"store{size}"
+    return load, store
+
+
 @dataclass(frozen=True)
 class Permissions:
     read: bool = True
@@ -46,7 +86,7 @@ PERM_RX = Permissions(read=True, write=False, execute=True)
 class MemorySegment:
     """A contiguous, permission-checked region of guest memory."""
 
-    __slots__ = ("name", "base", "size", "perms", "data", "owner")
+    __slots__ = ("name", "base", "size", "end", "perms", "data", "owner")
 
     def __init__(self, name: str, base: int, size: int, perms: Permissions = PERM_RW, owner: int | None = None):
         if base < 0 or size <= 0:
@@ -54,13 +94,11 @@ class MemorySegment:
         self.name = name
         self.base = base
         self.size = size
+        #: one past the last address (fixed: segments never resize)
+        self.end = base + size
         self.perms = perms
         self.data = bytearray(size)
         self.owner = owner
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -101,7 +139,8 @@ class AddressSpace:
         # thrash a single-entry cache into full segment walks.
         self._last_hit: MemorySegment | None = None
         self._prev_hit: MemorySegment | None = None
-        # statistics
+        # statistics: read/write count each access; compiled blocks use
+        # the uncounted load*/store* and the engine adds theirs per burst
         self.read_count = 0
         self.write_count = 0
         self.bytes_read = 0
@@ -166,9 +205,9 @@ class AddressSpace:
         # the slow path, which re-checks in the canonical order so the
         # raised fault type/message is identical either way.
         segment = self._last_hit
-        if segment is None or not (segment.base <= address and address + size <= segment.base + segment.size):
+        if segment is None or not (segment.base <= address and address + size <= segment.end):
             segment = self._prev_hit
-            if segment is not None and segment.base <= address and address + size <= segment.base + segment.size:
+            if segment is not None and segment.base <= address and address + size <= segment.end:
                 self._prev_hit = self._last_hit
                 self._last_hit = segment
             else:
@@ -187,25 +226,27 @@ class AddressSpace:
             if io is not None:
                 return io[0](segment.data, offset)[0]
             return int.from_bytes(segment.data[offset : offset + size], "little")
-        return self._read_slow(address, size, check_alignment)
+        value = self._read_slow(address, size, check_alignment)
+        self.read_count += 1
+        self.bytes_read += size
+        return value
 
     def _read_slow(self, address: int, size: int, check_alignment: bool) -> int:
+        """Checked read in the canonical fault order; counts nothing."""
         if address < 0:
             raise MemoryFault(f"negative address {address:#x}", address=address)
         if check_alignment and size > 1 and address % size != 0:
             raise AlignmentFault(f"misaligned read of {size} bytes at {address:#x}", address=address)
         segment = self._segment_for(address, size, write=False)
         offset = address - segment.base
-        self.read_count += 1
-        self.bytes_read += size
         return int.from_bytes(segment.data[offset : offset + size], "little")
 
     def write(self, address: int, value: int, size: int, check_alignment: bool = True) -> None:
         """Write ``size`` bytes of ``value`` (unsigned) at ``address``."""
         segment = self._last_hit
-        if segment is None or not (segment.base <= address and address + size <= segment.base + segment.size):
+        if segment is None or not (segment.base <= address and address + size <= segment.end):
             segment = self._prev_hit
-            if segment is not None and segment.base <= address and address + size <= segment.base + segment.size:
+            if segment is not None and segment.base <= address and address + size <= segment.end:
                 self._prev_hit = self._last_hit
                 self._last_hit = segment
             else:
@@ -230,8 +271,11 @@ class AddressSpace:
             )
             return
         self._write_slow(address, value, size, check_alignment)
+        self.write_count += 1
+        self.bytes_written += size
 
     def _write_slow(self, address: int, value: int, size: int, check_alignment: bool) -> None:
+        """Checked write in the canonical fault order; counts nothing."""
         if address < 0:
             raise MemoryFault(f"negative address {address:#x}", address=address)
         if check_alignment and size > 1 and address % size != 0:
@@ -239,8 +283,11 @@ class AddressSpace:
         segment = self._segment_for(address, size, write=True)
         offset = address - segment.base
         segment.data[offset : offset + size] = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-        self.write_count += 1
-        self.bytes_written += size
+
+    # Uncounted sized accessors for compiled blocks (see _sized_accessors).
+    load1, store1 = _sized_accessors(1)
+    load4, store4 = _sized_accessors(4)
+    load8, store8 = _sized_accessors(8)
 
     def read_bytes(self, address: int, length: int) -> bytes:
         segment = self._segment_for(address, length, write=False)
