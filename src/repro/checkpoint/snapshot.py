@@ -14,7 +14,9 @@ fault injector relies on when it fast-forwards to an injection point
 instead of re-simulating from boot.  The same guarantee lets the
 injector end a faulty run early: once :func:`snapshot_matches` finds
 its live state equal to a golden-run snapshot, the rest of the run
-is the golden run's.
+is the golden run's.  :func:`state_diff` says what differs when the
+states are not equal, which lets the injector also end runs whose
+every difference is dead.
 
 Snapshots are plain picklable data (ints, strings, bytes, tuples,
 dicts): object identities such as "this core runs that thread" are
@@ -26,9 +28,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulatorError
+from repro.memory.main_memory import AddressSpace
 from repro.soc.multicore import MulticoreSystem
 
 
@@ -135,15 +138,179 @@ def restore_snapshot(snapshot: SystemSnapshot, system: MulticoreSystem) -> Multi
     return system
 
 
-def snapshot_matches(snapshot: SystemSnapshot, system: MulticoreSystem) -> bool:
-    """True when ``system`` is in exactly the state ``snapshot`` captured.
+@dataclass
+class StateDiff:
+    """What differs between a live system and a golden snapshot.
 
-    Compares the instruction count and resume point, every core's
-    registers, PC, flags, halt state and thread, and the whole kernel
-    capture (threads, scheduler, writable memory including stacks,
-    output, semaphores, mutexes and message queues).  The simulator is
-    deterministic, so on a match the rest of ``system``'s run equals the
-    run that took ``snapshot``.
+    Registers and writable memory are listed difference by difference,
+    since a golden run can tell what each of them meets next (see
+    :meth:`repro.injection.injector.FaultInjector._verdict`).  Anything
+    else that differs is named in ``undecided``, and the diff stops
+    there: ``registers`` and ``memory`` are then incomplete.
+    """
+
+    #: golden instruction count both states sit at
+    instruction_count: int
+    #: (core index, register) of every differing integer register
+    registers: list[tuple[int, int]] = field(default_factory=list)
+    #: (process index, segment name, first address, end address) of
+    #: every run of differing bytes in writable memory
+    memory: list[tuple[int, str, int, int]] = field(default_factory=list)
+    #: the first difference outside the two lists, None when there is none
+    undecided: Optional[str] = None
+
+    @property
+    def empty(self) -> bool:
+        return not self.registers and not self.memory and self.undecided is None
+
+
+#: Span below which :func:`_differing_runs` compares byte by byte.
+_LEAF_BYTES = 64
+
+
+def _differing_runs(
+    live: bytearray, golden: bytes, base: int, limit: int
+) -> Optional[list[tuple[int, int]]]:
+    """``[first, end)`` address runs where ``live`` differs from ``golden``,
+    in address order; None past ``limit`` differing bytes.
+
+    Halves the span while its halves differ, comparing each half in
+    place (``bytes.startswith`` on a memoryview copies nothing), so a
+    few differing bytes cost a few dozen comparisons whatever the size.
+    """
+    runs: list[tuple[int, int]] = []
+    found = 0
+    with memoryview(live) as view:
+        spans = [(0, len(golden))]
+        while spans:
+            first, end = spans.pop()
+            if golden.startswith(view[first:end], first):
+                continue
+            if end - first > _LEAF_BYTES:
+                middle = (first + end) // 2
+                spans += ((middle, end), (first, middle))
+                continue
+            for offset in range(first, end):
+                if live[offset] != golden[offset]:
+                    found += 1
+                    if found > limit:
+                        return None
+                    address = base + offset
+                    if runs and runs[-1][1] == address:
+                        runs[-1] = (runs[-1][0], address + 1)
+                    else:
+                        runs.append((address, address + 1))
+    return runs
+
+
+def memory_diff(
+    space: AddressSpace, captured: dict, limit: int
+) -> Optional[list[tuple[str, int, int]]]:
+    """(segment name, first address, end address) of every run of bytes in
+    which ``space`` differs from its ``capture_contents()`` ``captured``.
+
+    None when something other than segment contents differs (the set or
+    geometry of the writable segments, or the access counters) and when
+    more than ``limit`` bytes differ.  Segment data is compared in
+    place against the captured bytes, and bytes are located only inside
+    segments that differ.
+    """
+    if (space.read_count, space.write_count, space.bytes_read, space.bytes_written) != captured[
+        "counters"
+    ]:
+        return None
+    writable = [segment for segment in space.segments if segment.perms.write]
+    if len(writable) != len(captured["segments"]):
+        return None
+    runs = []
+    for segment, (name, base, size, data) in zip(writable, captured["segments"]):
+        if segment.name != name or segment.base != base or segment.size != size:
+            return None
+        if segment.data != data:
+            located = _differing_runs(segment.data, data, base, limit)
+            if located is None:
+                return None
+            limit -= sum(end - first for first, end in located)
+            runs.extend((name, first, end) for first, end in located)
+    return runs
+
+
+def state_diff(
+    snapshot: SystemSnapshot,
+    system: MulticoreSystem,
+    decidable: Optional[Callable[[int, int], bool]] = None,
+    max_bytes: int = 0,
+) -> StateDiff:
+    """The differences between ``system`` and the state ``snapshot`` captured.
+
+    Compares what :func:`snapshot_matches` compares, cheapest first:
+    the instruction count and resume point; every core's integer
+    registers, PC, FPRs, flags, halt state and thread; the kernel capture
+    without memory (threads with their saved contexts, scheduler,
+    output, synchronisation objects, message queues); and last every
+    process' writable memory (:func:`memory_diff`).  A register
+    difference that ``decidable(core, register)`` rejects (every one,
+    without ``decidable``) and more than ``max_bytes`` differing bytes
+    end the diff like any other undecided difference, so the defaults
+    stop at the first difference of any kind.
+    """
+    diff = StateDiff(snapshot.instruction_count)
+    if (
+        system.total_instructions != snapshot.instruction_count
+        or system._resume != snapshot.resume
+        or len(system.cores) != len(snapshot.cores)
+    ):
+        diff.undecided = "instruction count or resume point"
+        return diff
+    for index, (core, entry) in enumerate(zip(system.cores, snapshot.cores)):
+        values = core.regs.snapshot()
+        if values != entry["gprs"]:
+            for register, (live, golden) in enumerate(zip(values, entry["gprs"])):
+                if live != golden:
+                    if decidable is None or not decidable(index, register):
+                        diff.undecided = f"core {index} register {register}"
+                        return diff
+                    diff.registers.append((index, register))
+        thread = core.thread
+        if (
+            core.pc != entry["pc"]
+            or core.fregs.snapshot() != entry["fprs"]
+            or (core.flag_n, core.flag_z, core.flag_c, core.flag_v) != entry["flags"]
+            or core.halted != entry["halted"]
+            or (None if thread is None else (thread.process.pid, thread.tid)) != entry["thread"]
+        ):
+            diff.undecided = f"core {index} PC, FPRs, flags, halt or thread"
+            return diff
+    kernel = system.kernel.capture_state(memory=False)
+    golden = snapshot.kernel
+    for key, value in kernel.items():
+        if key != "processes" and value != golden[key]:
+            diff.undecided = f"kernel {key}"
+            return diff
+    if len(kernel["processes"]) != len(golden["processes"]):
+        diff.undecided = "kernel processes"
+        return diff
+    for index, (live, captured) in enumerate(zip(kernel["processes"], golden["processes"])):
+        for key, value in live.items():
+            if value != captured[key]:
+                diff.undecided = f"process {index} {key}"
+                return diff
+    for index, (process, captured) in enumerate(zip(system.kernel.processes, golden["processes"])):
+        runs = memory_diff(process.address_space, captured["memory"], max_bytes)
+        if runs is None:
+            diff.undecided = f"process {index} segment map, access counters or too many bytes"
+            return diff
+        max_bytes -= sum(end - first for _name, first, end in runs)
+        diff.memory.extend((index, *run) for run in runs)
+    return diff
+
+
+def snapshot_matches(snapshot: SystemSnapshot, system: MulticoreSystem) -> bool:
+    """True when ``system`` is in exactly the state ``snapshot`` captured:
+    their :func:`state_diff` is empty.
+
+    The simulator is deterministic, so on a match the rest of
+    ``system``'s run equals the run that took ``snapshot``.
 
     ``CoreStats`` counters are not compared: a cache-less system counts
     other cycles than a cache-modelling one (golden runs model caches),
@@ -152,24 +319,7 @@ def snapshot_matches(snapshot: SystemSnapshot, system: MulticoreSystem) -> bool:
     except for pending injected line faults, so callers must not use
     this test while a corrupted line may still be pending.
     """
-    if (
-        system.total_instructions != snapshot.instruction_count
-        or system._resume != snapshot.resume
-        or len(system.cores) != len(snapshot.cores)
-    ):
-        return False
-    for core, entry in zip(system.cores, snapshot.cores):
-        thread = core.thread
-        if (
-            core.pc != entry["pc"]
-            or core.regs.snapshot() != entry["gprs"]
-            or core.fregs.snapshot() != entry["fprs"]
-            or (core.flag_n, core.flag_z, core.flag_c, core.flag_v) != entry["flags"]
-            or core.halted != entry["halted"]
-            or (None if thread is None else (thread.process.pid, thread.tid)) != entry["thread"]
-        ):
-            return False
-    return system.kernel.capture_state() == snapshot.kernel
+    return state_diff(snapshot, system).empty
 
 
 def nearest_checkpoint(

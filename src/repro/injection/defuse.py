@@ -17,9 +17,13 @@ The log
     running it; a budget tail appears as its length-1 block.  The
     kernel appends ``(core_id, event)``: an attach loads every register
     of the core (a write of all of them), a detach saves every one (a
-    read of all of them).  The log is in execution order, so the sum
-    of the block lengths before an item is the global instruction
-    count when it ran.
+    read of all of them).  The golden run's address spaces record too
+    (:meth:`repro.memory.main_memory.AddressSpace.record`): every kernel
+    copy into this log, as a ``Transfer``, and every load and store
+    into an array beside it; the summary keeps both for
+    :mod:`repro.injection.fates`.  The log is in execution order, so
+    the sum of the block lengths before an item is the global
+    instruction count when it ran.
 
 Positions
     The instruction executed after ``n`` instructions sits at position
@@ -56,7 +60,7 @@ at all, and the injector then decides nothing.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.cpu.engine import Block
@@ -65,13 +69,20 @@ from repro.isa.instructions import BLOCK_TERMINATOR_OPS, Instr, Op
 from repro.isa.roles import gpr_defs, gpr_uses
 from repro.kernel.kernel import ATTACH, SVC_DETACH
 from repro.kernel.syscalls import SYSCALL_ROLES, Syscall, SyscallRoles
+from repro.memory.main_memory import Transfer
 
 #: Next-access kinds of a register from an instruction count on.
 READ, WRITE, NEVER = "read", "write", "never"
 
-#: Per-text mask tables: (instruction reads, instruction writes,
-#: suffix reads, suffix writes), each indexed by instruction.
-TextMasks = tuple[list[int], list[int], list[int], list[int]]
+#: Per-text tables: (instruction reads, instruction writes, suffix
+#: reads, suffix writes, memory roles), each indexed by instruction.
+TextMasks = tuple[list[int], list[int], list[int], list[int], list]
+
+#: (size, destination) of a load or store: a load's destination GPR,
+#: :data:`READ` for an FP load, :data:`WRITE` for a store.
+MemoryRole = tuple[int, object]
+
+_LOADS, _STORES = (Op.LDR, Op.LDRB, Op.FLDR), (Op.STR, Op.STRB, Op.FSTR)
 
 #: Rows of an attach (every register written) and a detach (every
 #: register read) in a summary's flat mask tables.
@@ -108,8 +119,23 @@ def instruction_roles(instr: Instr, arch: ArchSpec) -> tuple[list[int], list[int
     return sorted(gpr_uses(instr, abi)), sorted(gpr_defs(instr, abi))
 
 
+def memory_role(instr: Instr, arch: ArchSpec) -> Optional[MemoryRole]:
+    """The :data:`MemoryRole` of a load or store, None for other instructions."""
+    op = instr.op
+    if op not in _LOADS and op not in _STORES:
+        return None
+    if op in (Op.FLDR, Op.FSTR):
+        size = arch.float_bytes
+    else:
+        size = arch.word_bytes if op in (Op.LDR, Op.STR) else 1
+    if op in _STORES:
+        return size, WRITE
+    return size, READ if op == Op.FLDR else instr.rd
+
+
 def text_masks(text: Sequence[Instr], arch: ArchSpec) -> TextMasks:
-    """First-access masks of every instruction and every block suffix.
+    """First-access masks of every instruction and every block suffix,
+    and every instruction's :func:`memory_role`.
 
     A suffix runs from an instruction to the end of its decoded run
     (the next block terminator), like :class:`repro.cpu.engine.Block`.
@@ -117,8 +143,9 @@ def text_masks(text: Sequence[Instr], arch: ArchSpec) -> TextMasks:
     count = len(text)
     reads, writes = [0] * count, [0] * count
     suffix_reads, suffix_writes = [0] * count, [0] * count
-    # operand fields -> (read, written) masks; programs repeat few shapes
-    shapes: dict[tuple, tuple[int, int]] = {}
+    roles: list = [None] * count
+    # operand fields -> (read, written, memory role); programs repeat few shapes
+    shapes: dict[tuple, tuple[int, int, Optional[MemoryRole]]] = {}
     after_reads = after_writes = 0
     for index in range(count - 1, -1, -1):
         instr = text[index]
@@ -127,8 +154,8 @@ def text_masks(text: Sequence[Instr], arch: ArchSpec) -> TextMasks:
         if known is None:
             uses, defs = instruction_roles(instr, arch)
             read = _mask(uses)
-            known = shapes[shape] = (read, _mask(defs) & ~read)
-        read, written = known
+            known = shapes[shape] = (read, _mask(defs) & ~read, memory_role(instr, arch))
+        read, written, roles[index] = known
         reads[index], writes[index] = read, written
         if instr.op in BLOCK_TERMINATOR_OPS:
             after_reads = after_writes = 0
@@ -136,7 +163,7 @@ def text_masks(text: Sequence[Instr], arch: ArchSpec) -> TextMasks:
         after_reads = read | (after_reads & ~touched)
         after_writes = written | (after_writes & ~touched)
         suffix_reads[index], suffix_writes[index] = after_reads, after_writes
-    return reads, writes, suffix_reads, suffix_writes
+    return reads, writes, suffix_reads, suffix_writes, roles
 
 
 @dataclass
@@ -150,6 +177,13 @@ class DefUseSummary:
     in the flat ``suffix_reads``/``suffix_writes`` tables (the row of
     its first instruction for a block, complemented for a length-1
     block).
+
+    The memory accesses the golden run logged ride along, for
+    :mod:`repro.injection.fates`: ``accesses`` holds the loads and
+    stores as tagged addresses in execution order, ``bursts`` the core
+    and first item of every engine burst, ``transfers`` every kernel
+    copy with its position, and ``memory_roles`` the
+    :func:`memory_role` of each row's instruction.
     """
 
     num_gpr: int
@@ -160,6 +194,10 @@ class DefUseSummary:
     rows: list[list[int]]
     suffix_reads: list[int]
     suffix_writes: list[int]
+    memory_roles: list = field(default_factory=list)
+    accesses: Sequence[int] = ()
+    bursts: list[tuple[int, int]] = field(default_factory=list)
+    transfers: list[tuple[int, Transfer]] = field(default_factory=list)
 
     @property
     def num_cores(self) -> int:
@@ -193,14 +231,28 @@ class DefUseSummary:
 
 
 def build_summary(
-    log: list, num_cores: int, arch: ArchSpec, total_instructions: int
+    log: list,
+    num_cores: int,
+    arch: ArchSpec,
+    total_instructions: int,
+    memory: Sequence[int] = (),
 ) -> Optional[DefUseSummary]:
-    """The summary of a golden run's ``access_log``; None if it is incomplete."""
+    """The summary of a golden run's ``access_log``; None if it is incomplete.
+
+    ``memory`` holds the run's loads and stores in execution order (see
+    :meth:`repro.memory.main_memory.AddressSpace.record`); the summary
+    keeps it with the core and first item of every burst, which is
+    enough to hand each core its share later.
+    """
     everything = (1 << arch.num_gpr) - 1
-    # Flat mask tables: (instruction reads, instruction writes, suffix
-    # reads, suffix writes), the attach and detach rows first, then each
-    # text's rows at its offset.
-    tables: TextMasks = ([0, everything], [everything, 0], [0, everything], [everything, 0])
+    # Flat tables: (instruction reads, instruction writes, suffix reads,
+    # suffix writes, memory roles), the attach and detach rows first,
+    # then each text's rows at its offset.
+    tables: TextMasks = (
+        [0, everything], [everything, 0], [0, everything], [everything, 0], [None, None]
+    )
+    bursts: list[tuple[int, int]] = []
+    transfers: list[tuple[int, Transfer]] = []
     offsets: dict[int, int] = {}
     ends: list[list[int]] = [[] for _ in range(num_cores)]
     starts: list[list[int]] = [[] for _ in range(num_cores)]
@@ -208,15 +260,20 @@ def build_summary(
     # The loop runs once per block the golden run dispatched, so it binds
     # the current core's appends once per burst.
     add_end, add_start, add_row = ends[0].append, starts[0].append, rows[0].append
-    block_class = Block
+    block_class, transfer_class = Block, Transfer
     offset = count = 0
     for item in log:
-        if item.__class__ is block_class:
+        kind = item.__class__
+        if kind is block_class:
             length = item.length
             add_start(count)
             count += length
             add_end(count)
             add_row(offset + item.start if length > 1 else ~(offset + item.start))
+            continue
+        if kind is transfer_class:
+            # A kernel copy runs inside the SVC that ends the last block.
+            transfers.append((count - 1, item))
             continue
         core_id, what = item
         if what.__class__ is str:
@@ -225,6 +282,7 @@ def build_summary(
             starts[core_id].append(position)
             rows[core_id].append(_ATTACH_ROW if what == ATTACH else _DETACH_ROW)
             continue
+        bursts.append((core_id, len(rows[core_id])))
         add_end, add_start, add_row = ends[core_id].append, starts[core_id].append, rows[core_id].append
         offset = offsets.get(id(what), -1)
         if offset < 0:
@@ -233,7 +291,7 @@ def build_summary(
                 table.extend(masks)
     if count != total_instructions:
         return None
-    instr_reads, instr_writes, suffix_reads, suffix_writes = tables
+    instr_reads, instr_writes, suffix_reads, suffix_writes, memory_roles = tables
     reads: list[list[int]] = []
     writes: list[list[int]] = []
     for core_rows in rows:
@@ -256,5 +314,6 @@ def build_summary(
         reads.append(core_reads)
         writes.append(core_writes)
     return DefUseSummary(
-        arch.num_gpr, ends, starts, reads, writes, rows, suffix_reads, suffix_writes
+        arch.num_gpr, ends, starts, reads, writes, rows, suffix_reads, suffix_writes,
+        memory_roles, memory, bursts, transfers,
     )

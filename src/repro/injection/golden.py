@@ -18,12 +18,14 @@ golden run is bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.checkpoint import SystemSnapshot, capture_snapshot
 from repro.errors import SimulatorError
 from repro.injection.defuse import DefUseSummary, build_summary
+from repro.memory.main_memory import TAG_SHIFT
 from repro.npb.suite import Scenario, build_program, create_system, instruction_budget, launch_scenario
 from repro.profiling.stats_collector import collect_microarch_stats
 
@@ -57,7 +59,8 @@ class GoldenRunResult:
     #: ``process_names``; derived from the loader's final segment map
     memory_ranges: list[list[tuple[int, int, str]]] = field(default_factory=list)
     #: each core's integer-register next-access table, from which the
-    #: injector decides write-first and never-read register faults
+    #: injector decides write-first and never-read register faults, with
+    #: the memory accesses the memory fates come from
     defuse: Optional[DefUseSummary] = None
 
     def watchdog_budget(self, multiplier: int = 4, floor: int = 50_000) -> int:
@@ -128,6 +131,9 @@ class GoldenRunner:
         access_log: list = []
         for core in system.cores:
             core.access_log = access_log
+        accesses = array("q")
+        for index, process in enumerate(system.kernel.processes):
+            process.address_space.record(access_log, accesses, index << TAG_SHIFT)
         start = time.perf_counter()
         checkpoints: list[SystemSnapshot] = []
         if interval:
@@ -148,6 +154,8 @@ class GoldenRunner:
         elapsed = time.perf_counter() - start
         for core in system.cores:
             core.access_log = None
+        for process in system.kernel.processes:
+            process.address_space.record(None)
         if reason != "completed":
             raise SimulatorError(f"golden run of {scenario.scenario_id} did not complete ({reason})")
         if not system.processes_ok():
@@ -172,6 +180,6 @@ class GoldenRunner:
                 process.address_space.injectable_ranges() for process in system.kernel.processes
             ],
             defuse=build_summary(
-                access_log, len(system.cores), system.arch, system.total_instructions
+                access_log, len(system.cores), system.arch, system.total_instructions, accesses
             ),
         )

@@ -16,9 +16,17 @@ Golden states are the golden checkpoints plus, for cache-less systems,
 the states the fault-free prefixes pass through at a finer spacing.
 Most faults are masked, and a masked run usually re-joins the golden
 run long before it ends: the post-fault run pauses at every golden
-state past the injection point, and when the live state equals it
-(:func:`~repro.checkpoint.snapshot_matches`) the run is classified
-Vanished right there with the golden instruction count.  ``rec`` runs
+state past the injection point and takes the difference between the
+live state and it (:func:`~repro.checkpoint.state_diff`).  When there
+is none, the run is classified Vanished right there with the golden
+instruction count.  When every difference is a register or a byte of
+writable memory that the rest of the golden run never reads — written
+first, never accessed again, or only loaded into registers that are
+(see :mod:`repro.injection.fates`) — the run is the golden run too,
+and it ends there as the golden run with the differences that stay:
+ONA for a register, OMM for a data or heap byte.  A register fault
+decided from the def-use summary is the same rule applied to the
+one-register difference at the injection point.  ``rec`` runs
 converge the same way, before a detection and after a rollback; a
 rollback to a golden checkpoint from before the upset (or to boot)
 re-executes the golden run, so it ends the run at once.  A converged
@@ -46,16 +54,18 @@ from operator import attrgetter
 from typing import Optional
 
 from repro.checkpoint import (
+    StateDiff,
     SystemSnapshot,
     capture_snapshot,
     nearest_checkpoint,
     restore_snapshot,
-    snapshot_matches,
+    state_diff,
 )
 from repro.errors import DeadlockError, SimulatorError, WatchdogTimeout
 from repro.hardening.schemes import recovery_retries
 from repro.injection.classify import NOT_INJECTED, Classification, classify_run
 from repro.injection.defuse import NEVER, READ
+from repro.injection.fates import MemoryFates
 from repro.injection.fault import (
     TARGET_CACHE,
     TARGET_FPR,
@@ -66,7 +76,7 @@ from repro.injection.fault import (
 )
 from repro.injection.golden import GoldenRunResult
 from repro.npb.suite import Scenario, build_program, create_system, launch_scenario
-from repro.soc.multicore import MulticoreSystem
+from repro.soc.multicore import COMPARED_SEGMENTS, MulticoreSystem
 
 #: Fault-free prefix captures per golden checkpoint interval (see
 #: :meth:`FaultInjector._run_prefix`).
@@ -75,6 +85,15 @@ PREFIX_CAPTURES = 4
 #: Stop reason of a faulty run that re-joined the golden run (see
 #: :meth:`FaultInjector._run_on`).
 CONVERGED = "converged"
+
+#: How a run that re-joined the golden run ends: ``(memory matches,
+#: architectural state matches)`` at the golden instruction count.
+Verdict = tuple[bool, bool]
+GOLDEN: Verdict = (True, True)
+
+#: Differing bytes of writable memory past which a golden state is not
+#: followed byte by byte (:func:`~repro.checkpoint.state_diff`).
+MAX_DEAD_BYTES = 64
 
 
 @dataclass
@@ -169,6 +188,10 @@ class FaultInjector:
         #: the convergences decided from the golden run's def-use
         #: summary, before restoring or simulating anything
         self.decided = 0
+        #: the convergences at a golden state whose every difference
+        #: from it is dead (see :meth:`_verdict`)
+        self.dead_states = 0
+        self._fates = MemoryFates(golden.defuse) if golden.defuse is not None else None
         #: the launched system restores reuse, per ``with_caches``
         self._systems: dict[bool, MulticoreSystem] = {}
         #: golden-run states for cache-less systems in ascending order:
@@ -336,34 +359,84 @@ class FaultInjector:
         segment = self._memory_target(system, fault)[1]
         return segment is None or segment.perms.write
 
+    def _verdict(self, diff: StateDiff) -> Optional[Verdict]:
+        """How the run ends when every difference in ``diff`` is dead.
+
+        ``diff`` is the difference between the faulty run and the golden
+        run at golden instruction count ``diff.instruction_count``.  A
+        register is dead when the golden run writes it next or never
+        accesses it again (:meth:`DefUseSummary.next_access`); a byte of
+        writable memory when its golden fate
+        (:meth:`~repro.injection.fates.MemoryFates.fate`) is decided.
+        With every difference dead, the rest of the run executes the
+        golden run's instructions on the golden run's values, and it
+        ends after the golden instruction count with what stays wrong:
+        ONA when a register does (the architectural state differs), OMM
+        when a data or heap byte does (:data:`COMPARED_SEGMENTS`), and
+        Vanished otherwise.  None when a difference is not dead.
+        """
+        summary = self.golden.defuse
+        if summary is None or diff.undecided is not None:
+            return None
+        time = diff.instruction_count
+        memory_matches = state_matches = True
+        for core, register in diff.registers:
+            access = summary.next_access(core, register, time)
+            if access == READ:
+                return None
+            state_matches = state_matches and access != NEVER
+        for process, name, first, end in diff.memory:
+            for address in range(first, end):
+                fate = self._fates.fate(process, address, time)
+                if fate is None:
+                    return None
+                byte_stays, register_stays = fate
+                state_matches = state_matches and not register_stays
+                memory_matches = memory_matches and not (byte_stays and name in COMPARED_SEGMENTS)
+        return memory_matches, state_matches
+
     def _converged(
-        self, state: Optional[SystemSnapshot | str], system: Optional[MulticoreSystem]
-    ) -> bool:
-        """True when the faulty run is the golden run from here on.
+        self, state: Optional[SystemSnapshot | StateDiff], system: Optional[MulticoreSystem]
+    ) -> Optional[Verdict]:
+        """The verdict of a faulty run that is the golden run from here
+        on, or None.
 
         Every early exit asks this one method.  With ``system`` paused
         at golden ``state``'s instruction count, the run has converged
-        when its state equals ``state``: the simulator is deterministic,
-        so the rest of it is the golden run.  ``system`` None stands for
-        a rollback to ``state`` itself, a golden checkpoint at or before
-        the injection point (boot when ``state`` is None): the
-        re-execution starts from fault-free state and is the golden run
-        by construction.  A def-use verdict as ``state`` (``system``
-        None) decides a register fault before anything runs: a register
-        written before it is read leaves the golden run, and one never
-        accessed again leaves the golden run with that register wrong.
+        when its state equals ``state``, or when every difference is
+        dead (:meth:`_verdict`; ``dead_states`` counts those): the
+        simulator is deterministic, so the rest of it is the golden run.
+        ``system`` None stands for a rollback to ``state`` itself, a
+        golden checkpoint at or before the injection point (boot when
+        ``state`` is None): the re-execution starts from fault-free
+        state and is the golden run by construction.  A :class:`StateDiff`
+        as ``state`` (``system`` None) is a register fault at its
+        injection point, decided before anything runs (``decided``).
         """
         if system is None:
-            if isinstance(state, str):
-                self.convergences += 1
-                self.decided += 1
-            else:
-                self.clean_rollbacks += 1
-            return True
-        if snapshot_matches(state, system):
+            if isinstance(state, StateDiff):
+                verdict = self._verdict(state)
+                if verdict is not None:
+                    self.convergences += 1
+                    self.decided += 1
+                return verdict
+            self.clean_rollbacks += 1
+            return GOLDEN
+        summary = self.golden.defuse
+        count = state.instruction_count
+
+        def dead(core: int, register: int) -> bool:
+            return summary.next_access(core, register, count) != READ
+
+        diff = state_diff(state, system, None if summary is None else dead, MAX_DEAD_BYTES)
+        if diff.empty:
             self.convergences += 1
-            return True
-        return False
+            return GOLDEN
+        verdict = self._verdict(diff)
+        if verdict is not None:
+            self.convergences += 1
+            self.dead_states += 1
+        return verdict
 
     def _run_on(
         self,
@@ -371,8 +444,9 @@ class FaultInjector:
         budget: int,
         converge: bool,
         captures: Optional[list] = None,
-    ) -> str:
-        """Run the faulty ``system`` on; returns its stop reason or ``CONVERGED``.
+    ) -> tuple[str, Optional[Verdict]]:
+        """Run the faulty ``system`` on; returns its stop reason, or
+        ``CONVERGED`` with the verdict of :meth:`_converged`.
 
         With ``converge`` the run pauses at each golden state past its
         current instruction and stops there once :meth:`_converged`
@@ -397,12 +471,14 @@ class FaultInjector:
         for point in sorted(schedule.union(states)):
             reason = system.run(max_instructions=budget, stop_at_instruction=point)
             if reason != "breakpoint":
-                return reason
-            if point in states and self._converged(states[point], system):
-                return CONVERGED
+                return reason, None
+            if point in states:
+                verdict = self._converged(states[point], system)
+                if verdict:
+                    return CONVERGED, verdict
             if point in schedule:
                 captures.append(capture_snapshot(system))
-        return system.run(max_instructions=budget)
+        return system.run(max_instructions=budget), None
 
     # ------------------------------------------------------------------
     # checkpoint-rollback recovery (``rec`` schemes)
@@ -415,7 +491,7 @@ class FaultInjector:
         budget: int,
         tracked: bool,
         converge: bool,
-    ) -> tuple[MulticoreSystem, dict, bool, bool, bool]:
+    ) -> tuple[MulticoreSystem, dict, Optional[Verdict], bool, bool]:
         """Forward-run ``system`` under the detect→rollback→re-execute policy.
 
         ``system`` sits at the injection point with the fault freshly
@@ -449,9 +525,10 @@ class FaultInjector:
         the current system, and only boot and untracked read-only
         memory flips (which a restore would not undo) build a fresh one.
 
-        Returns ``(final_system, recovery_meta, converged,
-        watchdog_expired, deadlocked)``; a converged run's final system
-        is left wherever the run stopped.
+        Returns ``(final_system, recovery_meta, verdict,
+        watchdog_expired, deadlocked)``, the verdict of
+        :meth:`_converged` when the run converged and None otherwise; a
+        converged run's final system is left wherever the run stopped.
         """
         with_caches = fault.target_kind == TARGET_CACHE
         candidates: list = []
@@ -470,9 +547,10 @@ class FaultInjector:
         watchdog_expired = False
         deadlocked = False
         reason = None
+        verdict: Optional[Verdict] = None
         floor: Optional[int] = None
         try:
-            reason = self._run_on(
+            reason, verdict = self._run_on(
                 system, budget, converge, captures=candidates if self.use_checkpoints else None
             )
             while reason == "ft_detected":
@@ -496,13 +574,11 @@ class FaultInjector:
                 rollbacks += 1
                 reexecuted += detected_at - restore_at
                 floor = restore_at
-                if (
-                    converge
-                    and restore_at <= fault.injection_time
-                    and self._converged(snapshot, None)
-                ):
-                    reason = CONVERGED
-                    break
+                if converge and restore_at <= fault.injection_time:
+                    verdict = self._converged(snapshot, None)
+                    if verdict:
+                        reason = CONVERGED
+                        break
                 if snapshot is None or not tracked:
                     system = self._build_system(with_caches=with_caches)
                 if snapshot is not None:
@@ -516,7 +592,7 @@ class FaultInjector:
                 # ever moves down and the simulator is deterministic, so
                 # the first pass's snapshots remain the complete
                 # candidate set.
-                reason = self._run_on(system, budget, converge)
+                reason, verdict = self._run_on(system, budget, converge)
         except WatchdogTimeout:
             watchdog_expired = True
         except DeadlockError:
@@ -526,7 +602,13 @@ class FaultInjector:
             "reexecuted_instructions": reexecuted,
             "escalated": escalated,
         }
-        return system, recovery, reason == CONVERGED, watchdog_expired, deadlocked
+        return (
+            system,
+            recovery,
+            verdict if reason == CONVERGED else None,
+            watchdog_expired,
+            deadlocked,
+        )
 
     # ------------------------------------------------------------------
 
@@ -557,17 +639,17 @@ class FaultInjector:
                 )
         return system.run(max_instructions=budget, stop_at_instruction=injection_time)
 
-    def _decide(self, fault: FaultDescriptor) -> Optional[str]:
-        """The golden run's verdict on a GPR ``fault``, when it needs no run.
+    def _decide(self, fault: FaultDescriptor) -> Optional[Verdict]:
+        """The verdict on a GPR ``fault`` that needs no run, or None.
 
-        :data:`~repro.injection.defuse.WRITE` when the golden run's next
-        access to the flipped register is a write, and
-        :data:`~repro.injection.defuse.NEVER` when it never accesses it
-        again; None when the register is read next, for other targets,
-        for a fault past the end of the run (which is never injected)
-        and for checkpoint-less injectors, which stay plain boot
-        replays.  A verdict is final only once :meth:`_converged`
-        accepts it.
+        At its injection point the faulty state differs from the golden
+        run in the flipped register alone, so :meth:`_converged` decides
+        it from that one-register :class:`StateDiff`: Vanished when the
+        golden run writes the register next, ONA when it never accesses
+        it again.  None when the register is read next, for other
+        targets, for a fault past the end of the run (which is never
+        injected) and for checkpoint-less injectors, which stay plain
+        boot replays.
         """
         summary = self.golden.defuse
         if (
@@ -577,14 +659,8 @@ class FaultInjector:
             or not 0 <= fault.injection_time <= self.golden.total_instructions
         ):
             return None
-        verdict = summary.next_access(
-            fault.core_id % summary.num_cores,
-            fault.register_index % summary.num_gpr,
-            fault.injection_time,
-        )
-        if verdict != READ and self._converged(verdict, None):
-            return verdict
-        return None
+        register = (fault.core_id % summary.num_cores, fault.register_index % summary.num_gpr)
+        return self._converged(StateDiff(fault.injection_time, [register]), None) or None
 
     def run_one(self, fault: FaultDescriptor) -> InjectionResult:
         """Execute a single fault injection and classify its outcome."""
@@ -594,8 +670,8 @@ class FaultInjector:
         detail_prefix = ""
         recovery: Optional[dict] = None
         verdict = self._decide(fault)
-        injected = converged = verdict is not None
-        if converged:
+        injected = verdict is not None
+        if injected:
             if self.recovery_retries is not None:
                 recovery = {"rollbacks": 0, "reexecuted_instructions": 0, "escalated": False}
         else:
@@ -622,9 +698,9 @@ class FaultInjector:
                         self.use_checkpoints and tracked and fault.target_kind != TARGET_CACHE
                     )
                     if self.recovery_retries is None:
-                        converged = self._run_on(system, budget, converge) == CONVERGED
+                        verdict = self._run_on(system, budget, converge)[1]
                     else:
-                        system, recovery, converged, watchdog_expired, deadlocked = (
+                        system, recovery, verdict, watchdog_expired, deadlocked = (
                             self._run_with_recovery(system, fault, budget, tracked, converge)
                         )
             except WatchdogTimeout:
@@ -656,12 +732,12 @@ class FaultInjector:
                 wall_time_seconds=elapsed,
                 scenario_id=self.scenario.scenario_id,
             )
-        if converged:
+        if verdict:
             # The rest of the run is the golden run: it ends exactly as
             # the golden run did, after the golden instruction count —
-            # with the flipped register still wrong if nothing accessed it.
-            output_matches = memory_matches = all_zero = True
-            state_matches = verdict != NEVER
+            # with whatever dead difference nothing accessed still wrong.
+            output_matches = all_zero = True
+            memory_matches, state_matches = verdict
             killed = detected = False
             executed = self.golden.total_instructions
         else:

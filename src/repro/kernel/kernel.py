@@ -560,13 +560,16 @@ class Kernel:
         gprs, fprs, pc, flags = captured
         return CoreContext(tuple(gprs), tuple(fprs), pc, tuple(flags))
 
-    def capture_state(self) -> dict:
+    def capture_state(self, memory: bool = True) -> dict:
         """Checkpoint view of all kernel state, as plain picklable data.
 
         Threads are referenced by (pid, tid) pairs everywhere an object
         identity exists at runtime (waiter lists, mutex owners, the ready
         queue), so the capture can be shipped across process boundaries
-        and restored onto a freshly launched system.
+        and restored onto a freshly launched system.  Without ``memory``
+        the process entries leave out their ``"memory"`` capture, the
+        copy of every writable segment (see
+        :func:`repro.checkpoint.state_diff`).
         """
         processes = []
         for process in self.processes:
@@ -601,7 +604,7 @@ class Kernel:
                     "heap_limit": process.heap_limit,
                     "next_stack_base": process.next_stack_base,
                     "threads": threads,
-                    "memory": process.address_space.capture_contents(),
+                    **({"memory": process.address_space.capture_contents()} if memory else {}),
                     "semaphores": dict(process.semaphores),
                     "sem_waiters": {k: tuple(t.tid for t in v) for k, v in process.sem_waiters.items()},
                     "barriers": {k: tuple(t.tid for t in v) for k, v in process.barriers.items()},

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.errors import AlignmentFault, MemoryFault, SimulatorError
 
@@ -28,7 +29,50 @@ _WORD_IO = {
 }
 
 
-def _sized_accessors(size: int):
+#: The sized accessors, one source for both kinds: plain methods, and
+#: the recording twins of a golden run's address space, closures over
+#: it that take no ``self`` (they are its instance attributes) and log
+#: each successful access at ``{record}``.
+_ACCESSORS = """
+def accessors({factory}):
+    def load({params}):
+        segment = self._last_hit
+        if segment is None or not (segment.base <= address and address + {size} <= segment.end):
+            segment = self._prev_hit
+            if segment is None or not (segment.base <= address and address + {size} <= segment.end):
+                value = self._read_slow(address, {size}, True)
+                {record}
+                return value
+        if address & {misaligned} or not segment.perms.read:
+            value = self._read_slow(address, {size}, True)
+            {record}
+            return value
+        {record}
+        return unpack_from(segment.data, address - segment.base)[0]
+
+    def store({params}, value):
+        segment = self._last_hit
+        if segment is None or not (segment.base <= address and address + {size} <= segment.end):
+            segment = self._prev_hit
+            if segment is None or not (segment.base <= address and address + {size} <= segment.end):
+                self._write_slow(address, value, {size}, True)
+                {record}
+                return
+        if address & {misaligned} or not segment.perms.write:
+            self._write_slow(address, value, {size}, True)
+            {record}
+            return
+        pack_into(segment.data, address - segment.base, value & {value_mask})
+        {record}
+
+    return load, store
+"""
+
+#: :data:`_ACCESSORS` factories per (size, record statement)
+_ACCESSOR_FACTORIES: dict = {}
+
+
+def _sized_accessors(size: int, recording: Optional[tuple] = None):
     """Uncounted aligned ``load``/``store`` of ``size`` bytes (compiled code).
 
     Each takes the two-entry last-hit fast path and otherwise falls
@@ -36,36 +80,47 @@ def _sized_accessors(size: int):
     ``write``, so fault types and messages are identical.  Neither
     bumps the access counters: the block engine adds them from its
     batched per-burst deltas (see :func:`repro.cpu.engine.execute_burst`).
+    ``recording`` (the space, an ``append`` and a tag) makes the
+    recording twins of one address space instead (see
+    :meth:`AddressSpace.record`).
     """
-    layout = struct.Struct({1: "<B", 4: "<I", 8: "<Q"}[size])
-    unpack_from, pack_into = layout.unpack_from, layout.pack_into
-    misaligned = size - 1
-    value_mask = (1 << (8 * size)) - 1
-
-    def load(self, address: int) -> int:
-        segment = self._last_hit
-        if segment is None or not (segment.base <= address and address + size <= segment.end):
-            segment = self._prev_hit
-            if segment is None or not (segment.base <= address and address + size <= segment.end):
-                return self._read_slow(address, size, True)
-        if address & misaligned or not segment.perms.read:
-            return self._read_slow(address, size, True)
-        return unpack_from(segment.data, address - segment.base)[0]
-
-    def store(self, address: int, value: int) -> None:
-        segment = self._last_hit
-        if segment is None or not (segment.base <= address and address + size <= segment.end):
-            segment = self._prev_hit
-            if segment is None or not (segment.base <= address and address + size <= segment.end):
-                self._write_slow(address, value, size, True)
-                return
-        if address & misaligned or not segment.perms.write:
-            self._write_slow(address, value, size, True)
-            return
-        pack_into(segment.data, address - segment.base, value & value_mask)
-
+    if recording is None:
+        factory, params, record = "", "self, address", "pass"
+    else:
+        factory, params = "self, append, tag", "address"
+        record = "append(address + tag)" if recording[2] else "append(address)"
+    accessors = _ACCESSOR_FACTORIES.get((size, record))
+    if accessors is None:
+        source = _ACCESSORS.format(
+            factory=factory,
+            params=params,
+            record=record,
+            size=size,
+            misaligned=size - 1,
+            value_mask=(1 << (8 * size)) - 1,
+        )
+        layout = struct.Struct({1: "<B", 4: "<I", 8: "<Q"}[size])
+        namespace = {"unpack_from": layout.unpack_from, "pack_into": layout.pack_into}
+        exec(compile(source, f"<accessors{size}>", "exec"), namespace)
+        accessors = _ACCESSOR_FACTORIES[size, record] = namespace["accessors"]
+    load, store = accessors(*(recording or ()))
     load.__name__, store.__name__ = f"load{size}", f"store{size}"
     return load, store
+
+
+#: A recording address space logs ``address + tag``; tags are process
+#: indexes shifted this far, above every mapped address (see
+#: :meth:`AddressSpace.record`).
+TAG_SHIFT = 48
+
+
+class Transfer(NamedTuple):
+    """A kernel copy in or out of guest memory, as a recording space logs it."""
+
+    #: tagged first address (see :meth:`AddressSpace.record`)
+    address: int
+    length: int
+    write: bool
 
 
 @dataclass(frozen=True)
@@ -121,6 +176,13 @@ class MemorySegment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemorySegment({self.name!r}, base={self.base:#x}, size={self.size:#x}, perms={self.perms.describe()})"
+
+
+#: The accessors a recording address space shadows (see AddressSpace.record).
+_RECORDED = (
+    "load1", "load4", "load8", "store1", "store4", "store8",
+    "read", "write", "read_bytes", "write_bytes",
+)
 
 
 class AddressSpace:
@@ -299,6 +361,58 @@ class AddressSpace:
         offset = address - segment.base
         segment.data[offset : offset + len(data)] = data
 
+    # -- golden-run recording ----------------------------------------------------
+
+    def record(self, log: Optional[list], accesses=None, tag: int = 0) -> None:
+        """Log every access of this address space (``log`` None: stop).
+
+        A load or store, compiled (``load*``/``store*``) or interpreted
+        (``read``/``write``), appends ``address + tag`` to ``accesses``
+        (an ``array("q")``) once it succeeded; the kernel's
+        ``read_bytes``/``write_bytes`` append a :class:`Transfer` to
+        ``log``, the golden run's shared access log, which places it.
+        ``tag`` (a process index shifted by :data:`TAG_SHIFT`) keeps
+        the spaces of several processes apart.  Loads and stores carry
+        no size, register or position: the block log says which
+        instruction made each (see :mod:`repro.injection.fates`), and an
+        array holds them without keeping an int object alive per access.
+        Recording shadows the accessors with instance attributes, so
+        address spaces that do not record pay nothing.
+        """
+        for name in _RECORDED:
+            self.__dict__.pop(name, None)
+        if log is None:
+            return
+        append, log_append = accesses.append, log.append
+
+        def accessing(access):
+            def recorded(address, *args):
+                result = access(address, *args)
+                append(address + tag)
+                return result
+
+            return recorded
+
+        for size in (1, 4, 8):
+            load, store = _sized_accessors(size, (self, append, tag))
+            setattr(self, f"load{size}", load)
+            setattr(self, f"store{size}", store)
+        self.read = accessing(self.read)
+        self.write = accessing(self.write)
+        read_bytes, write_bytes = self.read_bytes, self.write_bytes
+
+        def recorded_read_bytes(address: int, length: int) -> bytes:
+            data = read_bytes(address, length)
+            log_append(Transfer(address + tag, length, False))
+            return data
+
+        def recorded_write_bytes(address: int, data: bytes) -> None:
+            write_bytes(address, data)
+            log_append(Transfer(address + tag, len(data), True))
+
+        self.read_bytes = recorded_read_bytes
+        self.write_bytes = recorded_write_bytes
+
     # -- fault injection support ----------------------------------------------
 
     def flip_bit(self, address: int, bit: int) -> int:
@@ -330,19 +444,6 @@ class AddressSpace:
     def restore(self, snapshot: dict[str, bytes]) -> None:
         for name, blob in snapshot.items():
             self.segment_by_name(name).restore(blob)
-
-    def diff(self, snapshot: dict[str, bytes]) -> list[str]:
-        """Names of snapshotted segments whose contents now differ."""
-        changed = []
-        for name, blob in snapshot.items():
-            try:
-                segment = self.segment_by_name(name)
-            except SimulatorError:
-                changed.append(name)
-                continue
-            if bytes(segment.data) != blob:
-                changed.append(name)
-        return changed
 
     def capture_contents(self) -> dict:
         """Checkpoint view: geometry + contents of every writable segment.

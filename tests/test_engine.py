@@ -231,6 +231,74 @@ def test_random_programs_compiled_tier(arch, monkeypatch):
         assert _state(eng_core) == _state(ref_core)
 
 
+#: NaNs with non-default payloads: quiet, signalling, negative and with
+#: the payload in the high mantissa bits (Python's own NaN is 0x7ff8 << 48).
+NAN_PAYLOADS = (
+    0x7FF8_0000_0000_1234,
+    0x7FF0_0000_0000_0001,
+    0xFFF8_0000_DEAD_BEEF,
+    0x7FFC_0000_0000_0000,
+)
+
+
+def nan_payload_program() -> list[Instr]:
+    """FP arithmetic, moves and memory round trips over NaN payloads, in a loop."""
+    data = DATA_BASE + 0x100
+    text = [Instr(Op.MOVI, rd=1, imm=data), Instr(Op.MOVI, rd=2, imm=12)]
+    for register, bits in enumerate(NAN_PAYLOADS):
+        text.append(Instr(Op.FMOVI, rd=register, imm=bits))
+    text.append(Instr(Op.FMOVI, rd=4, imm=double_to_bits(1.5)))
+    loop = len(text)
+    text += [
+        Instr(Op.FADD, rd=5, rn=0, rm=4),
+        Instr(Op.FSUB, rd=6, rn=4, rm=1),
+        Instr(Op.FMUL, rd=7, rn=2, rm=3),
+        Instr(Op.FDIV, rd=8, rn=3, rm=4),
+        Instr(Op.FMIN, rd=9, rn=1, rm=4),
+        Instr(Op.FMAX, rd=10, rn=4, rm=2),
+        Instr(Op.FSQRT, rd=11, rn=0),
+        Instr(Op.FNEG, rd=12, rn=1),
+        Instr(Op.FABS, rd=13, rn=2),
+        Instr(Op.FMOV, rd=14, rn=3),
+        Instr(Op.FCMP, rn=5, rm=6),
+        Instr(Op.CSET, rd=3, cond=Cond.HS),
+        Instr(Op.FCVTZS, rd=4, rn=7),
+        Instr(Op.FSTR, rd=12, rn=1, imm=0),
+        Instr(Op.FLDR, rd=15, rn=1, imm=0),
+        Instr(Op.FMOVGR, rd=5, rn=15),
+        Instr(Op.STR, rd=5, rn=1, imm=8),
+        Instr(Op.LDR, rd=0, rn=1, imm=8),
+        Instr(Op.FMOVRG, rd=0, rn=0),
+        Instr(Op.SUBI, rd=2, rn=2, imm=1),
+        Instr(Op.CBNZ, rn=2, imm=loop),
+        Instr(Op.HALT),
+    ]
+    return text
+
+
+@pytest.mark.parametrize("threshold", [1, block_engine._COMPILE_THRESHOLD], ids=["compiled", "tiered"])
+def test_nan_payloads_bit_identical(threshold, monkeypatch):
+    """NaN results keep their payload bits identically on both paths."""
+    monkeypatch.setattr(block_engine, "_COMPILE_THRESHOLD", threshold)
+    text = nan_payload_program()
+    steps = 2 + len(NAN_PAYLOADS) + 1 + 21 * 12 + 1
+    ref_core, ref_executed, ref_error = _run_reference(list(text), ARMV8, steps)
+    eng_core, eng_executed, eng_error = _run_engine(
+        list(text), ARMV8, steps, random.Random(threshold)
+    )
+    assert ref_error is None and eng_error is None
+    assert ref_core.halted and eng_core.halted
+    assert eng_executed == ref_executed == steps
+    assert _state(eng_core) == _state(ref_core)
+    fprs = ref_core.fregs.snapshot()
+    payloads = {
+        bits
+        for bits in fprs
+        if bits & 0x7FF0_0000_0000_0000 == 0x7FF0_0000_0000_0000 and bits & 0xF_FFFF_FFFF_FFFF
+    }
+    assert len(payloads - {0x7FF8_0000_0000_0000}) >= 4, [hex(bits) for bits in fprs]
+
+
 def test_engine_pause_at_every_boundary_matches_interpreter():
     """run_burst(k) then run_burst(rest) equals a straight interpreter run."""
     rng = random.Random(42)

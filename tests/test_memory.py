@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.checkpoint import memory_diff
 from repro.errors import AlignmentFault, MemoryFault, SimulatorError
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import CORTEX_A_CACHE_CONFIG, CacheHierarchy
@@ -120,10 +121,21 @@ class TestAddressSpace:
         space = make_space()
         snap = space.snapshot()
         assert list(snap) == ["data"]  # only writable segments by default
-        space.write(0x1000, 77, 4)
-        assert space.diff(snap) == ["data"]
+        captured = space.capture_contents()
+        for address in (0x1000, 0x1003, 0x1ff8, 0x1ff9):
+            space.flip_bit(address, 2)
+        # runs of differing bytes, in address order, up to a byte limit
+        assert memory_diff(space, captured, 4) == [
+            ("data", 0x1000, 0x1001),
+            ("data", 0x1003, 0x1004),
+            ("data", 0x1ff8, 0x1ffa),
+        ]
+        assert memory_diff(space, captured, 3) is None
+        space.read(0x1000, 4)  # the access counters are compared too
+        assert memory_diff(space, captured, 4) is None
         space.restore(snap)
-        assert space.diff(snap) == []
+        space.read_count = space.bytes_read = 0
+        assert memory_diff(space, captured, 0) == []
 
     def test_injectable_ranges(self):
         space = make_space()
