@@ -60,6 +60,12 @@ FINGERPRINTED_PATHS = (
     "hardening/",
     "npb/",
     "staticlint/",
+    "checkpoint/",
+    "memory/",
+    "kernel/",
+    "cpu/",
+    "soc/",
+    "stats/",
 )
 
 _WALL_CLOCK_CALLS = {

@@ -30,8 +30,7 @@ produce an empty table — never an error.
 
 from __future__ import annotations
 
-from typing import Optional
-
+from repro.analysis.hardening_table import _dynamic_instructions
 from repro.analysis.render import render_table
 from repro.hardening.schemes import compile_scheme
 from repro.injection.campaign import ScenarioReport
@@ -42,14 +41,6 @@ from repro.injection.classify import (
     recovery_rate,
 )
 from repro.orchestration.database import ResultsDatabase
-
-
-def _dynamic_instructions(report: ScenarioReport) -> Optional[float]:
-    """Golden-run executed instructions (stats first, summary fallback)."""
-    value = report.golden_stats.get("total_instructions_global")
-    if value is None:
-        value = report.golden_summary.get("instructions")
-    return float(value) if value else None
 
 
 def _twin_key(scenario) -> tuple:

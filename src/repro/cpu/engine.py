@@ -38,10 +38,12 @@ Fused superblocks
 Memory path
     Emitted loads and stores call the address space's uncounted
     accessors specialised by size (``load4(a)``, ``store8(a, x)``, ...;
-    see :class:`repro.memory.main_memory.AddressSpace`).  Each tries
-    the two last-hit segments and falls back to the exact slow path of
-    ``read``/``write``, so fault types and messages are the
-    interpreter's.  The address space's four access counters are not
+    see :class:`repro.memory.main_memory.AddressSpace`), the one
+    implementation of a guest memory access: the interpreter's
+    ``read``/``write`` are the same accessors plus the counters, so
+    fault types and messages are the interpreter's by construction.
+    Each tries the two last-hit segments and falls back to the exact
+    slow path.  The address space's four access counters are not
     bumped per access: a block's loads, stores and bytes moved are part
     of its batched delta, and the burst adds them to the counters on
     every exit, next to ``CoreStats``.  The counters stay exact at every

@@ -114,16 +114,8 @@ class GoldenRunner:
             raise SimulatorError(f"invalid checkpoint interval {checkpoint_interval}")
         return checkpoint_interval
 
-    def run(
-        self,
-        scenario: Scenario,
-        collect_stats: bool = True,
-        checkpoint_interval: Optional[int] = None,
-    ) -> GoldenRunResult:
-        if checkpoint_interval is None:
-            interval = self.checkpoint_interval
-        else:
-            interval = self._resolve_interval(checkpoint_interval)
+    def run(self, scenario: Scenario, collect_stats: bool = True) -> GoldenRunResult:
+        interval = self.checkpoint_interval
         program = build_program(scenario.app, scenario.mode, scenario.isa, scenario.hardening)
         system = create_system(scenario, model_caches=self.model_caches)
         launch_scenario(system, scenario, program)

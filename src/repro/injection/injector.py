@@ -37,7 +37,7 @@ the latter decide nothing.  Every early exit, the def-use decision
 included, goes through :meth:`FaultInjector._converged`.
 
 Cache faults need a cache-modelling system: those injections enable the
-cache hierarchy regardless of the injector-wide ``model_caches`` flag
+cache hierarchy (``FaultInjector.model_caches`` is off for all others)
 and restore the golden run's cache residency from the checkpoint, so
 that the targeted line population matches a boot replay bit for bit.
 The corrupted line's fate (consumed on the next hit, written back with
@@ -161,18 +161,19 @@ class InjectionResult:
 class FaultInjector:
     """Runs fault injections for one scenario against its golden reference."""
 
+    #: systems model caches only for cache faults (``with_caches``)
+    model_caches = False
+
     def __init__(
         self,
         scenario: Scenario,
         golden: GoldenRunResult,
         watchdog_multiplier: int = 4,
-        model_caches: bool = False,
         use_checkpoints: bool = True,
     ) -> None:
         self.scenario = scenario
         self.golden = golden
         self.watchdog_multiplier = watchdog_multiplier
-        self.model_caches = model_caches
         self.use_checkpoints = use_checkpoints
         self.program = build_program(scenario.app, scenario.mode, scenario.isa, scenario.hardening)
         #: bounded rollback attempts of the scenario's recovery policy
@@ -206,7 +207,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _build_system(self, with_caches: bool = False) -> MulticoreSystem:
-        system = create_system(self.scenario, model_caches=self.model_caches or with_caches)
+        system = create_system(self.scenario, model_caches=with_caches)
         launch_scenario(system, self.scenario, self.program)
         if self.recovery_retries is not None:
             # A hardening detection surfaces as an ``"ft_detected"`` run
@@ -230,10 +231,9 @@ class FaultInjector:
         """
         checkpoint = None
         if self.use_checkpoints:
-            cache_model = self.model_caches or with_caches
-            states = self.golden.checkpoints if cache_model else self._golden_states
+            states = self.golden.checkpoints if with_caches else self._golden_states
             checkpoint = nearest_checkpoint(states, injection_time)
-            if checkpoint is not None and cache_model and not checkpoint.model_caches:
+            if checkpoint is not None and with_caches and not checkpoint.model_caches:
                 checkpoint = None
         if checkpoint is None:
             self.boot_replays += 1

@@ -20,19 +20,12 @@ from typing import NamedTuple, Optional
 
 from repro.errors import AlignmentFault, MemoryFault, SimulatorError
 
-# Fixed-size accessors for the word sizes guests actually use: reading
-# through a bound Struct method avoids the intermediate bytes object of
-# a bytearray slice + int.from_bytes round trip.
-_WORD_IO = {
-    4: (struct.Struct("<I").unpack_from, struct.Struct("<I").pack_into),
-    8: (struct.Struct("<Q").unpack_from, struct.Struct("<Q").pack_into),
-}
-
-
-#: The sized accessors, one source for both kinds: plain methods, and
-#: the recording twins of a golden run's address space, closures over
-#: it that take no ``self`` (they are its instance attributes) and log
-#: each successful access at ``{record}``.
+#: The sized accessors, the one implementation of a guest load or store,
+#: for both kinds: plain methods, and the recording twins of a golden
+#: run's address space, closures over it that take no ``self`` (they are
+#: its instance attributes) and log each successful access at
+#: ``{record}``.  A struct method reads and writes the word in place,
+#: without the bytes object of a slice and ``int.from_bytes``.
 _ACCESSORS = """
 def accessors({factory}):
     def load({params}):
@@ -40,11 +33,11 @@ def accessors({factory}):
         if segment is None or not (segment.base <= address and address + {size} <= segment.end):
             segment = self._prev_hit
             if segment is None or not (segment.base <= address and address + {size} <= segment.end):
-                value = self._read_slow(address, {size}, True)
+                value = self._read_slow(address, {size})
                 {record}
                 return value
         if address & {misaligned} or not segment.perms.read:
-            value = self._read_slow(address, {size}, True)
+            value = self._read_slow(address, {size})
             {record}
             return value
         {record}
@@ -55,11 +48,11 @@ def accessors({factory}):
         if segment is None or not (segment.base <= address and address + {size} <= segment.end):
             segment = self._prev_hit
             if segment is None or not (segment.base <= address and address + {size} <= segment.end):
-                self._write_slow(address, value, {size}, True)
+                self._write_slow(address, value, {size})
                 {record}
                 return
         if address & {misaligned} or not segment.perms.write:
-            self._write_slow(address, value, {size}, True)
+            self._write_slow(address, value, {size})
             {record}
             return
         pack_into(segment.data, address - segment.base, value & {value_mask})
@@ -71,15 +64,19 @@ def accessors({factory}):
 #: :data:`_ACCESSORS` factories per (size, record statement)
 _ACCESSOR_FACTORIES: dict = {}
 
+#: struct layouts of the sizes that have sized accessors
+_LAYOUTS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+
 
 def _sized_accessors(size: int, recording: Optional[tuple] = None):
-    """Uncounted aligned ``load``/``store`` of ``size`` bytes (compiled code).
+    """Uncounted aligned ``load``/``store`` of ``size`` bytes.
 
-    Each takes the two-entry last-hit fast path and otherwise falls
-    back to the exact slow path of :meth:`AddressSpace.read` and
-    ``write``, so fault types and messages are identical.  Neither
-    bumps the access counters: the block engine adds them from its
-    batched per-burst deltas (see :func:`repro.cpu.engine.execute_burst`).
+    Each tries the two last-hit segments inline and otherwise falls
+    back to the exact slow path (``_read_slow``/``_write_slow``), which
+    raises every fault type and text.  Neither bumps the access
+    counters: :meth:`AddressSpace.read` and ``write`` add them per call,
+    and the block engine adds the compiled code's from its batched
+    per-burst deltas (see :func:`repro.cpu.engine.execute_burst`).
     ``recording`` (the space, an ``append`` and a tag) makes the
     recording twins of one address space instead (see
     :meth:`AddressSpace.record`).
@@ -99,7 +96,7 @@ def _sized_accessors(size: int, recording: Optional[tuple] = None):
             misaligned=size - 1,
             value_mask=(1 << (8 * size)) - 1,
         )
-        layout = struct.Struct({1: "<B", 4: "<I", 8: "<Q"}[size])
+        layout = struct.Struct(_LAYOUTS[size])
         namespace = {"unpack_from": layout.unpack_from, "pack_into": layout.pack_into}
         exec(compile(source, f"<accessors{size}>", "exec"), namespace)
         accessors = _ACCESSOR_FACTORIES[size, record] = namespace["accessors"]
@@ -180,8 +177,8 @@ class MemorySegment:
 
 #: The accessors a recording address space shadows (see AddressSpace.record).
 _RECORDED = (
-    "load1", "load4", "load8", "store1", "store4", "store8",
-    "read", "write", "read_bytes", "write_bytes",
+    "load1", "load2", "load4", "load8", "store1", "store2", "store4", "store8",
+    "read_bytes", "write_bytes",
 )
 
 
@@ -196,9 +193,10 @@ class AddressSpace:
     def __init__(self, name: str = "address-space"):
         self.name = name
         self.segments: list[MemorySegment] = []
-        # Two-entry lookup cache: accesses commonly alternate between
-        # two segments (data array vs. current stack frame), which would
-        # thrash a single-entry cache into full segment walks.
+        # Two-entry lookup cache of the sized accessors and
+        # find_segment: accesses commonly alternate between two segments
+        # (data array vs. current stack frame), which would thrash a
+        # single-entry cache into full segment walks.
         self._last_hit: MemorySegment | None = None
         self._prev_hit: MemorySegment | None = None
         # statistics: read/write count each access; compiled blocks use
@@ -259,95 +257,68 @@ class AddressSpace:
             raise MemoryFault(f"read from unreadable segment {segment.name!r} at {address:#x}", address=address)
         return segment
 
-    def read(self, address: int, size: int, check_alignment: bool = True) -> int:
-        """Read ``size`` bytes at ``address`` as an unsigned little-endian int."""
-        # Fast path: the last-hit segment covers the access and every
-        # check passes (segment bases are non-negative, so coverage
-        # implies a non-negative address).  Any miss falls through to
-        # the slow path, which re-checks in the canonical order so the
-        # raised fault type/message is identical either way.
-        segment = self._last_hit
-        if segment is None or not (segment.base <= address and address + size <= segment.end):
-            segment = self._prev_hit
-            if segment is not None and segment.base <= address and address + size <= segment.end:
-                self._prev_hit = self._last_hit
-                self._last_hit = segment
-            else:
-                segment = None
-        if (
-            segment is not None
-            and segment.perms.read
-            and not (check_alignment and size > 1 and address % size)
-        ):
-            offset = address - segment.base
-            self.read_count += 1
-            self.bytes_read += size
-            if size == 1:
-                return segment.data[offset]
-            io = _WORD_IO.get(size)
-            if io is not None:
-                return io[0](segment.data, offset)[0]
-            return int.from_bytes(segment.data[offset : offset + size], "little")
-        value = self._read_slow(address, size, check_alignment)
+    def read(self, address: int, size: int) -> int:
+        """Read ``size`` bytes at ``address`` as an unsigned little-endian int.
+
+        The counted form of ``load{size}`` (a recording space's twin
+        included); a size without one takes the slow path unlogged.  An
+        if-chain: a lookup by name costs ``Core.step`` about 2%.
+        """
+        if size == 8:
+            value = self.load8(address)
+        elif size == 4:
+            value = self.load4(address)
+        elif size == 1:
+            value = self.load1(address)
+        elif size == 2:
+            value = self.load2(address)
+        else:
+            value = self._read_slow(address, size)
         self.read_count += 1
         self.bytes_read += size
         return value
 
-    def _read_slow(self, address: int, size: int, check_alignment: bool) -> int:
+    def _read_slow(self, address: int, size: int) -> int:
         """Checked read in the canonical fault order; counts nothing."""
         if address < 0:
             raise MemoryFault(f"negative address {address:#x}", address=address)
-        if check_alignment and size > 1 and address % size != 0:
+        if size > 1 and address % size != 0:
             raise AlignmentFault(f"misaligned read of {size} bytes at {address:#x}", address=address)
         segment = self._segment_for(address, size, write=False)
         offset = address - segment.base
         return int.from_bytes(segment.data[offset : offset + size], "little")
 
-    def write(self, address: int, value: int, size: int, check_alignment: bool = True) -> None:
-        """Write ``size`` bytes of ``value`` (unsigned) at ``address``."""
-        segment = self._last_hit
-        if segment is None or not (segment.base <= address and address + size <= segment.end):
-            segment = self._prev_hit
-            if segment is not None and segment.base <= address and address + size <= segment.end:
-                self._prev_hit = self._last_hit
-                self._last_hit = segment
-            else:
-                segment = None
-        if (
-            segment is not None
-            and segment.perms.write
-            and not (check_alignment and size > 1 and address % size)
-        ):
-            offset = address - segment.base
-            self.write_count += 1
-            self.bytes_written += size
-            if size == 1:
-                segment.data[offset] = value & 0xFF
-                return
-            io = _WORD_IO.get(size)
-            if io is not None:
-                io[1](segment.data, offset, value & ((1 << (size * 8)) - 1))
-                return
-            segment.data[offset : offset + size] = (value & ((1 << (size * 8)) - 1)).to_bytes(
-                size, "little"
-            )
-            return
-        self._write_slow(address, value, size, check_alignment)
+    def write(self, address: int, value: int, size: int) -> None:
+        """Write ``size`` bytes of ``value`` (unsigned) at ``address``.
+
+        The counted form of ``store{size}``, as :meth:`read`.
+        """
+        if size == 8:
+            self.store8(address, value)
+        elif size == 4:
+            self.store4(address, value)
+        elif size == 1:
+            self.store1(address, value)
+        elif size == 2:
+            self.store2(address, value)
+        else:
+            self._write_slow(address, value, size)
         self.write_count += 1
         self.bytes_written += size
 
-    def _write_slow(self, address: int, value: int, size: int, check_alignment: bool) -> None:
+    def _write_slow(self, address: int, value: int, size: int) -> None:
         """Checked write in the canonical fault order; counts nothing."""
         if address < 0:
             raise MemoryFault(f"negative address {address:#x}", address=address)
-        if check_alignment and size > 1 and address % size != 0:
+        if size > 1 and address % size != 0:
             raise AlignmentFault(f"misaligned write of {size} bytes at {address:#x}", address=address)
         segment = self._segment_for(address, size, write=True)
         offset = address - segment.base
         segment.data[offset : offset + size] = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
 
-    # Uncounted sized accessors for compiled blocks (see _sized_accessors).
+    # Uncounted sized accessors (see _sized_accessors).
     load1, store1 = _sized_accessors(1)
+    load2, store2 = _sized_accessors(2)
     load4, store4 = _sized_accessors(4)
     load8, store8 = _sized_accessors(8)
 
@@ -366,11 +337,12 @@ class AddressSpace:
     def record(self, log: Optional[list], accesses=None, tag: int = 0) -> None:
         """Log every access of this address space (``log`` None: stop).
 
-        A load or store, compiled (``load*``/``store*``) or interpreted
-        (``read``/``write``), appends ``address + tag`` to ``accesses``
-        (an ``array("q")``) once it succeeded; the kernel's
-        ``read_bytes``/``write_bytes`` append a :class:`Transfer` to
-        ``log``, the golden run's shared access log, which places it.
+        The recording twins of ``load*``/``store*``, which compiled code
+        calls directly and the interpreter through ``read``/``write``,
+        append ``address + tag`` to ``accesses`` (an ``array("q")``)
+        once an access succeeded; the kernel's ``read_bytes``/
+        ``write_bytes`` append a :class:`Transfer` to ``log``, the
+        golden run's shared access log, which places it.
         ``tag`` (a process index shifted by :data:`TAG_SHIFT`) keeps
         the spaces of several processes apart.  Loads and stores carry
         no size, register or position: the block log says which
@@ -384,21 +356,10 @@ class AddressSpace:
         if log is None:
             return
         append, log_append = accesses.append, log.append
-
-        def accessing(access):
-            def recorded(address, *args):
-                result = access(address, *args)
-                append(address + tag)
-                return result
-
-            return recorded
-
-        for size in (1, 4, 8):
+        for size in _LAYOUTS:
             load, store = _sized_accessors(size, (self, append, tag))
             setattr(self, f"load{size}", load)
             setattr(self, f"store{size}", store)
-        self.read = accessing(self.read)
-        self.write = accessing(self.write)
         read_bytes, write_bytes = self.read_bytes, self.write_bytes
 
         def recorded_read_bytes(address: int, length: int) -> bytes:

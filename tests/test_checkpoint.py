@@ -183,10 +183,6 @@ class TestSnapshotApi:
     def test_negative_interval_rejected(self):
         with pytest.raises(SimulatorError):
             GoldenRunner(checkpoint_interval=-1)
-        with pytest.raises(SimulatorError):
-            GoldenRunner().run(
-                Scenario("EP", "serial", 1, "armv8"), collect_stats=False, checkpoint_interval=-1
-            )
 
     def test_bare_golden_runner_skips_checkpoints_by_default(self):
         golden = GoldenRunner(model_caches=False).run(

@@ -1,5 +1,7 @@
 """Tests for the memory subsystem: segments, permissions, caches."""
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -158,6 +160,53 @@ class TestAddressSpace:
         aligned = offset & ~3
         space.write(aligned, value, 4)
         assert space.read(aligned, 4) == value
+
+    def test_recording_logs_each_successful_access_once(self):
+        space = make_space()
+        log, accesses = [], array("q")
+        space.record(log, accesses, 0)
+        space.write(0x1008, 0x11223344, 4)
+        assert space.read(0x1008, 4) == 0x11223344
+        assert space.load4(0x100C) == 0
+        space.write(0x1010, 0xAB, 1)
+        space.store8(0x1018, 0x0102030405060708)
+        assert space.load1(0x1010) == 0xAB
+        assert space.load8(0x1018) == 0x0102030405060708
+        space.store1(0x1020, 7)
+        space.store4(0x1024, 9)
+        space.write(0x1018, 5, 8)
+        assert list(accesses) == [
+            0x1008, 0x1008, 0x100C, 0x1010, 0x1018, 0x1010, 0x1018, 0x1020, 0x1024, 0x1018,
+        ]
+        del accesses[:]
+        faulting = [
+            lambda: space.read(0x9000, 4),
+            lambda: space.write(0x9000, 1, 8),
+            lambda: space.read(0x1001, 4),
+            lambda: space.write(0x4000, 1, 4),
+            lambda: space.load8(0x1004),
+            lambda: space.store4(0x4000, 1),
+            lambda: space.load1(-1),
+        ]
+        for access in faulting:
+            with pytest.raises((MemoryFault, AlignmentFault)):
+                access()
+        assert list(accesses) == [] and log == []
+        before = space.stats()
+        space.write(0x1002, 0xBEEF, 2)
+        assert space.read(0x1002, 2) == 0xBEEF
+        after = space.stats()
+        assert (after["reads"] - before["reads"], after["writes"] - before["writes"]) == (1, 1)
+        assert after["bytes_read"] - before["bytes_read"] == 2
+        assert after["bytes_written"] - before["bytes_written"] == 2
+        assert list(accesses) == [0x1002, 0x1002]
+        with pytest.raises(AlignmentFault) as misaligned:
+            space.read(0x1001, 2)
+        assert str(misaligned.value) == "misaligned read of 2 bytes at 0x1001"
+        assert list(accesses) == [0x1002, 0x1002]
+        space.record(None)
+        space.read(0x1008, 4)
+        assert list(accesses) == [0x1002, 0x1002]
 
 
 class TestCache:
