@@ -27,7 +27,9 @@ bitten this codebase, so they are linted mechanically:
     hashing, which ``PYTHONHASHSEED`` randomises — dict iteration, by
     contrast, is insertion-ordered and safe.
 
-Usage: ``python scripts/lint_determinism.py [--root src/repro]``.
+Usage: ``python scripts/lint_determinism.py [--root src/repro]``; the
+scripts in ``SCRIPTS`` of the checkout that holds ``--root`` are linted
+as fingerprinted paths too.
 Exits 1 when findings exist, printing one ``path:line: [check] message``
 per finding.
 """
@@ -67,6 +69,11 @@ FINGERPRINTED_PATHS = (
     "soc/",
     "stats/",
 )
+
+#: Scripts linted as fingerprinted paths, relative to the repository
+#: root (two levels above ``--root``): their output is compared across
+#: versions of fingerprinted code.
+SCRIPTS = ("scripts/records_digest.py",)
 
 _WALL_CLOCK_CALLS = {
     ("time", "time"),
@@ -118,7 +125,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         self.path = path
         self.relative = relative
         self.findings: list[Finding] = []
-        self.fingerprinted = relative.startswith(FINGERPRINTED_PATHS)
+        self.fingerprinted = relative.startswith(FINGERPRINTED_PATHS) or relative in SCRIPTS
 
     def _report(self, node: ast.AST, check: str, message: str) -> None:
         self.findings.append(Finding(self.path, node.lineno, check, message))
@@ -196,6 +203,10 @@ def main(argv=None) -> int:
     findings: list[Finding] = []
     for path in sorted(args.root.rglob("*.py")):
         findings.extend(lint_file(path, args.root))
+    repository = args.root.resolve().parents[1]
+    for script in SCRIPTS:
+        if (repository / script).is_file():
+            findings.extend(lint_file(repository / script, repository))
     for finding in findings:
         print(finding)
     if findings:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulatorError
+from repro.kernel.threads import ThreadState
 from repro.memory.main_memory import AddressSpace
 from repro.soc.multicore import MulticoreSystem
 
@@ -142,11 +143,17 @@ def restore_snapshot(snapshot: SystemSnapshot, system: MulticoreSystem) -> Multi
 class StateDiff:
     """What differs between a live system and a golden snapshot.
 
-    Registers and writable memory are listed difference by difference,
-    since a golden run can tell what each of them meets next (see
-    :meth:`repro.injection.injector.FaultInjector._verdict`).  Anything
-    else that differs is named in ``undecided``, and the diff stops
-    there: ``registers`` and ``memory`` are then incomplete.
+    Registers, the integer registers of saved thread contexts and
+    writable memory are listed difference by difference, since a golden
+    run can tell what each of them meets next (see
+    :meth:`repro.injection.injector.FaultInjector._verdict`).  A saved
+    context is read only by its thread's next attach, so a ready or
+    blocked thread's context goes to ``contexts``; a running thread's
+    context is overwritten by its next detach before anything reads it,
+    and an exited thread's is never read, so such a context is
+    ``stale`` and dead whatever differs in it.  Anything else that
+    differs is named in ``undecided``, and the diff stops there: the
+    lists are then incomplete.
     """
 
     #: golden instruction count both states sit at
@@ -156,12 +163,23 @@ class StateDiff:
     #: (process index, segment name, first address, end address) of
     #: every run of differing bytes in writable memory
     memory: list[tuple[int, str, int, int]] = field(default_factory=list)
-    #: the first difference outside the two lists, None when there is none
+    #: (thread id, register) of every differing integer register in the
+    #: saved context of a ready or blocked thread
+    contexts: list[tuple[int, int]] = field(default_factory=list)
+    #: thread id of every running or exited thread whose context differs
+    stale: list[int] = field(default_factory=list)
+    #: the first difference outside the lists, None when there is none
     undecided: Optional[str] = None
 
     @property
     def empty(self) -> bool:
-        return not self.registers and not self.memory and self.undecided is None
+        return (
+            not self.registers
+            and not self.memory
+            and not self.contexts
+            and not self.stale
+            and self.undecided is None
+        )
 
 
 #: Span below which :func:`_differing_runs` compares byte by byte.
@@ -235,6 +253,35 @@ def memory_diff(
     return runs
 
 
+#: Thread states whose saved context is never read again as it is.
+_STALE_CONTEXTS = (ThreadState.RUNNING.value, ThreadState.EXITED.value)
+
+
+def _context_diff(diff: StateDiff, live: list[dict], golden: list[dict]) -> Optional[str]:
+    """Add the differing saved GPRs of ``live``'s threads to ``diff``;
+    the first other thread difference, None when there is none."""
+    if len(live) != len(golden):
+        return "threads"
+    for thread, captured in zip(live, golden):
+        if thread == captured:
+            continue
+        tid = thread["tid"]
+        if any(value != captured[key] for key, value in thread.items() if key != "context"):
+            return f"thread {tid}"
+        if thread["state"] in _STALE_CONTEXTS:
+            diff.stale.append(tid)
+            continue
+        context, golden_context = thread["context"], captured["context"]
+        if context is None or golden_context is None or context[1:] != golden_context[1:]:
+            return f"thread {tid} context"
+        diff.contexts.extend(
+            (tid, register)
+            for register, (value, golden_value) in enumerate(zip(context[0], golden_context[0]))
+            if value != golden_value
+        )
+    return None
+
+
 def state_diff(
     snapshot: SystemSnapshot,
     system: MulticoreSystem,
@@ -252,7 +299,10 @@ def state_diff(
     difference that ``decidable(core, register)`` rejects (every one,
     without ``decidable``) and more than ``max_bytes`` differing bytes
     end the diff like any other undecided difference, so the defaults
-    stop at the first difference of any kind.
+    stop at the first difference of any kind.  With ``decidable``,
+    saved contexts are listed too: the integer registers of a ready or
+    blocked thread's context (its FPRs, PC and flags stay undecided) and
+    every stale context.
     """
     diff = StateDiff(snapshot.instruction_count)
     if (
@@ -293,7 +343,12 @@ def state_diff(
     for index, (live, captured) in enumerate(zip(kernel["processes"], golden["processes"])):
         for key, value in live.items():
             if value != captured[key]:
-                diff.undecided = f"process {index} {key}"
+                undecided: Optional[str] = key
+                if key == "threads" and decidable is not None:
+                    undecided = _context_diff(diff, value, captured[key])
+                    if undecided is None:
+                        continue
+                diff.undecided = f"process {index} {undecided}"
                 return diff
     for index, (process, captured) in enumerate(zip(system.kernel.processes, golden["processes"])):
         runs = memory_diff(process.address_space, captured["memory"], max_bytes)

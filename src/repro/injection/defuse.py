@@ -15,9 +15,12 @@ The log
     and :class:`repro.kernel.kernel.Kernel`).  Each engine burst appends
     ``(core_id, text)`` and then every block it dispatches, before
     running it; a budget tail appears as its length-1 block.  The
-    kernel appends ``(core_id, event)``: an attach loads every register
-    of the core (a write of all of them), a detach saves every one (a
-    read of all of them).  The golden run's address spaces record too
+    kernel appends ``(core_id, event, tid)``: an attach loads every
+    register of the core from thread ``tid``'s saved context (a write of
+    all of them), a detach saves every one into it.  A detach is not a
+    read: it hands the value on (see "The summary").  A wake attach
+    also writes the result of the call the thread blocked in into the
+    return register.  The golden run's address spaces record too
     (:meth:`repro.memory.main_memory.AddressSpace.record`): every kernel
     copy into this log, as a ``Transfer``, and every load and store
     into an array beside it; the summary keeps both for
@@ -43,14 +46,35 @@ Masks
     that may block counts as reading the return register, since whether
     it writes it depends on the run.  Folding the masks backwards over
     a decoded block's instructions gives its suffix masks, so one log
-    item costs one lookup whatever its length.
+    item costs one lookup whatever its length.  An attach has the mask
+    pair of a write of every register; a detach has no masks of its
+    own.
 
 The summary
-    A backward pass over each core's items gives, at every item, the
-    registers read first and written first from its start on.  A query
-    bisects the core's items for the first one not yet finished at
-    ``T``; inside a block it takes the rest of the block from the
-    static suffix masks and continues with the next item.
+    A register value meets the same accesses whichever core holds it,
+    so the summary follows values, not cores.  At a detach of thread
+    ``X`` on core ``c`` a value splits into two copies.  The core copy
+    stays on ``c`` until ``c``'s next item, an attach that overwrites
+    it; with no later item it stays wrong to the end.  The thread copy
+    goes into ``X``'s saved context and comes out at ``X``'s next
+    attach, on any core, where it meets whatever that core does next
+    (a wake attach writes the return register first); if ``X`` never
+    attaches again it is dropped, since saved contexts are not part of
+    a run's final state.  The value is read if either copy is, stays
+    wrong if neither is read and either stays, and is overwritten only
+    when both are.
+
+    One backward pass over every core's items in log order gives, at
+    every item, the registers read first and written first from its
+    start on.  It carries the masks of each core's next item and, per
+    thread, the masks just after the thread's next attach, so a detach
+    combines the two copies in one step; blocks between events fold
+    per core as before.  A query bisects the core's items for the
+    first one not yet finished at ``T``; inside a block it takes the
+    rest of the block from the static suffix masks and continues with
+    the next item.  A saved context that differs from golden at ``T``
+    is the thread copy alone: :meth:`DefUseSummary.context_access`
+    looks up the thread's first attach at or after ``T``.
 
 A log whose block lengths do not add up to the golden run's
 instruction count (an interpreter burst logs nothing) builds no summary
@@ -59,7 +83,7 @@ at all, and the injector then decides nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -67,7 +91,7 @@ from repro.cpu.engine import Block
 from repro.isa.arch import ArchSpec
 from repro.isa.instructions import BLOCK_TERMINATOR_OPS, Instr, Op
 from repro.isa.roles import gpr_defs, gpr_uses
-from repro.kernel.kernel import ATTACH, SVC_DETACH
+from repro.kernel.kernel import DETACH, SVC_DETACH, WAKE_ATTACH
 from repro.kernel.syscalls import SYSCALL_ROLES, Syscall, SyscallRoles
 from repro.memory.main_memory import Transfer
 
@@ -84,8 +108,10 @@ MemoryRole = tuple[int, object]
 
 _LOADS, _STORES = (Op.LDR, Op.LDRB, Op.FLDR), (Op.STR, Op.STRB, Op.FSTR)
 
-#: Rows of an attach (every register written) and a detach (every
-#: register read) in a summary's flat mask tables.
+#: Rows that mark an attach and a detach in a summary's item rows.  The
+#: flat mask tables hold empty masks there, which nothing reads: the
+#: backward pass handles events itself, and a query never lands inside
+#: one.
 _ATTACH_ROW, _DETACH_ROW = 0, 1
 
 
@@ -172,11 +198,14 @@ class DefUseSummary:
 
     Every list in ``ends``/``starts``/``reads``/``writes``/``rows``
     holds one entry per core item (a block or an event) in execution
-    order: its position span ``[start, end)``, the registers read first
-    and written first from its start to the end of the run, and its row
-    in the flat ``suffix_reads``/``suffix_writes`` tables (the row of
-    its first instruction for a block, complemented for a length-1
-    block).
+    order: its position span ``[start, end)``, the registers a value
+    held on the core before the item is read by first and written by
+    first, through every copy a detach makes, and its row in the flat
+    ``suffix_reads``/``suffix_writes`` tables (the row of its first
+    instruction for a block, complemented for a length-1 block).
+    ``attaches`` holds, per thread id, ``(position, reads, writes)`` of
+    every attach of the thread in execution order: the masks a value
+    loaded from its saved context there meets.
 
     The memory accesses the golden run logged ride along, for
     :mod:`repro.injection.fates`: ``accesses`` holds the loads and
@@ -198,6 +227,7 @@ class DefUseSummary:
     accesses: Sequence[int] = ()
     bursts: list[tuple[int, int]] = field(default_factory=list)
     transfers: list[tuple[int, Transfer]] = field(default_factory=list)
+    attaches: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
 
     @property
     def num_cores(self) -> int:
@@ -224,10 +254,27 @@ class DefUseSummary:
             written |= after_writes & ~touched
         else:
             read, written = reads[item], writes[item]
-        bit = 1 << register
-        if read & bit:
-            return READ
-        return WRITE if written & bit else NEVER
+        return _kind(read, written, register)
+
+    def context_access(self, tid: int, register: int, time: int) -> str:
+        """What a flip of ``register`` in the saved context of thread
+        ``tid``, which is not running at instruction count ``time``,
+        meets next: the masks after its first attach at or after
+        ``time``.  :data:`WRITE` also when the thread never attaches
+        again: the context is dropped, like an overwritten value."""
+        attaches = self.attaches.get(tid, ())
+        at = bisect_left(attaches, (time,))
+        if at == len(attaches):
+            return WRITE
+        _position, read, written = attaches[at]
+        return _kind(read, written, register)
+
+
+def _kind(read: int, written: int, register: int) -> str:
+    bit = 1 << register
+    if read & bit:
+        return READ
+    return WRITE if written & bit else NEVER
 
 
 def build_summary(
@@ -246,13 +293,13 @@ def build_summary(
     """
     everything = (1 << arch.num_gpr) - 1
     # Flat tables: (instruction reads, instruction writes, suffix reads,
-    # suffix writes, memory roles), the attach and detach rows first,
-    # then each text's rows at its offset.
-    tables: TextMasks = (
-        [0, everything], [everything, 0], [0, everything], [everything, 0], [None, None]
-    )
+    # suffix writes, memory roles), the unused attach and detach rows
+    # first, then each text's rows at its offset.
+    tables: TextMasks = ([0, 0], [0, 0], [0, 0], [0, 0], [None, None])
     bursts: list[tuple[int, int]] = []
     transfers: list[tuple[int, Transfer]] = []
+    #: (core, item index, tid, event) of every attach and detach, in log order
+    events: list[tuple[int, int, int, str]] = []
     offsets: dict[int, int] = {}
     ends: list[list[int]] = [[] for _ in range(num_cores)]
     starts: list[list[int]] = [[] for _ in range(num_cores)]
@@ -275,13 +322,15 @@ def build_summary(
             # A kernel copy runs inside the SVC that ends the last block.
             transfers.append((count - 1, item))
             continue
-        core_id, what = item
-        if what.__class__ is str:
+        if len(item) == 3:
+            core_id, what, tid = item
             position = count - 1 if what == SVC_DETACH else count
+            events.append((core_id, len(rows[core_id]), tid, what))
             ends[core_id].append(position + 1)
             starts[core_id].append(position)
-            rows[core_id].append(_ATTACH_ROW if what == ATTACH else _DETACH_ROW)
+            rows[core_id].append(_DETACH_ROW if what in (DETACH, SVC_DETACH) else _ATTACH_ROW)
             continue
+        core_id, what = item
         bursts.append((core_id, len(rows[core_id])))
         add_end, add_start, add_row = ends[core_id].append, starts[core_id].append, rows[core_id].append
         offset = offsets.get(id(what), -1)
@@ -292,28 +341,63 @@ def build_summary(
     if count != total_instructions:
         return None
     instr_reads, instr_writes, suffix_reads, suffix_writes, memory_roles = tables
-    reads: list[list[int]] = []
-    writes: list[list[int]] = []
-    for core_rows in rows:
-        core_reads: list[int] = []
-        core_writes: list[int] = []
-        add_read, add_write = core_reads.append, core_writes.append
-        after_reads = after_writes = 0
-        for row in reversed(core_rows):
+    # Backwards over every core's items in log order.  Blocks between two
+    # events of a core meet only that core's later items, so they fold per
+    # core, down to the next event back; an event needs the masks of its
+    # core's next item and, for a detach, of its thread's next attach.
+    reads: list[list[int]] = [[] for _ in range(num_cores)]
+    writes: list[list[int]] = [[] for _ in range(num_cores)]
+    #: per core: (reads, writes) of its next item and the items not folded yet
+    after = [(0, 0)] * num_cores
+    unfolded = [len(core_rows) for core_rows in rows]
+    #: per thread: (reads, writes) just after its next attach
+    resumed: dict[int, tuple[int, int]] = {}
+    attaches: dict[int, list[tuple[int, int, int]]] = {}
+    ret_bit = 1 << arch.abi.ret_reg
+
+    def fold(core_id: int, first: int) -> tuple[int, int]:
+        """Fold the core's blocks from the last unfolded one down to ``first``."""
+        after_reads, after_writes = after[core_id]
+        add_read, add_write = reads[core_id].append, writes[core_id].append
+        # the tables as locals: closure cells are slower to read per row
+        block_reads, block_writes = suffix_reads, suffix_writes
+        single_reads, single_writes = instr_reads, instr_writes
+        for row in reversed(rows[core_id][first : unfolded[core_id]]):
             if row >= 0:
-                read, written = suffix_reads[row], suffix_writes[row]
+                read, written = block_reads[row], block_writes[row]
             else:
-                read, written = instr_reads[~row], instr_writes[~row]
-            touched = read | written
-            after_reads = read | (after_reads & ~touched)
-            after_writes = written | (after_writes & ~touched)
+                read, written = single_reads[~row], single_writes[~row]
+            # read | (after & ~(read | written)), one operation fewer
+            after_reads = read | (after_reads & ~written)
+            after_writes = written | (after_writes & ~read)
             add_read(after_reads)
             add_write(after_writes)
-        core_reads.reverse()
-        core_writes.reverse()
-        reads.append(core_reads)
-        writes.append(core_writes)
+        return after_reads, after_writes
+
+    for core_id, index, tid, what in reversed(events):
+        read, written = fold(core_id, index + 1)
+        if rows[core_id][index] == _DETACH_ROW:
+            # the core copy meets the core's next item, the thread copy
+            # the thread's next attach (none: the context is dropped)
+            thread_read, thread_written = resumed.get(tid, (0, everything))
+            read, written = read | thread_read, written & thread_written
+        else:
+            if what == WAKE_ATTACH:
+                read, written = read & ~ret_bit, written | ret_bit
+            resumed[tid] = (read, written)
+            attaches.setdefault(tid, []).append((starts[core_id][index], read, written))
+            read, written = 0, everything
+        reads[core_id].append(read)
+        writes[core_id].append(written)
+        after[core_id] = (read, written)
+        unfolded[core_id] = index
+    for core_id in range(num_cores):
+        fold(core_id, 0)
+        reads[core_id].reverse()
+        writes[core_id].reverse()
+    for thread_attaches in attaches.values():
+        thread_attaches.reverse()
     return DefUseSummary(
         arch.num_gpr, ends, starts, reads, writes, rows, suffix_reads, suffix_writes,
-        memory_roles, memory, bursts, transfers,
+        memory_roles, memory, bursts, transfers, attaches,
     )

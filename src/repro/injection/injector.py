@@ -19,12 +19,13 @@ run long before it ends: the post-fault run pauses at every golden
 state past the injection point and takes the difference between the
 live state and it (:func:`~repro.checkpoint.state_diff`).  When there
 is none, the run is classified Vanished right there with the golden
-instruction count.  When every difference is a register or a byte of
-writable memory that the rest of the golden run never reads — written
-first, never accessed again, or only loaded into registers that are
-(see :mod:`repro.injection.fates`) — the run is the golden run too,
-and it ends there as the golden run with the differences that stay:
-ONA for a register, OMM for a data or heap byte.  A register fault
+instruction count.  When every difference is a register, a register of
+a saved thread context, or a byte of writable memory that the rest of
+the golden run never reads — written first, never accessed again, or
+only loaded into registers that are (see :mod:`repro.injection.fates`)
+— the run is the golden run too, and it ends there as the golden run
+with the differences that stay: ONA for a register, OMM for a data or
+heap byte.  A register fault
 decided from the def-use summary is the same rule applied to the
 one-register difference at the injection point.  ``rec`` runs
 converge the same way, before a detection and after a rollback; a
@@ -365,8 +366,10 @@ class FaultInjector:
         ``diff`` is the difference between the faulty run and the golden
         run at golden instruction count ``diff.instruction_count``.  A
         register is dead when the golden run writes it next or never
-        accesses it again (:meth:`DefUseSummary.next_access`); a byte of
-        writable memory when its golden fate
+        accesses it again (:meth:`DefUseSummary.next_access`), and so is
+        a register of a ready or blocked thread's saved context
+        (:meth:`DefUseSummary.context_access`; a stale context is always
+        dead); a byte of writable memory when its golden fate
         (:meth:`~repro.injection.fates.MemoryFates.fate`) is decided.
         With every difference dead, the rest of the run executes the
         golden run's instructions on the golden run's values, and it
@@ -382,6 +385,11 @@ class FaultInjector:
         memory_matches = state_matches = True
         for core, register in diff.registers:
             access = summary.next_access(core, register, time)
+            if access == READ:
+                return None
+            state_matches = state_matches and access != NEVER
+        for tid, register in diff.contexts:
+            access = summary.context_access(tid, register, time)
             if access == READ:
                 return None
             state_matches = state_matches and access != NEVER

@@ -27,10 +27,14 @@ from repro.kernel.threads import Process, ProcessState, Thread, ThreadState
 #: clamped so the host does not allocate unbounded buffers.
 MAX_MESSAGE_BYTES = 1 << 20
 
-#: Events of a core's ``access_log`` (see :mod:`repro.injection.defuse`):
-#: an attach loads every register of the core, a detach saves every one,
-#: either between bursts or, blocking or yielding, inside the running SVC.
-ATTACH, DETACH, SVC_DETACH = "attach", "detach", "svc-detach"
+#: Events of a core's ``access_log`` (see :mod:`repro.injection.defuse`),
+#: logged as ``(core_id, event, tid)``: an attach loads every register of
+#: the core from the thread's saved context, a wake attach also writes the
+#: result of the call the thread blocked in into the return register, and
+#: a detach saves every register into the context, either between bursts
+#: or, blocking or yielding, inside the running SVC.
+ATTACH, WAKE_ATTACH = "attach", "wake-attach"
+DETACH, SVC_DETACH = "detach", "svc-detach"
 
 
 class Kernel:
@@ -149,10 +153,11 @@ class Kernel:
         core.text_base = self.loader.text_base
         core.mem = process.address_space
         core.load_context(thread.context)
+        retval = thread.pending_retval
         if core.access_log is not None:
-            core.access_log.append((core.core_id, ATTACH))
-        if thread.pending_retval is not None:
-            core.regs.write(core.arch.abi.ret_reg, thread.pending_retval)
+            core.access_log.append((core.core_id, ATTACH if retval is None else WAKE_ATTACH, thread.tid))
+        if retval is not None:
+            core.regs.write(core.arch.abi.ret_reg, retval)
             thread.pending_retval = None
         thread.state = ThreadState.RUNNING
         thread.core_id = core.core_id
@@ -164,7 +169,7 @@ class Kernel:
             return
         thread.context = core.save_context()
         if core.access_log is not None:
-            core.access_log.append((core.core_id, SVC_DETACH if in_syscall else DETACH))
+            core.access_log.append((core.core_id, SVC_DETACH if in_syscall else DETACH, thread.tid))
         thread.core_id = None
         core.thread = None
         core.mem = None

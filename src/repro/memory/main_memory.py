@@ -36,12 +36,12 @@ def accessors({factory}):
                 value = self._read_slow(address, {size})
                 {record}
                 return value
-        if address & {misaligned} or not segment.perms.read:
+        if {misaligned}not segment.perms.read:
             value = self._read_slow(address, {size})
             {record}
             return value
         {record}
-        return unpack_from(segment.data, address - segment.base)[0]
+        return {load}
 
     def store({params}, value):
         segment = self._last_hit
@@ -51,11 +51,11 @@ def accessors({factory}):
                 self._write_slow(address, value, {size})
                 {record}
                 return
-        if address & {misaligned} or not segment.perms.write:
+        if {misaligned}not segment.perms.write:
             self._write_slow(address, value, {size})
             {record}
             return
-        pack_into(segment.data, address - segment.base, value & {value_mask})
+        {store}
         {record}
 
     return load, store
@@ -64,8 +64,9 @@ def accessors({factory}):
 #: :data:`_ACCESSORS` factories per (size, record statement)
 _ACCESSOR_FACTORIES: dict = {}
 
-#: struct layouts of the sizes that have sized accessors
-_LAYOUTS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+#: struct layouts of the sizes that have sized accessors; a byte is
+#: indexed directly
+_LAYOUTS = {1: None, 2: "<H", 4: "<I", 8: "<Q"}
 
 
 def _sized_accessors(size: int, recording: Optional[tuple] = None):
@@ -88,16 +89,26 @@ def _sized_accessors(size: int, recording: Optional[tuple] = None):
         record = "append(address + tag)" if recording[2] else "append(address)"
     accessors = _ACCESSOR_FACTORIES.get((size, record))
     if accessors is None:
+        layout = _LAYOUTS[size]
+        if layout is None:
+            loaded = "segment.data[address - segment.base]"
+            storing = "segment.data[address - segment.base] = value & 255"
+            misaligned, namespace = "", {}
+        else:
+            loaded = "unpack_from(segment.data, address - segment.base)[0]"
+            storing = f"pack_into(segment.data, address - segment.base, value & {(1 << (8 * size)) - 1})"
+            misaligned = f"address & {size - 1} or "
+            packer = struct.Struct(layout)
+            namespace = {"unpack_from": packer.unpack_from, "pack_into": packer.pack_into}
         source = _ACCESSORS.format(
             factory=factory,
             params=params,
             record=record,
             size=size,
-            misaligned=size - 1,
-            value_mask=(1 << (8 * size)) - 1,
+            misaligned=misaligned,
+            load=loaded,
+            store=storing,
         )
-        layout = struct.Struct(_LAYOUTS[size])
-        namespace = {"unpack_from": layout.unpack_from, "pack_into": layout.pack_into}
         exec(compile(source, f"<accessors{size}>", "exec"), namespace)
         accessors = _ACCESSOR_FACTORIES[size, record] = namespace["accessors"]
     load, store = accessors(*(recording or ()))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from operator import itemgetter
 
 import pytest
 
@@ -44,6 +45,10 @@ LANES = [
 SEEDED_TIMES = 200
 
 
+#: Kind of a context save in the trace: the value goes two ways.
+SAVE = "save"
+
+
 class Trace:
     """Every register access of a run, placed at its global position.
 
@@ -51,36 +56,103 @@ class Trace:
     during an instruction (its SVC handler included) sits at the
     count before it; the scheduler runs between instructions, so its
     context loads and saves sit at the count after the last one.
+
+    A context save and load note the thread the core holds.  A save
+    hands the value on two ways: the core keeps a copy until its next
+    access there, and the thread's context keeps one until the thread's
+    next load, on any core, after which it meets what that core does
+    next.  The value is read if either copy is, stays if neither is read
+    and either stays, and is overwritten if both are (a copy never
+    loaded again is dropped: contexts are not part of the final state).
     """
 
     def __init__(self) -> None:
         self.count = 0
+        self.sequence = 0
         self.scheduling = False
         self.enabled = False
-        #: (core, register) -> [(position, kind)] in access order
-        self.accesses: dict[tuple[int, int], list[tuple[int, str]]] = {}
+        #: (core, register) -> [(position, kind, sequence, tid)] in access
+        #: order; ``tid`` is the thread of a context save or load
+        self.accesses: dict[tuple[int, int], list[tuple]] = {}
         #: positions of context loads and saves
         self.switches: set[int] = set()
+        #: tid -> [(sequence, position, core)] of the thread's context
+        #: loads, in order
+        self.loads: dict[int, list[tuple[int, int, int]]] = {}
+        #: tid -> [(position, is a save)] of the thread's context saves
+        #: and loads, in order
+        self.switched: dict[int, list[tuple[int, bool]]] = {}
 
-    def note(self, core_id: int, registers, kind: str, switch: bool = False) -> None:
+    def note(self, core_id: int, registers, kind: str, thread=None) -> None:
         if not self.enabled:
             return
         position = self.count if self.scheduling else self.count - 1
-        if switch:
+        self.sequence += 1
+        tid = None
+        if thread is not None:
+            tid = thread.tid
             self.switches.add(position)
+            self.switched.setdefault(tid, []).append((position, kind == SAVE))
+            if kind != SAVE:
+                self.loads.setdefault(tid, []).append((self.sequence, position, core_id))
         for register in registers:
-            self.accesses.setdefault((core_id, register), []).append((position, kind))
+            self.accesses.setdefault((core_id, register), []).append(
+                (position, kind, self.sequence, tid)
+            )
+
+    def _after_load(self, load: tuple[int, int, int], register: int) -> tuple[int, int, int]:
+        """The copy a context load puts on its core: (core, register, the
+        index of the core's next access of the register)."""
+        sequence, _position, core_id = load
+        accesses = self.accesses[(core_id, register)]
+        return core_id, register, bisect_left(accesses, sequence, key=itemgetter(2)) + 1
+
+    def _fate(self, copies: list[tuple[int, int, int]]) -> str:
+        """What the copies meet: each ``(core, register, index)`` is the
+        value a core holds before its ``index``-th access of the register."""
+        fate = WRITE
+        while copies:
+            core_id, register, at = copies.pop()
+            accesses = self.accesses.get((core_id, register), [])
+            if at == len(accesses):
+                fate = NEVER
+                continue
+            _position, kind, sequence, tid = accesses[at]
+            if kind == READ:
+                return READ
+            if kind == SAVE:
+                copies.append((core_id, register, at + 1))
+                loads = self.loads.get(tid, [])
+                at = bisect_left(loads, (sequence,))
+                if at < len(loads):
+                    copies.append(self._after_load(loads[at], register))
+        return fate
 
     def next_access(self, core_id: int, register: int, time: int) -> str:
         accesses = self.accesses.get((core_id, register), [])
-        at = bisect_left(accesses, (time, ""))
-        return accesses[at][1] if at < len(accesses) else NEVER
+        return self._fate([(core_id, register, bisect_left(accesses, (time, "")))])
+
+    def context_access(self, tid: int, register: int, time: int) -> str:
+        """What a register of ``tid``'s saved context at ``time`` meets:
+        the copy its first load at or after ``time`` puts on a core."""
+        loads = self.loads.get(tid, [])
+        at = bisect_left(loads, time, key=itemgetter(1))
+        if at == len(loads):
+            return WRITE
+        return self._fate([self._after_load(loads[at], register)])
+
+    def saved(self, tid: int, time: int) -> bool:
+        """True when ``tid``'s last context switch before ``time`` saved it."""
+        switched = self.switched.get(tid, [])
+        at = bisect_left(switched, (time,))
+        return at > 0 and switched[at - 1][1]
 
 
 class TracedRegs(RegisterFile):
-    def __init__(self, arch, core_id: int, trace: Trace) -> None:
-        super().__init__(arch)
-        self.core_id = core_id
+    def __init__(self, core, trace: Trace) -> None:
+        super().__init__(core.arch)
+        self.core = core
+        self.core_id = core.core_id
         self.trace = trace
 
     def read(self, index):
@@ -96,11 +168,11 @@ class TracedRegs(RegisterFile):
         super().write(index, value)
 
     def snapshot(self):
-        self.trace.note(self.core_id, range(self.num_regs), READ, switch=True)
+        self.trace.note(self.core_id, range(self.num_regs), SAVE, self.core.thread)
         return super().snapshot()
 
     def restore(self, snapshot):
-        self.trace.note(self.core_id, range(self.num_regs), WRITE, switch=True)
+        self.trace.note(self.core_id, range(self.num_regs), WRITE, self.core.thread)
         super().restore(snapshot)
 
 
@@ -121,7 +193,7 @@ def _trace_run(scenario: Scenario) -> tuple[Trace, list[int]]:
     system._step_core = traced_step_core
 
     for core in system.cores:
-        core.regs = TracedRegs(core.arch, core.core_id, trace)
+        core.regs = TracedRegs(core, trace)
         core.trace_hook = hook
     launch_scenario(system, scenario)
     schedule = system.kernel.schedule
@@ -164,6 +236,21 @@ def test_summary_matches_the_traced_registers(scenario):
                     wrong.append((time, core, register, got, want))
     assert not wrong, f"{len(wrong)} wrong, first {wrong[:5]}"
     assert kinds[WRITE] and kinds[NEVER]
+    # the saved context of every thread not running at a checked time
+    contexts = {READ: 0, WRITE: 0, NEVER: 0}
+    for time in sorted(times):
+        for tid in sorted(trace.switched):
+            switched = trace.switched[tid]
+            if switched[0][0] < time and not trace.saved(tid, time):
+                continue
+            for register in range(summary.num_gpr):
+                want = trace.context_access(tid, register, time)
+                got = summary.context_access(tid, register, time)
+                contexts[want] += 1
+                if got != want:
+                    wrong.append((time, tid, register, got, want))
+    assert not wrong, f"{len(wrong)} wrong contexts, first {wrong[:5]}"
+    assert contexts[READ] and contexts[WRITE], contexts
 
 
 def test_an_interpreter_run_builds_no_summary():

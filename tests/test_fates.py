@@ -94,7 +94,7 @@ def _traced_run(scenario: Scenario) -> tuple[MemoryTrace, list]:
         memory.current = (core.core_id, core.text[(pc - core.text_base) >> 2])
 
     for core in system.cores:
-        core.regs = TracedRegs(core.arch, core.core_id, trace)
+        core.regs = TracedRegs(core, trace)
         core.trace_hook = hook
     launch_scenario(system, scenario)
     for index, process in enumerate(system.kernel.processes):

@@ -68,6 +68,15 @@ class TestChecks:
         source = "a = {1}\nout = [x for x in sorted(set(a))]\n"
         assert findings_for(tmp_path, "injection/foo.py", source) == []
 
+    def test_records_digest_script_is_a_fingerprinted_path(self, tmp_path):
+        # its digests are compared across versions, so the lint covers it
+        from lint_determinism import SCRIPTS
+
+        assert "scripts/records_digest.py" in SCRIPTS
+        source = "out = [x for x in {1, 2, 3}]\n"
+        checks = findings_for(tmp_path, "scripts/records_digest.py", source)
+        assert checks == ["unordered-set-iteration"]
+
     def test_set_iteration_outside_fingerprinted_path_is_fine(self, tmp_path):
         source = "out = [x for x in {1, 2, 3}]\n"
         assert findings_for(tmp_path, "analysis/foo.py", source) == []
@@ -95,6 +104,20 @@ class TestCommandLine:
         )
         assert result.returncode == 1
         assert "unseeded-random" in result.stdout
+
+    def test_scripts_of_the_checkout_are_linted(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        script = tmp_path / "scripts" / "records_digest.py"
+        script.parent.mkdir()
+        script.write_text("out = [x for x in {1, 2, 3}]\n")
+        result = subprocess.run(
+            [sys.executable, str(LINT), "--root", str(package)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert "records_digest.py:1: [unordered-set-iteration]" in result.stdout
 
     def test_missing_root_is_an_error(self, tmp_path):
         result = subprocess.run(
