@@ -7,7 +7,6 @@ from repro.checkpoint.snapshot import (
     memory_diff,
     nearest_checkpoint,
     restore_snapshot,
-    snapshot_matches,
     state_diff,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "memory_diff",
     "nearest_checkpoint",
     "restore_snapshot",
-    "snapshot_matches",
     "state_diff",
 ]

@@ -12,11 +12,15 @@ system therefore continues the simulation with the exact instruction
 interleaving of an uninterrupted run — the determinism guarantee the
 fault injector relies on when it fast-forwards to an injection point
 instead of re-simulating from boot.  The same guarantee lets the
-injector end a faulty run early: once :func:`snapshot_matches` finds
-its live state equal to a golden-run snapshot, the rest of the run
-is the golden run's.  :func:`state_diff` says what differs when the
-states are not equal, which lets the injector also end runs whose
-every difference is dead.
+injector end a faulty run early: once ``state_diff(snapshot,
+system).empty`` finds its live state equal to a golden-run snapshot,
+the rest of the run is the golden run's.  :func:`state_diff` also says
+what differs when the states are not equal, which lets the injector
+end runs whose every difference is dead.
+
+Restore sets each core's ``text`` and ``text_base``; the core re-decodes
+when either differs from its decoded view.  Decoded text is immutable,
+so that is the whole of what a restore owes the block engine.
 
 Snapshots are plain picklable data (ints, strings, bytes, tuples,
 dicts): object identities such as "this core runs that thread" are
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulatorError
@@ -123,11 +128,6 @@ def restore_snapshot(snapshot: SystemSnapshot, system: MulticoreSystem) -> Multi
             core.text = thread.process.program.instructions
             core.text_base = system.kernel.loader.text_base
             core.mem = thread.process.address_space
-        # The restored text is usually the same shared program object
-        # (decode-cache hit), but dropping the per-core decoded
-        # reference keeps restore correct even if the caller swaps in a
-        # differently mutated text image.
-        core.invalidate_decode()
         if core.model_caches and entry["caches"] is not None:
             core.caches.l1i.load_state(entry["caches"]["l1i"])
             core.caches.l1d.load_state(entry["caches"]["l1d"])
@@ -290,19 +290,29 @@ def state_diff(
 ) -> StateDiff:
     """The differences between ``system`` and the state ``snapshot`` captured.
 
-    Compares what :func:`snapshot_matches` compares, cheapest first:
-    the instruction count and resume point; every core's integer
-    registers, PC, FPRs, flags, halt state and thread; the kernel capture
-    without memory (threads with their saved contexts, scheduler,
-    output, synchronisation objects, message queues); and last every
-    process' writable memory (:func:`memory_diff`).  A register
-    difference that ``decidable(core, register)`` rejects (every one,
-    without ``decidable``) and more than ``max_bytes`` differing bytes
-    end the diff like any other undecided difference, so the defaults
-    stop at the first difference of any kind.  With ``decidable``,
+    Compares, cheapest first: the instruction count and resume point;
+    every core's integer registers, PC, FPRs, flags, halt state and
+    thread; the kernel capture without memory (threads with their saved
+    contexts, scheduler, output, synchronisation objects, message
+    queues); and last every process' writable memory
+    (:func:`memory_diff`).  A register difference that
+    ``decidable(core, register)`` rejects (every one, without
+    ``decidable``) and more than ``max_bytes`` differing bytes end the
+    diff like any other undecided difference, so the defaults stop at
+    the first difference of any kind.  With ``decidable``,
     saved contexts are listed too: the integer registers of a ready or
     blocked thread's context (its FPRs, PC and flags stay undecided) and
     every stale context.
+
+    An empty diff means ``system`` is in exactly the state ``snapshot``
+    captured; the simulator is deterministic, so the rest of
+    ``system``'s run then equals the run that took ``snapshot``.
+    ``CoreStats`` counters are not compared: a cache-less system counts
+    other cycles than a cache-modelling one (golden runs model caches),
+    and the simulator only ever reads those counters as deltas.  Cache
+    contents are not compared either; they affect cycle counts only,
+    except for pending injected line faults, so callers must not rely
+    on an empty diff while a corrupted line may still be pending.
     """
     diff = StateDiff(snapshot.instruction_count)
     if (
@@ -360,23 +370,6 @@ def state_diff(
     return diff
 
 
-def snapshot_matches(snapshot: SystemSnapshot, system: MulticoreSystem) -> bool:
-    """True when ``system`` is in exactly the state ``snapshot`` captured:
-    their :func:`state_diff` is empty.
-
-    The simulator is deterministic, so on a match the rest of
-    ``system``'s run equals the run that took ``snapshot``.
-
-    ``CoreStats`` counters are not compared: a cache-less system counts
-    other cycles than a cache-modelling one (golden runs model caches),
-    and the simulator only ever reads those counters as deltas.  Cache
-    contents are not compared either; they affect cycle counts only,
-    except for pending injected line faults, so callers must not use
-    this test while a corrupted line may still be pending.
-    """
-    return state_diff(snapshot, system).empty
-
-
 def nearest_checkpoint(
     checkpoints: Sequence[SystemSnapshot], instruction: int
 ) -> Optional[SystemSnapshot]:
@@ -385,10 +378,5 @@ def nearest_checkpoint(
     ``checkpoints`` must be sorted by ``instruction_count``, which is how
     the golden runner records them.
     """
-    if not checkpoints:
-        return None
-    counts = [checkpoint.instruction_count for checkpoint in checkpoints]
-    index = bisect_right(counts, instruction) - 1
-    if index < 0:
-        return None
-    return checkpoints[index]
+    index = bisect_right(checkpoints, instruction, key=attrgetter("instruction_count"))
+    return checkpoints[index - 1] if index else None

@@ -115,9 +115,6 @@ def link(
     modules: Sequence[ast.Module],
     arch: ArchSpec,
     name: str = "a.out",
-    opt_level: int = 3,
-    heap_size: int = 1 << 16,
-    stack_size: int = 1 << 14,
     hardening: str | None = None,
     harden_modules: Sequence[str] | None = None,
     shadow_ranks: dict | None = None,
@@ -141,12 +138,12 @@ def link(
     build (:func:`repro.staticlint.top_variables`).
     """
     hardening = normalize_hardening(hardening)
-    modules = [optimize_module(module, opt_level) for module in modules]
+    modules = [optimize_module(module) for module in modules]
     if hardening is not None:
         from repro.hardening import FT_MODULE_NAME, FT_TRAP, build_ft_module, harden_module
 
         if not any(f.name == FT_TRAP for module in modules for f in module.functions):
-            modules = modules + [optimize_module(build_ft_module(), opt_level)]
+            modules = modules + [optimize_module(build_ft_module())]
         if harden_modules is None:
             selected = {module.name for module in modules if module.name != FT_MODULE_NAME}
         else:
@@ -201,8 +198,6 @@ def link(
         symbols=symbols,
         entry="_start",
         bss_size=0,
-        heap_size=heap_size,
-        stack_size=stack_size,
         name=name,
         function_ranges=function_ranges,
         line_table=line_table,

@@ -171,10 +171,8 @@ def optimize_function(function: ast.Function) -> ast.Function:
     )
 
 
-def optimize_module(module: ast.Module, level: int = 3) -> ast.Module:
+def optimize_module(module: ast.Module) -> ast.Module:
     """Apply the optimisation pipeline to every function of a module."""
-    if level <= 0:
-        return module
     return ast.Module(
         name=module.name,
         functions=[optimize_function(f) for f in module.functions],

@@ -124,20 +124,6 @@ class Core:
         self.mem = None
         self._decoded = None
 
-    def invalidate_decode(self) -> None:
-        """Drop this core's decoded-text reference.
-
-        The engine re-decodes (usually a cache hit) on the next burst.
-        Called after state mutations that could interact with decode
-        specialization: the engine specializes only on instruction
-        encodings — never on register, flag or memory values — so this
-        is a cheap, conservative barrier that keeps the invalidation
-        contract explicit at every fault-injection site.  Mutating the
-        *text* itself additionally requires
-        :func:`repro.cpu.engine.invalidate_text`.
-        """
-        self._decoded = None
-
     def save_context(self) -> CoreContext:
         return CoreContext(
             self.regs.snapshot(),
@@ -243,6 +229,11 @@ class Core:
         — with ``stop_on_halt`` — after HALT.  On a guest fault the
         architectural state *and* statistics are exactly those of the
         interpreter at the raise point.
+
+        The core keeps its decoded view of ``text`` until ``text`` (by
+        identity) or ``text_base`` changes, as on a context switch or a
+        checkpoint restore.  Decoded text is immutable: nothing rewrites
+        an instruction list in place, so no other call is needed.
         """
         if budget <= 0:
             return 0
@@ -250,12 +241,7 @@ class Core:
             return self._interp_burst(budget, stop_on_halt)
         decoded = self._decoded
         text = self.text
-        if (
-            decoded is None
-            or decoded.text is not text
-            or decoded.text_base != self.text_base
-            or decoded.stale
-        ):
+        if decoded is None or decoded.text is not text or decoded.text_base != self.text_base:
             decoded = block_engine.decode_text(
                 text,
                 self.text_base,

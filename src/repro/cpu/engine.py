@@ -15,9 +15,8 @@ semantics; all compiled code is Python source it emitted and
 :func:`_compile_block` compiled:
 
 Lazy decode
-    At first execution of a text segment (and after any invalidation)
-    the text is split into straight-line runs ending at a branch,
-    ``SVC`` or ``HALT`` (see
+    At first execution of a text segment the text is split into
+    straight-line runs ending at a branch, ``SVC`` or ``HALT`` (see
     :data:`repro.isa.instructions.BLOCK_TERMINATOR_OPS`).  A
     :class:`Block` exists for *every* instruction index — the suffix
     of its run starting there — so branching into the middle of a run,
@@ -93,9 +92,11 @@ Determinism contracts
     * code specializes only on the *instruction encodings* (and the
       ``model_caches`` flag), never on register or memory values, so
       register-file and memory fault injection cannot invalidate a
-      decoded block.  Mutating the text itself must be announced via
-      :func:`invalidate_text` (or ``Core.invalidate_decode`` for the
-      per-core reference).
+      decoded block;
+    * decoded text is immutable: nothing rewrites a program's
+      instruction list once it is built (fault injection flips
+      registers, the PC and memory bytes, never instructions), so a
+      decoded view stays valid for as long as anything holds it.
 
 Decoded text is cached per ``(text identity, text base, arch,
 model_caches, icache geometry)`` — compiled programs are shared across
@@ -117,7 +118,6 @@ __all__ = [
     "DecodedText",
     "decode_text",
     "execute_burst",
-    "invalidate_text",
 ]
 
 
@@ -182,7 +182,7 @@ class Block:
 class DecodedText:
     """Pre-decoded view of one text segment for one configuration."""
 
-    __slots__ = ("text", "text_base", "length", "entries", "singles", "prefixes", "model_caches", "stale", "ctx")
+    __slots__ = ("text", "text_base", "length", "entries", "singles", "prefixes", "model_caches", "ctx")
 
     def __init__(self, text, text_base, length, entries, model_caches, ctx):
         self.text = text
@@ -197,9 +197,6 @@ class DecodedText:
         #: block ``i`` (budget tails), built on first use
         self.prefixes = {}
         self.model_caches = model_caches
-        #: set by :func:`invalidate_text` when the underlying
-        #: instruction list was mutated; forces a re-decode
-        self.stale = False
         #: decode context, kept for lazy compilation
         self.ctx = ctx
 
@@ -229,33 +226,17 @@ def decode_text(text, text_base, arch, model_caches, icache=None):
     icache_key = (icache.line_bytes, icache.hit_latency) if model_caches else None
     key = (id(text), text_base, arch.name, bool(model_caches), icache_key)
     cached = _DECODE_CACHE.get(key)
-    if cached is not None and cached.text is text and not cached.stale:
+    if cached is not None and cached.text is text:
         _DECODE_CACHE.move_to_end(key)
         return cached
     decoded = _decode_uncached(text, text_base, arch, model_caches, icache)
     _DECODE_CACHE[key] = decoded
     _DECODE_CACHE.move_to_end(key)
     while len(_DECODE_CACHE) > _DECODE_CACHE_CAPACITY:
-        # Mark evicted entries stale: cores may still hold a per-core
-        # reference, and invalidate_text can no longer reach an entry
-        # that left the cache — without this, an announced text
-        # mutation could leave such a core executing stale decode.
-        _DECODE_CACHE.popitem(last=False)[1].stale = True
+        # A core may still hold an evicted entry; the text is immutable,
+        # so that entry stays correct.
+        _DECODE_CACHE.popitem(last=False)
     return decoded
-
-
-def invalidate_text(text) -> int:
-    """Invalidate every decoded view of ``text`` (after in-place mutation).
-
-    Returns the number of cache entries dropped.  Cores additionally
-    drop their per-core decoded reference lazily: a stale entry is
-    detected on the next burst.
-    """
-    stale_keys = [key for key, entry in _DECODE_CACHE.items() if entry.text is text]
-    for key in stale_keys:
-        _DECODE_CACHE[key].stale = True
-        del _DECODE_CACHE[key]
-    return len(stale_keys)
 
 
 def decode_cache_info() -> dict:

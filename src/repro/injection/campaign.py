@@ -44,9 +44,7 @@ class CampaignConfig:
     faults_per_scenario: int = 8000
     seed: int = 2018
     watchdog_multiplier: int = 4
-    include_pc: bool = True
     target_mix: Optional[dict] = None
-    model_caches_golden: bool = True
     keep_individual_results: bool = True
     checkpoint_interval: Optional[int] = None
 
@@ -362,10 +360,7 @@ class ScenarioCampaign:
         self.golden: Optional[GoldenRunResult] = None
 
     def run_golden(self) -> GoldenRunResult:
-        runner = GoldenRunner(
-            model_caches=self.config.model_caches_golden,
-            checkpoint_interval=self.config.checkpoint_interval,
-        )
+        runner = GoldenRunner(checkpoint_interval=self.config.checkpoint_interval)
         self.golden = runner.run(self.scenario)
         return self.golden
 
@@ -404,7 +399,6 @@ class ScenarioCampaign:
             cores=self.scenario.cores,
             seed=self.config.seed + scenario_tag,
             target_mix=self.resolved_target_mix(),
-            include_pc=self.config.include_pc,
         )
         if vulnerability is not None:
             from repro.injection.fault import WeightedFaultModel

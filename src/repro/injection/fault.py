@@ -147,15 +147,12 @@ class FaultModel:
         cores: int,
         seed: int = 12345,
         target_mix: Optional[dict[str, float]] = None,
-        include_pc: bool = True,
-        line_bytes: int = CACHE_LINE_BYTES,
     ) -> None:
         self.arch = get_arch(isa)
         self.cores = cores
         self.seed = seed
-        self.line_bytes = line_bytes
         if target_mix is None:
-            target_mix = {TARGET_GPR: 0.95, TARGET_PC: 0.05} if include_pc else {TARGET_GPR: 1.0}
+            target_mix = {TARGET_GPR: 0.95, TARGET_PC: 0.05}
         for kind in target_mix:
             if kind not in ALL_TARGET_KINDS:
                 raise SimulatorError(f"unknown fault target kind {kind!r}")
@@ -220,7 +217,7 @@ class FaultModel:
             elif kind == TARGET_CACHE:
                 cache_level = CACHE_LEVELS[rng.randrange(len(CACHE_LEVELS))]
                 register = rng.randrange(1 << 20)  # resident-line selector
-                bit = rng.randrange(self.line_bytes * 8)
+                bit = rng.randrange(CACHE_LINE_BYTES * 8)
             process = rng.randrange(max(1, num_processes))
             if kind == TARGET_MEMORY:
                 # drawn after the process: the address must come from the
@@ -274,12 +271,10 @@ class WeightedFaultModel(FaultModel):
         cores: int,
         seed: int = 12345,
         target_mix: Optional[dict[str, float]] = None,
-        include_pc: bool = True,
-        line_bytes: int = CACHE_LINE_BYTES,
         gpr_weights: Optional[Sequence[float]] = None,
         fpr_weights: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(isa, cores, seed, target_mix, include_pc, line_bytes)
+        super().__init__(isa, cores, seed, target_mix)
         self.gpr_weights = self._check_weights(gpr_weights, self.arch.num_gpr, "gpr")
         self.fpr_weights = self._check_weights(fpr_weights, self.arch.num_fpr, "fpr")
 

@@ -272,13 +272,6 @@ class FaultInjector:
             core.pc = (core.pc ^ (1 << fault.bit)) & core.arch.word_mask
         else:
             raise SimulatorError(f"unknown fault target kind {fault.target_kind!r}")
-        # Decode-invalidation barrier for the block engine.  Its decoded
-        # blocks specialize on instruction encodings only — never on
-        # register, flag or memory values — so flipped state cannot make
-        # a cached block stale; the explicit (cheap) invalidation keeps
-        # that contract auditable at the injection site, and a corrupted
-        # PC is re-validated by the engine's per-block fetch checks.
-        core.invalidate_decode()
         return ""
 
     @staticmethod

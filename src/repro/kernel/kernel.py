@@ -40,10 +40,10 @@ DETACH, SVC_DETACH = "detach", "svc-detach"
 class Kernel:
     """Guest operating system kernel for one simulated multicore system."""
 
-    def __init__(self, system, quantum: int = 20_000):
+    def __init__(self, system):
         self.system = system
         self.loader = ProgramLoader(system.arch)
-        self.scheduler = RoundRobinScheduler(quantum=quantum)
+        self.scheduler = RoundRobinScheduler()
         self.processes: list[Process] = []
         self._next_pid = 1
         self._next_tid = 1

@@ -113,10 +113,9 @@ class ProgramLoader:
         program: Program,
         sp: int,
         args: tuple[int, ...] = (),
-        entry_label: str | None = None,
     ) -> CoreContext:
         """Architectural context for a process' first thread."""
-        entry = program.label_address(entry_label or program.entry, self.text_base)
+        entry = program.label_address(program.entry, self.text_base)
         return make_context(self.arch, entry, sp, self.data_base, args)
 
     def thread_context(

@@ -70,14 +70,13 @@ def grouped_spearman(
     group_key: str,
     x_key: str,
     y_key: str,
-    min_group: int = 2,
 ) -> dict[str, float]:
     """Spearman between two record fields, computed per group.
 
-    Groups with fewer than ``min_group`` records are omitted (a rank
-    correlation over one point is meaningless).  Used by the static
-    vulnerability validation report to break the predicted-vs-measured
-    correlation down per ISA and per programming model.
+    Groups with a single record are omitted (a rank correlation over
+    one point is meaningless).  Used by the static vulnerability
+    validation report to break the predicted-vs-measured correlation
+    down per ISA and per programming model.
     """
     grouped: dict[str, tuple[list, list]] = {}
     for record in records:
@@ -87,7 +86,7 @@ def grouped_spearman(
     return {
         group: spearman(xs, ys)
         for group, (xs, ys) in sorted(grouped.items())
-        if len(xs) >= min_group
+        if len(xs) >= 2
     }
 
 

@@ -352,7 +352,6 @@ def _build_program_cached(app: str, mode: str, isa: str, hardening: Optional[str
 def create_system(
     scenario: Scenario,
     model_caches: bool = False,
-    quantum: int = 20_000,
     engine: bool = True,
 ) -> MulticoreSystem:
     """Build the simulated processor for one scenario.
@@ -361,13 +360,7 @@ def create_system(
     instead of the pre-decoded block engine (differential testing and
     slow-path benchmarking).
     """
-    return build_system(
-        scenario.isa,
-        cores=scenario.cores,
-        model_caches=model_caches,
-        quantum=quantum,
-        engine=engine,
-    )
+    return build_system(scenario.isa, cores=scenario.cores, model_caches=model_caches, engine=engine)
 
 
 def launch_scenario(system: MulticoreSystem, scenario: Scenario, program: Program | None = None) -> None:

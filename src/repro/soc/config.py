@@ -23,7 +23,6 @@ class ProcessorConfig:
     arch: ArchSpec
     num_cores: int
     cache_configs: dict[str, CacheConfig] = field(default_factory=lambda: dict(CORTEX_A_CACHE_CONFIG))
-    scheduler_quantum: int = 20_000
 
     @property
     def model_id(self) -> str:
@@ -63,9 +62,9 @@ def get_processor_model(name: str) -> ProcessorConfig:
     raise KeyError(f"unknown processor model {name!r}; expected one of {sorted(PROCESSOR_MODELS)}")
 
 
-def make_processor_config(isa: str, cores: int, quantum: int = 20_000) -> ProcessorConfig:
+def make_processor_config(isa: str, cores: int) -> ProcessorConfig:
     """Build a processor configuration from an ISA name and core count."""
     arch = get_arch(isa)
     if cores < 1:
         raise ValueError(f"invalid core count {cores}")
-    return ProcessorConfig(name=f"{arch.cpu_model}x{cores}", arch=arch, num_cores=cores, scheduler_quantum=quantum)
+    return ProcessorConfig(name=f"{arch.cpu_model}x{cores}", arch=arch, num_cores=cores)

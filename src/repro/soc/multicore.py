@@ -25,23 +25,24 @@ COMPARED_SEGMENTS = ["data", "heap"]
 class MulticoreSystem:
     """A simulated multicore processor running the mini OS."""
 
+    #: instructions a core runs per turn of the round-robin loop
+    burst = 100
+
     def __init__(
         self,
         config: ProcessorConfig,
         model_caches: bool = True,
-        burst: int = 100,
         engine: bool = True,
     ):
         self.config = config
         self.arch = config.arch
         self.model_caches = model_caches
-        self.burst = burst
         #: False pins every core to the reference interpreter; the
         #: differential tests run both engines over identical workloads
         self.engine = engine
         self.shared_l2 = Cache(config.cache_configs["l2"])
         self.cores: list[Core] = []
-        self.kernel = Kernel(self, quantum=config.scheduler_quantum)
+        self.kernel = Kernel(self)
         for core_id in range(config.num_cores):
             hierarchy = CacheHierarchy.build(shared_l2=self.shared_l2, configs=config.cache_configs)
             core = Core(
@@ -247,10 +248,7 @@ def build_system(
     isa: str = "armv7",
     cores: int = 1,
     model_caches: bool = True,
-    burst: int = 100,
-    quantum: int = 20_000,
     engine: bool = True,
 ) -> MulticoreSystem:
     """Convenience constructor used throughout examples and tests."""
-    config = make_processor_config(isa, cores, quantum=quantum)
-    return MulticoreSystem(config, model_caches=model_caches, burst=burst, engine=engine)
+    return MulticoreSystem(make_processor_config(isa, cores), model_caches=model_caches, engine=engine)

@@ -114,7 +114,6 @@ class AdaptiveController:
             isa=scenario.isa,
             cores=scenario.cores,
             target_mix=self.campaign.resolved_target_mix(),
-            include_pc=self.campaign.config.include_pc,
         ).target_mix
         self.space = build_stratum_space(
             scenario,

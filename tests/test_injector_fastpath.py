@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpoint import capture_snapshot, restore_snapshot, snapshot_matches
+from repro.checkpoint import capture_snapshot, restore_snapshot, state_diff
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.injection.defuse import NEVER, WRITE
 from repro.injection.fault import TARGET_CACHE, TARGET_GPR, TARGET_MEMORY, FaultDescriptor
@@ -299,11 +299,11 @@ def test_match_follows_the_golden_run_and_ignores_stats(golden_omp):
     system = _system_at(golden_omp, 1)
     target = golden_omp.checkpoints[2]
     system.run(stop_at_instruction=target.instruction_count)
-    assert snapshot_matches(target, system)
+    assert state_diff(target, system).empty
     system.cores[0].stats.cycles += 12345
     system.cores[1].stats.loads += 1
-    assert snapshot_matches(target, system)
-    assert not snapshot_matches(golden_omp.checkpoints[1], system)
+    assert state_diff(target, system).empty
+    assert not state_diff(golden_omp.checkpoints[1], system).empty
 
 
 def test_match_rejects_a_flipped_dead_stack_byte(golden_omp):
@@ -311,16 +311,16 @@ def test_match_rejects_a_flipped_dead_stack_byte(golden_omp):
     space = system.kernel.processes[0].address_space
     stack = next(s for s in space.segments if s.name.startswith("stack"))
     space.flip_bit(stack.base, 0)  # the far end of the stack: never used
-    assert not snapshot_matches(golden_omp.checkpoints[2], system)
+    assert not state_diff(golden_omp.checkpoints[2], system).empty
 
 
 def test_match_rejects_another_resume_point(golden_omp):
     checkpoint = golden_omp.checkpoints[2]
     system = _system_at(golden_omp, 2)
-    assert snapshot_matches(checkpoint, system)
+    assert state_diff(checkpoint, system).empty
     index, used, progress = system._resume
     system._resume = (index, used, progress + 1)
-    assert not snapshot_matches(checkpoint, system)
+    assert not state_diff(checkpoint, system).empty
 
 
 def test_restore_unmaps_stacks_mapped_after_the_checkpoint(golden_omp):
@@ -333,7 +333,7 @@ def test_restore_unmaps_stacks_mapped_after_the_checkpoint(golden_omp):
     assert all(segment.name != stack_name for segment in space.segments)
     # Running on spawns the thread again, on a stack mapped afresh.
     system.run(stop_at_instruction=golden_omp.checkpoints[index].instruction_count)
-    assert snapshot_matches(golden_omp.checkpoints[index], system)
+    assert state_diff(golden_omp.checkpoints[index], system).empty
 
 
 def test_restore_drops_a_stale_fault_sink(golden_omp):

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.checkpoint import capture_snapshot, restore_snapshot, snapshot_matches, state_diff
+from repro.checkpoint import capture_snapshot, restore_snapshot, state_diff
 from repro.cpu.core import CoreContext
 from repro.cpu.engine import Block
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
@@ -96,7 +96,7 @@ def test_a_running_threads_context_is_dead(omp):
     system = _restored(OMP, checkpoint)
     _flip_context(system, 1, register=5)
     _flip_context(system, 2, fpr=1)
-    assert not snapshot_matches(checkpoint, system)
+    assert not state_diff(checkpoint, system).empty
     diff = state_diff(checkpoint, system, _everything_decidable, MAX_DEAD_BYTES)
     assert diff.stale == [1, 2] and not diff.contexts and diff.undecided is None
     assert injector._verdict(diff) == GOLDEN
