@@ -18,16 +18,13 @@ from repro.cpu.core import CoreContext
 from repro.errors import SimulatorError
 from repro.isa.arch import ArchSpec
 from repro.isa.program import Program
-from repro.memory.main_memory import AddressSpace, Permissions
+from repro.memory.main_memory import PERM_RW, PERM_RX, AddressSpace
 
 TEXT_BASE = 0x0001_0000
 DATA_BASE = 0x0010_0000
 STACK_REGION_BASE = 0x0080_0000
 STACK_GUARD = 0x1000
 PAGE = 0x1000
-
-PERM_TEXT = Permissions(read=True, write=False, execute=True)
-PERM_DATA = Permissions(read=True, write=True, execute=False)
 
 
 def _align_up(value: int, alignment: int = PAGE) -> int:
@@ -79,17 +76,17 @@ class ProgramLoader:
         space = AddressSpace(name=name)
 
         text_size = _align_up(max(program.text_size, 4))
-        text = space.map("text", self.text_base, text_size, PERM_TEXT)
+        text = space.map("text", self.text_base, text_size, PERM_RX)
         text.load_image(program.machine_code())
 
         data_size = _align_up(max(program.data_size + program.bss_size, 4))
-        data = space.map("data", self.data_base, data_size, PERM_DATA)
+        data = space.map("data", self.data_base, data_size, PERM_RW)
         if program.data_image:
             data.load_image(bytes(program.data_image))
 
         heap_base = _align_up(self.data_base + data_size + PAGE)
         heap_size = _align_up(max(program.heap_size, PAGE))
-        space.map("heap", heap_base, heap_size, PERM_DATA)
+        space.map("heap", heap_base, heap_size, PERM_RW)
 
         layout = {
             "text_base": self.text_base,
@@ -104,7 +101,7 @@ class ProgramLoader:
     def map_stack(self, space: AddressSpace, stack_base: int, stack_size: int, tid: int):
         """Map a stack segment for one thread; returns (segment, initial SP)."""
         size = _align_up(max(stack_size, PAGE))
-        segment = space.map(f"stack.t{tid}", stack_base, size, PERM_DATA)
+        segment = space.map(f"stack.t{tid}", stack_base, size, PERM_RW)
         initial_sp = segment.end - 16
         return segment, initial_sp
 

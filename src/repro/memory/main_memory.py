@@ -20,56 +20,49 @@ from typing import NamedTuple, Optional
 
 from repro.errors import AlignmentFault, MemoryFault, SimulatorError
 
-#: The sized accessors, the one implementation of a guest load or store,
-#: for both kinds: plain methods, and the recording twins of a golden
-#: run's address space, closures over it that take no ``self`` (they are
-#: its instance attributes) and log each successful access at
-#: ``{record}``.  A struct method reads and writes the word in place,
-#: without the bytes object of a slice and ``int.from_bytes``.
+#: The sized accessors, the one implementation of a guest load or store.
+#: ``{record}`` is ``pass`` in :class:`AddressSpace` and logs each
+#: successful access in :class:`RecordingAddressSpace`.  A struct method
+#: reads and writes the word in place, without the bytes object of a
+#: slice and ``int.from_bytes``.
 _ACCESSORS = """
-def accessors({factory}):
-    def load({params}):
-        segment = self._last_hit
+def load{size}(self, address):
+    segment = self._last_hit
+    if segment is None or not (segment.base <= address and address + {size} <= segment.end):
+        segment = self._prev_hit
         if segment is None or not (segment.base <= address and address + {size} <= segment.end):
-            segment = self._prev_hit
-            if segment is None or not (segment.base <= address and address + {size} <= segment.end):
-                value = self._read_slow(address, {size})
-                {record}
-                return value
-        if {misaligned}not segment.perms.read:
             value = self._read_slow(address, {size})
             {record}
             return value
+    if {misaligned}not segment.perms.read:
+        value = self._read_slow(address, {size})
         {record}
-        return {load}
+        return value
+    {record}
+    return {load}
 
-    def store({params}, value):
-        segment = self._last_hit
+def store{size}(self, address, value):
+    segment = self._last_hit
+    if segment is None or not (segment.base <= address and address + {size} <= segment.end):
+        segment = self._prev_hit
         if segment is None or not (segment.base <= address and address + {size} <= segment.end):
-            segment = self._prev_hit
-            if segment is None or not (segment.base <= address and address + {size} <= segment.end):
-                self._write_slow(address, value, {size})
-                {record}
-                return
-        if {misaligned}not segment.perms.write:
             self._write_slow(address, value, {size})
             {record}
             return
-        {store}
+    if {misaligned}not segment.perms.write:
+        self._write_slow(address, value, {size})
         {record}
-
-    return load, store
+        return
+    {store}
+    {record}
 """
-
-#: :data:`_ACCESSORS` factories per (size, record statement)
-_ACCESSOR_FACTORIES: dict = {}
 
 #: struct layouts of the sizes that have sized accessors; a byte is
 #: indexed directly
 _LAYOUTS = {1: None, 2: "<H", 4: "<I", 8: "<Q"}
 
 
-def _sized_accessors(size: int, recording: Optional[tuple] = None):
+def _sized_accessors(size: int, recording: bool = False):
     """Uncounted aligned ``load``/``store`` of ``size`` bytes.
 
     Each tries the two last-hit segments inline and otherwise falls
@@ -78,42 +71,31 @@ def _sized_accessors(size: int, recording: Optional[tuple] = None):
     counters: :meth:`AddressSpace.read` and ``write`` add them per call,
     and the block engine adds the compiled code's from its batched
     per-burst deltas (see :func:`repro.cpu.engine.execute_burst`).
-    ``recording`` (the space, an ``append`` and a tag) makes the
-    recording twins of one address space instead (see
-    :meth:`AddressSpace.record`).
+    ``recording`` makes the :class:`RecordingAddressSpace` pair, which
+    logs ``address + tag`` once the access succeeded.  It looks up
+    ``self._accesses.append`` per access: the interpreter specialises
+    that, but not a call of a bound ``append`` kept on the instance.
     """
-    if recording is None:
-        factory, params, record = "", "self, address", "pass"
+    layout = _LAYOUTS[size]
+    if layout is None:
+        loaded = "segment.data[address - segment.base]"
+        storing = "segment.data[address - segment.base] = value & 255"
+        misaligned, namespace = "", {}
     else:
-        factory, params = "self, append, tag", "address"
-        record = "append(address + tag)" if recording[2] else "append(address)"
-    accessors = _ACCESSOR_FACTORIES.get((size, record))
-    if accessors is None:
-        layout = _LAYOUTS[size]
-        if layout is None:
-            loaded = "segment.data[address - segment.base]"
-            storing = "segment.data[address - segment.base] = value & 255"
-            misaligned, namespace = "", {}
-        else:
-            loaded = "unpack_from(segment.data, address - segment.base)[0]"
-            storing = f"pack_into(segment.data, address - segment.base, value & {(1 << (8 * size)) - 1})"
-            misaligned = f"address & {size - 1} or "
-            packer = struct.Struct(layout)
-            namespace = {"unpack_from": packer.unpack_from, "pack_into": packer.pack_into}
-        source = _ACCESSORS.format(
-            factory=factory,
-            params=params,
-            record=record,
-            size=size,
-            misaligned=misaligned,
-            load=loaded,
-            store=storing,
-        )
-        exec(compile(source, f"<accessors{size}>", "exec"), namespace)
-        accessors = _ACCESSOR_FACTORIES[size, record] = namespace["accessors"]
-    load, store = accessors(*(recording or ()))
-    load.__name__, store.__name__ = f"load{size}", f"store{size}"
-    return load, store
+        loaded = "unpack_from(segment.data, address - segment.base)[0]"
+        storing = f"pack_into(segment.data, address - segment.base, value & {(1 << (8 * size)) - 1})"
+        misaligned = f"address & {size - 1} or "
+        packer = struct.Struct(layout)
+        namespace = {"unpack_from": packer.unpack_from, "pack_into": packer.pack_into}
+    source = _ACCESSORS.format(
+        record="self._accesses.append(address + self._tag)" if recording else "pass",
+        size=size,
+        misaligned=misaligned,
+        load=loaded,
+        store=storing,
+    )
+    exec(compile(source, f"<accessors{size}>", "exec"), namespace)
+    return namespace[f"load{size}"], namespace[f"store{size}"]
 
 
 #: A recording address space logs ``address + tag``; tags are process
@@ -149,9 +131,9 @@ PERM_RX = Permissions(read=True, write=False, execute=True)
 class MemorySegment:
     """A contiguous, permission-checked region of guest memory."""
 
-    __slots__ = ("name", "base", "size", "end", "perms", "data", "owner")
+    __slots__ = ("name", "base", "size", "end", "perms", "data")
 
-    def __init__(self, name: str, base: int, size: int, perms: Permissions = PERM_RW, owner: int | None = None):
+    def __init__(self, name: str, base: int, size: int, perms: Permissions = PERM_RW):
         if base < 0 or size <= 0:
             raise SimulatorError(f"invalid segment geometry for {name!r}: base={base} size={size}")
         self.name = name
@@ -161,7 +143,6 @@ class MemorySegment:
         self.end = base + size
         self.perms = perms
         self.data = bytearray(size)
-        self.owner = owner
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -174,23 +155,8 @@ class MemorySegment:
             raise SimulatorError(f"image of {len(image)} bytes does not fit segment {self.name!r}")
         self.data[offset : offset + len(image)] = image
 
-    def snapshot(self) -> bytes:
-        return bytes(self.data)
-
-    def restore(self, snapshot: bytes) -> None:
-        if len(snapshot) != self.size:
-            raise SimulatorError(f"snapshot size mismatch for segment {self.name!r}")
-        self.data[:] = snapshot
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemorySegment({self.name!r}, base={self.base:#x}, size={self.size:#x}, perms={self.perms.describe()})"
-
-
-#: The accessors a recording address space shadows (see AddressSpace.record).
-_RECORDED = (
-    "load1", "load2", "load4", "load8", "store1", "store2", "store4", "store8",
-    "read_bytes", "write_bytes",
-)
 
 
 class AddressSpace:
@@ -230,8 +196,8 @@ class AddressSpace:
         self.segments.sort(key=lambda s: s.base)
         return segment
 
-    def map(self, name: str, base: int, size: int, perms: Permissions = PERM_RW, owner: int | None = None) -> MemorySegment:
-        return self.add_segment(MemorySegment(name, base, size, perms, owner))
+    def map(self, name: str, base: int, size: int, perms: Permissions = PERM_RW) -> MemorySegment:
+        return self.add_segment(MemorySegment(name, base, size, perms))
 
     def find_segment(self, address: int) -> MemorySegment | None:
         last = self._last_hit
@@ -271,9 +237,9 @@ class AddressSpace:
     def read(self, address: int, size: int) -> int:
         """Read ``size`` bytes at ``address`` as an unsigned little-endian int.
 
-        The counted form of ``load{size}`` (a recording space's twin
-        included); a size without one takes the slow path unlogged.  An
-        if-chain: a lookup by name costs ``Core.step`` about 2%.
+        The counted form of ``load{size}`` (a recording space's logging
+        one included); a size without one takes the slow path unlogged.
+        An if-chain: a lookup by name costs ``Core.step`` about 2%.
         """
         if size == 8:
             value = self.load8(address)
@@ -348,42 +314,28 @@ class AddressSpace:
     def record(self, log: Optional[list], accesses=None, tag: int = 0) -> None:
         """Log every access of this address space (``log`` None: stop).
 
-        The recording twins of ``load*``/``store*``, which compiled code
-        calls directly and the interpreter through ``read``/``write``,
-        append ``address + tag`` to ``accesses`` (an ``array("q")``)
-        once an access succeeded; the kernel's ``read_bytes``/
-        ``write_bytes`` append a :class:`Transfer` to ``log``, the
-        golden run's shared access log, which places it.
-        ``tag`` (a process index shifted by :data:`TAG_SHIFT`) keeps
-        the spaces of several processes apart.  Loads and stores carry
-        no size, register or position: the block log says which
-        instruction made each (see :mod:`repro.injection.fates`), and an
-        array holds them without keeping an int object alive per access.
-        Recording shadows the accessors with instance attributes, so
-        address spaces that do not record pay nothing.
+        Switches this space to :class:`RecordingAddressSpace`, whose
+        ``load*``/``store*`` (which compiled code calls directly and the
+        interpreter through ``read``/``write``) append ``address + tag``
+        to ``accesses`` (an ``array("q")``) once an access succeeded,
+        and whose ``read_bytes``/``write_bytes`` (the kernel's copies)
+        append a :class:`Transfer` to ``log``, the golden run's shared
+        access log, which places it.  ``tag`` (a process index shifted
+        by :data:`TAG_SHIFT`) keeps the spaces of several processes
+        apart.  Loads and stores carry no size, register or position:
+        the block log says which instruction made each (see
+        :mod:`repro.injection.fates`), and an array holds them without
+        keeping an int object alive per access.  ``record(None)``
+        switches back and drops the logs, so address spaces that do not
+        record pay nothing.
         """
-        for name in _RECORDED:
-            self.__dict__.pop(name, None)
         if log is None:
+            self.__class__ = AddressSpace
+            for name in ("_log", "_accesses", "_tag"):
+                vars(self).pop(name, None)
             return
-        append, log_append = accesses.append, log.append
-        for size in _LAYOUTS:
-            load, store = _sized_accessors(size, (self, append, tag))
-            setattr(self, f"load{size}", load)
-            setattr(self, f"store{size}", store)
-        read_bytes, write_bytes = self.read_bytes, self.write_bytes
-
-        def recorded_read_bytes(address: int, length: int) -> bytes:
-            data = read_bytes(address, length)
-            log_append(Transfer(address + tag, length, False))
-            return data
-
-        def recorded_write_bytes(address: int, data: bytes) -> None:
-            write_bytes(address, data)
-            log_append(Transfer(address + tag, len(data), True))
-
-        self.read_bytes = recorded_read_bytes
-        self.write_bytes = recorded_write_bytes
+        self._log, self._accesses, self._tag = log, accesses, tag
+        self.__class__ = RecordingAddressSpace
 
     # -- fault injection support ----------------------------------------------
 
@@ -408,14 +360,9 @@ class AddressSpace:
 
     # -- snapshot / comparison -------------------------------------------------
 
-    def snapshot(self, names: list[str] | None = None) -> dict[str, bytes]:
-        """Copy of the raw contents of the selected (default: writable) segments."""
-        chosen = [s for s in self.segments if (names is None and s.perms.write) or (names is not None and s.name in names)]
-        return {s.name: bytes(s.data) for s in chosen}
-
-    def restore(self, snapshot: dict[str, bytes]) -> None:
-        for name, blob in snapshot.items():
-            self.segment_by_name(name).restore(blob)
+    def snapshot(self, names: list[str]) -> dict[str, bytes]:
+        """Copy of the raw contents of the segments named in ``names``."""
+        return {s.name: bytes(s.data) for s in self.segments if s.name in names}
 
     def capture_contents(self) -> dict:
         """Checkpoint view: geometry + contents of every writable segment.
@@ -467,3 +414,26 @@ class AddressSpace:
             "segments": len(self.segments),
             "mapped_bytes": sum(s.size for s in self.segments),
         }
+
+
+class RecordingAddressSpace(AddressSpace):
+    """An address space that logs its accesses (see :meth:`AddressSpace.record`).
+
+    ``record`` switches a golden run's spaces to this class and back.
+    Its sized accessors come from the same template as the base class's,
+    with the record statement filled in.
+    """
+
+    load1, store1 = _sized_accessors(1, recording=True)
+    load2, store2 = _sized_accessors(2, recording=True)
+    load4, store4 = _sized_accessors(4, recording=True)
+    load8, store8 = _sized_accessors(8, recording=True)
+
+    def read_bytes(self, address: int, length: int) -> bytes:
+        data = super().read_bytes(address, length)
+        self._log.append(Transfer(address + self._tag, length, False))
+        return data
+
+    def write_bytes(self, address: int, data: bytes) -> None:
+        super().write_bytes(address, data)
+        self._log.append(Transfer(address + self._tag, len(data), True))

@@ -10,6 +10,7 @@ from repro.errors import AlignmentFault, MemoryFault, SimulatorError
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import CORTEX_A_CACHE_CONFIG, CacheHierarchy
 from repro.memory.main_memory import AddressSpace, MemorySegment, Permissions, PERM_RO, PERM_RW
+from repro.memory.main_memory import TAG_SHIFT, Transfer
 
 
 def make_space() -> AddressSpace:
@@ -42,14 +43,6 @@ class TestSegments:
         segment = MemorySegment("seg", 0, 16)
         with pytest.raises(SimulatorError):
             segment.load_image(b"x" * 32)
-
-    def test_snapshot_restore(self):
-        segment = MemorySegment("seg", 0, 16)
-        segment.load_image(b"hello")
-        snap = segment.snapshot()
-        segment.data[0] = 0xFF
-        segment.restore(snap)
-        assert bytes(segment.data[:5]) == b"hello"
 
 
 class TestAddressSpace:
@@ -121,8 +114,6 @@ class TestAddressSpace:
 
     def test_snapshot_diff_restore(self):
         space = make_space()
-        snap = space.snapshot()
-        assert list(snap) == ["data"]  # only writable segments by default
         captured = space.capture_contents()
         for address in (0x1000, 0x1003, 0x1ff8, 0x1ff9):
             space.flip_bit(address, 2)
@@ -135,8 +126,7 @@ class TestAddressSpace:
         assert memory_diff(space, captured, 3) is None
         space.read(0x1000, 4)  # the access counters are compared too
         assert memory_diff(space, captured, 4) is None
-        space.restore(snap)
-        space.read_count = space.bytes_read = 0
+        space.restore_contents(captured)  # contents and counters
         assert memory_diff(space, captured, 0) == []
 
     def test_injectable_ranges(self):
@@ -207,6 +197,36 @@ class TestAddressSpace:
         space.record(None)
         space.read(0x1008, 4)
         assert list(accesses) == [0x1002, 0x1002]
+
+    def test_recording_tags_accesses_and_transfers_then_stops_cleanly(self):
+        space = make_space()
+        tag = 3 << TAG_SHIFT
+        log, accesses = [], array("q")
+        space.record(log, accesses, tag)
+        space.write(0x1008, 0x11223344, 4)
+        assert space.read(0x1008, 4) == 0x11223344
+        space.store2(0x1010, 0xBEEF)
+        assert space.load2(0x1010) == 0xBEEF
+        space.store1(0x1012, 1)
+        assert space.load8(0x1018) == 0
+        assert list(accesses) == [tag + a for a in (0x1008, 0x1008, 0x1010, 0x1010, 0x1012, 0x1018)]
+        assert log == []
+        space.write_bytes(0x1100, b"abcdef")
+        assert space.read_bytes(0x1100, 4) == b"abcd"
+        assert log == [Transfer(tag + 0x1100, 6, True), Transfer(tag + 0x1100, 4, False)]
+        with pytest.raises(MemoryFault):
+            space.read_bytes(0x1FFC, 8)
+        with pytest.raises(MemoryFault):
+            space.write_bytes(0x4000, b"x")
+        assert len(log) == 2 and len(accesses) == 6
+        space.record(None)
+        assert type(space) is AddressSpace
+        assert not {"_log", "_accesses", "_tag"} & set(vars(space))
+        space.write(0x1008, 1, 4)
+        space.load4(0x1008)
+        space.write_bytes(0x1100, b"z")
+        space.read_bytes(0x1100, 1)
+        assert len(log) == 2 and len(accesses) == 6
 
 
 class TestCache:
