@@ -23,7 +23,6 @@ from repro.injection.classify import (
 from repro.injection.fault import FaultDescriptor, FaultModel
 from repro.injection.golden import GoldenRunner, GoldenRunResult
 from repro.hardening.schemes import compile_scheme, normalize_hardening, recovery_retries
-from repro.isa.arch import get_arch
 from repro.injection.injector import FaultInjector, InjectionResult
 from repro.npb.suite import Scenario, format_target_mix, parse_target_mix_label
 
@@ -369,54 +368,36 @@ class ScenarioCampaign:
         scenario_mix = self.scenario.target_mix_dict()
         return scenario_mix if scenario_mix is not None else self.config.target_mix
 
-    def build_fault_list(
-        self, count: Optional[int] = None, vulnerability=None
-    ) -> list[FaultDescriptor]:
-        """The scenario's fault list; deterministic given (scenario, seed).
+    def fault_model(self) -> FaultModel:
+        """The scenario's fault model; deterministic given (scenario, seed).
 
-        ``vulnerability`` optionally supplies a
-        :class:`repro.staticlint.ace.ScenarioVulnerability`: register
-        draws are then importance-weighted by its predicted per-register
-        ACE fractions (via :class:`WeightedFaultModel`).  The default is
-        the uniform model — its fault lists, and therefore campaign
-        fingerprints, are unaffected by the weighting feature.
+        zlib.crc32 is used instead of hash() so the derived seed is
+        stable across interpreter invocations and worker processes.  The
+        tag is derived from the recovery-stripped scenario id: recovery
+        is a response policy, not a fault-model axis, so a rec scheme
+        faces the exact fault list of its detect-and-die twin (which is
+        what makes their Detected counts directly comparable).  Non-rec
+        scenario ids are unchanged by the stripping.
         """
-        if self.golden is None:
-            self.run_golden()
-        # zlib.crc32 is used instead of hash() so the derived seed is stable
-        # across interpreter invocations and worker processes.  The tag is
-        # derived from the recovery-stripped scenario id: recovery is a
-        # response policy, not a fault-model axis, so a rec scheme faces
-        # the exact fault list of its detect-and-die twin (which is what
-        # makes their Detected counts directly comparable).  Non-rec
-        # scenario ids are unchanged by the stripping.
         fault_stream_id = self.scenario.with_hardening(
             compile_scheme(self.scenario.hardening)
         ).scenario_id
         scenario_tag = zlib.crc32(fault_stream_id.encode()) % 100_000
-        model_args = dict(
+        return FaultModel(
             isa=self.scenario.isa,
             cores=self.scenario.cores,
             seed=self.config.seed + scenario_tag,
             target_mix=self.resolved_target_mix(),
         )
-        if vulnerability is not None:
-            from repro.injection.fault import WeightedFaultModel
 
-            arch = get_arch(self.scenario.isa)
-            fpr_weights = vulnerability.register_weights("fpr") if arch.num_fpr else None
-            model = WeightedFaultModel(
-                gpr_weights=vulnerability.register_weights("gpr") or None,
-                fpr_weights=fpr_weights or None,
-                **model_args,
-            )
-        else:
-            model = FaultModel(**model_args)
-        return model.generate(
+    def build_fault_list(self, count: Optional[int] = None) -> list[FaultDescriptor]:
+        """The scenario's fault list, drawn over its golden run."""
+        if self.golden is None:
+            self.run_golden()
+        return self.fault_model().generate(
             total_instructions=self.golden.total_instructions,
             count=count if count is not None else self.config.faults_per_scenario,
-            memory_ranges=self.golden.injectable_memory_ranges(),
-            num_processes=len(self.golden.process_names),
+            memory_ranges=self.golden.memory_ranges,
         )
 
     def execute(

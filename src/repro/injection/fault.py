@@ -16,7 +16,7 @@ architectural effect depends on the line's write-back fate).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from repro.errors import SimulatorError
@@ -41,25 +41,6 @@ CACHE_LEVELS = ("l1d", "l2")
 #: taken from the authoritative cache geometry so the bit-draw range
 #: cannot drift from the lines the injector actually targets.
 CACHE_LINE_BYTES = CORTEX_A_CACHE_CONFIG["l1d"].line_bytes
-
-
-def normalize_memory_ranges(
-    memory_ranges: Sequence, num_processes: int
-) -> list[list[tuple[int, int]]]:
-    """Normalise ``memory_ranges`` into one ``(base, size)`` list per process.
-
-    Accepts either a flat sequence of ``(base, size[, name])`` tuples
-    (applied to every process — the layouts are identical) or a
-    per-process sequence of such sequences, as recorded by the golden
-    run.
-    """
-    if not memory_ranges:
-        return []
-    first = memory_ranges[0]
-    if first and isinstance(first[0], int):  # flat: one layout for all processes
-        flat = [(int(r[0]), int(r[1])) for r in memory_ranges]
-        return [list(flat) for _ in range(max(1, num_processes))]
-    return [[(int(r[0]), int(r[1])) for r in ranges] for ranges in memory_ranges]
 
 
 @dataclass(frozen=True)
@@ -183,20 +164,21 @@ class FaultModel:
         self,
         total_instructions: int,
         count: int,
-        memory_ranges: Sequence = (),
-        num_processes: int = 1,
+        memory_ranges: Sequence[Sequence[tuple]] = (),
     ) -> list[FaultDescriptor]:
         """Generate ``count`` fault descriptors for one scenario.
 
         ``total_instructions`` is the golden run length; injection times
         are drawn from ``[1, total_instructions - 1]``.  ``memory_ranges``
-        supplies the injectable memory layout (flat, or one list per
-        process; see :func:`normalize_memory_ranges`) and is required
-        when the mix contains memory targets.
+        is the injectable memory layout, one ``(base, size[, name])``
+        list per process as the golden run records it
+        (:attr:`GoldenRunResult.memory_ranges`).  Its length is the
+        number of processes faults are drawn over (one without ranges),
+        and it is required when the mix contains memory targets.
         """
         if total_instructions < 3:
             raise SimulatorError(f"golden run too short ({total_instructions} instructions) to inject faults")
-        per_process = normalize_memory_ranges(memory_ranges, num_processes)
+        num_processes = len(memory_ranges) or 1
         rng = random.Random(self.seed)
         faults: list[FaultDescriptor] = []
         for fault_id in range(count):
@@ -218,16 +200,16 @@ class FaultModel:
                 cache_level = CACHE_LEVELS[rng.randrange(len(CACHE_LEVELS))]
                 register = rng.randrange(1 << 20)  # resident-line selector
                 bit = rng.randrange(CACHE_LINE_BYTES * 8)
-            process = rng.randrange(max(1, num_processes))
+            process = rng.randrange(num_processes)
             if kind == TARGET_MEMORY:
                 # drawn after the process: the address must come from the
                 # target process's own injectable layout
-                if not per_process:
+                if not memory_ranges:
                     raise SimulatorError("memory fault requested but no memory ranges provided")
-                ranges = per_process[process % len(per_process)]
+                ranges = memory_ranges[process]
                 if not ranges:
                     raise SimulatorError(f"process {process} has no injectable memory ranges")
-                base, size = ranges[rng.randrange(len(ranges))]
+                base, size = ranges[rng.randrange(len(ranges))][:2]
                 address = base + rng.randrange(size)
                 bit = rng.randrange(8)
             faults.append(
@@ -245,80 +227,3 @@ class FaultModel:
             )
         return faults
 
-
-class WeightedFaultModel(FaultModel):
-    """Importance-weighted SBU generator steered by static analysis.
-
-    Register draws for the ``gpr``/``fpr`` kinds are biased by
-    per-register weights — typically the ACE fractions predicted by
-    :mod:`repro.staticlint` — so campaigns spend fewer injections
-    discovering that dead registers mask faults.  Every other draw
-    (kind, time, core, bit, process, address) keeps the base model's
-    uniform distribution *and* its exact draw order, so a weighted
-    campaign differs from the unweighted one only in the register
-    indices.
-
-    This generator is opt-in: unweighted campaigns keep using
-    :class:`FaultModel` and their fingerprints are untouched.  Weighted
-    campaigns are biased samples — outcome percentages from them are
-    not directly comparable to uniform campaigns without reweighting
-    (see docs/static_analysis.md).
-    """
-
-    def __init__(
-        self,
-        isa: str,
-        cores: int,
-        seed: int = 12345,
-        target_mix: Optional[dict[str, float]] = None,
-        gpr_weights: Optional[Sequence[float]] = None,
-        fpr_weights: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(isa, cores, seed, target_mix)
-        self.gpr_weights = self._check_weights(gpr_weights, self.arch.num_gpr, "gpr")
-        self.fpr_weights = self._check_weights(fpr_weights, self.arch.num_fpr, "fpr")
-
-    @staticmethod
-    def _check_weights(weights, count: int, kind: str):
-        if weights is None:
-            return None
-        weights = tuple(float(w) for w in weights)
-        if len(weights) != count:
-            raise SimulatorError(
-                f"{kind} weight vector has {len(weights)} entries, expected {count}"
-            )
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise SimulatorError(f"{kind} weights must be non-negative with positive total")
-        return weights
-
-    def _weighted_index(self, rng: random.Random, weights: Sequence[float]) -> int:
-        roll = rng.random() * sum(weights)
-        cumulative = 0.0
-        index = len(weights) - 1
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if roll <= cumulative:
-                return index
-        return index
-
-    def generate(
-        self,
-        total_instructions: int,
-        count: int,
-        memory_ranges: Sequence = (),
-        num_processes: int = 1,
-    ) -> list[FaultDescriptor]:
-        faults = super().generate(total_instructions, count, memory_ranges, num_processes)
-        if self.gpr_weights is None and self.fpr_weights is None:
-            return faults
-        # Re-draw only the register index, from a *separate* stream so
-        # the base model's draw sequence stays untouched.
-        rng = random.Random(self.seed ^ 0x5EED_ACE5)
-        redrawn: list[FaultDescriptor] = []
-        for fault in faults:
-            if fault.target_kind == TARGET_GPR and self.gpr_weights is not None:
-                fault = replace(fault, register_index=self._weighted_index(rng, self.gpr_weights))
-            elif fault.target_kind == TARGET_FPR and self.fpr_weights is not None:
-                fault = replace(fault, register_index=self._weighted_index(rng, self.fpr_weights))
-            redrawn.append(fault)
-        return redrawn

@@ -66,10 +66,6 @@ class GoldenRunResult:
     def watchdog_budget(self, multiplier: int = 4, floor: int = 50_000) -> int:
         return max(floor, multiplier * self.total_instructions)
 
-    def injectable_memory_ranges(self) -> list[list[tuple[int, int]]]:
-        """Per-process (base, size) fault-target ranges for the fault model."""
-        return [[(base, size) for base, size, _name in ranges] for ranges in self.memory_ranges]
-
     def checkpoint_instructions(self) -> list[int]:
         return [checkpoint.instruction_count for checkpoint in self.checkpoints]
 

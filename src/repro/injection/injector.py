@@ -33,13 +33,14 @@ rollback to a golden checkpoint from before the upset (or to boot)
 re-executes the golden run, so it ends the run at once.  A converged
 ``rec`` run is Recovered when it rolled back, Vanished when it did not.
 Cache faults (a corrupted line may still be pending) and injectors
-without checkpoints (the boot-replay oracle) always run to the end, and
-the latter decide nothing.  Every early exit, the def-use decision
-included, goes through :meth:`FaultInjector._converged`.
+without checkpoints (the boot-replay oracle, :class:`ReferenceInjector`)
+always run to the end, and the latter decide nothing.  Every early
+exit, the def-use decision included, goes through
+:meth:`FaultInjector._converged`.
 
-Cache faults need a cache-modelling system: those injections enable the
-cache hierarchy (``FaultInjector.model_caches`` is off for all others)
-and restore the golden run's cache residency from the checkpoint, so
+Cache faults need a cache-modelling system: only those injections
+build systems that model the cache hierarchy (``with_caches``), and they
+restore the golden run's cache residency from the checkpoint, so
 that the targeted line population matches a boot replay bit for bit.
 The corrupted line's fate (consumed on the next hit, written back with
 a dirty eviction, or silently dropped with a clean one) decides whether
@@ -162,8 +163,14 @@ class InjectionResult:
 class FaultInjector:
     """Runs fault injections for one scenario against its golden reference."""
 
-    #: systems model caches only for cache faults (``with_caches``)
+    #: Unused here: systems model caches only for cache faults
+    #: (``with_caches``).  Kept because the ledger benchmark's oracle
+    #: subclass reads it when it builds its systems.
     model_caches = False
+
+    #: cores run the block engine; :class:`ReferenceInjector` pins them
+    #: to the reference interpreter
+    engine = True
 
     def __init__(
         self,
@@ -208,7 +215,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _build_system(self, with_caches: bool = False) -> MulticoreSystem:
-        system = create_system(self.scenario, model_caches=with_caches)
+        system = create_system(self.scenario, model_caches=with_caches, engine=self.engine)
         launch_scenario(system, self.scenario, self.program)
         if self.recovery_retries is not None:
             # A hardening detection surfaces as an ``"ft_detected"`` run
@@ -777,3 +784,18 @@ class FaultInjector:
 
     def run_many(self, faults: list[FaultDescriptor]) -> list[InjectionResult]:
         return [self.run_one(fault) for fault in faults]
+
+
+class ReferenceInjector(FaultInjector):
+    """The boot-replay oracle: every fault on a fresh system booted from
+    zero on the reference interpreter.
+
+    With no golden state to restore or re-join, nothing is decided early
+    and every run ends where a plain simulation ends; differential tests
+    hold :class:`FaultInjector`'s records to this injector's.
+    """
+
+    engine = False
+
+    def __init__(self, scenario: Scenario, golden: GoldenRunResult, watchdog_multiplier: int = 4) -> None:
+        super().__init__(scenario, golden, watchdog_multiplier, use_checkpoints=False)

@@ -8,8 +8,8 @@ liveness fixpoint with interprocedural call summaries
 golden-run profiles (:mod:`repro.staticlint.ace`) yield a predicted
 per-register ACE fraction and a predicted masking rate per scenario —
 a prior over where faults matter, validated against measured campaign
-outcomes by :mod:`repro.staticlint.validate` and consumed by
-importance-weighted fault sampling and top-N selective hardening.
+outcomes by :mod:`repro.staticlint.validate` and consumed by the
+adaptive controller's register strata and top-N selective hardening.
 """
 
 from repro.staticlint.ace import (

@@ -59,14 +59,6 @@ class ScenarioVulnerability:
         """Predicted fraction of injections with no architectural effect."""
         return 1.0 - self.predicted_ace(kind)
 
-    def register_weights(self, kind: str = "gpr", floor: float = 0.02) -> Tuple[float, ...]:
-        """Sampling weights per register index (floored so no register
-        gets zero probability — dead registers still need a few samples
-        to *confirm* masking)."""
-        fractions = self.ace_of(kind)
-        count = max(fractions) + 1 if fractions else 0
-        return tuple(max(fractions.get(reg, 0.0), floor) for reg in range(count))
-
 
 def register_ace_fractions(
     program: Program,

@@ -107,18 +107,10 @@ class AdaptiveController:
     def __post_init__(self) -> None:
         if self.campaign.golden is None:
             self.campaign.run_golden()
-        from repro.injection.fault import FaultModel
-
-        scenario = self.campaign.scenario
-        mix = FaultModel(
-            isa=scenario.isa,
-            cores=scenario.cores,
-            target_mix=self.campaign.resolved_target_mix(),
-        ).target_mix
         self.space = build_stratum_space(
-            scenario,
+            self.campaign.scenario,
             self.campaign.golden.total_instructions,
-            mix,
+            self.campaign.fault_model().target_mix,
             time_bins=self.plan.time_bins,
             buckets=self.plan.rank_buckets,
         )

@@ -158,19 +158,17 @@ def build_stratum_space(
     target_mix: Mapping[str, float],
     time_bins: int = 4,
     buckets: int = 8,
-    vulnerability=None,
 ) -> StratumSpace:
     """Build the stratum space for one scenario.
 
     ``target_mix`` must be the *normalized* mix actually used by the
-    fault model (``FaultModel.target_mix``).  ``vulnerability`` defaults
-    to the purely static ACE analysis of the scenario's linked program —
+    fault model (``FaultModel.target_mix``).  Registers are bucketed by
+    the purely static ACE analysis of the scenario's linked program —
     a deterministic function of the binary, so distributed workers and
     resumed runs always agree on the bucketing without any shared state.
     """
     arch = get_arch(scenario.isa)
-    if vulnerability is None:
-        vulnerability = static_vulnerability(scenario)
+    vulnerability = static_vulnerability(scenario)
     gpr_map = rank_buckets(rank_order(vulnerability.gpr_ace, arch.num_gpr), buckets)
     fpr_map = rank_buckets(rank_order(vulnerability.fpr_ace, arch.num_fpr), buckets)
     return StratumSpace(

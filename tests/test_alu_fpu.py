@@ -1,7 +1,6 @@
 """Unit and property tests for the ALU and FPU helpers."""
 
 import math
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st

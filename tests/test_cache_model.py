@@ -21,8 +21,6 @@ fast path must never skip a pending-fault propagation or dirty marking.
 
 import json
 
-import pytest
-
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import CacheHierarchy
 from repro.soc.multicore import build_system

@@ -17,10 +17,10 @@ import pytest
 from repro.checkpoint import restore_snapshot, state_diff
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.injection.fault import TARGET_MEMORY, FaultDescriptor
-from repro.injection.injector import MAX_DEAD_BYTES, FaultInjector
+from repro.injection.injector import MAX_DEAD_BYTES, FaultInjector, ReferenceInjector
 from repro.kernel.loader import TEXT_BASE
 from repro.npb.suite import Scenario, create_system, launch_scenario
-from test_injector_fastpath import ReferenceInjector, _records
+from test_injector_fastpath import _records
 
 SCENARIO = Scenario("IS", "serial", 1, "armv8")
 
@@ -82,7 +82,7 @@ def test_a_stack_byte_loaded_into_a_live_register_is_not_decided(lane):
     ]
     assert injector._verdict(diff) is None
     assert not injector._converged(checkpoint, system)
-    reference = ReferenceInjector(SCENARIO, golden, use_checkpoints=False)
+    reference = ReferenceInjector(SCENARIO, golden)
     assert _records([result]) == _records([reference.run_one(fault)])
 
 
@@ -103,7 +103,7 @@ def test_a_never_read_heap_byte_is_decided_omm(lane):
     result = injector.run_one(fault)
     assert injector.dead_states == 1
     assert result.outcome == "OMM"
-    reference = ReferenceInjector(SCENARIO, golden, use_checkpoints=False)
+    reference = ReferenceInjector(SCENARIO, golden)
     assert _records([result]) == _records([reference.run_one(fault)])
 
 

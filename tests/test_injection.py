@@ -64,7 +64,7 @@ class TestFaultModel:
         model = FaultModel("armv8", cores=1, target_mix={"memory": 1.0})
         with pytest.raises(SimulatorError):
             model.generate(10_000, 5)
-        faults = model.generate(10_000, 5, memory_ranges=[(0x1000, 0x100)])
+        faults = model.generate(10_000, 5, memory_ranges=[[(0x1000, 0x100)]])
         assert all(0x1000 <= f.address < 0x1100 for f in faults)
 
     def test_too_short_golden_rejected(self):

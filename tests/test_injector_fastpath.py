@@ -3,11 +3,11 @@
 ``FaultInjector.run_one`` restores golden states onto one reused system
 per injector, captures more golden states during fault-free prefixes,
 and ends a faulty run as soon as its state equals one of them.  None of
-this may change a single record: every record must
-equal the one a checkpoint-less injector produces when it boots a fresh
-system for every fault on the reference interpreter.  Running the same
-faults in the opposite order on one injector catches state that leaks
-from one reuse of a system into the next.
+this may change a single record: every record must equal the one
+:class:`ReferenceInjector` produces, a checkpoint-less injector that
+boots a fresh system for every fault on the reference interpreter.
+Running the same faults in the opposite order on one injector catches
+state that leaks from one reuse of a system into the next.
 
 Under a ``rec`` scheme the rollback candidates are checkpoints, so a
 checkpoint-less injector legitimately recovers differently.  There the
@@ -25,7 +25,7 @@ from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.injection.defuse import NEVER, WRITE
 from repro.injection.fault import TARGET_CACHE, TARGET_GPR, TARGET_MEMORY, FaultDescriptor
 from repro.injection.golden import GoldenRunner
-from repro.injection.injector import FaultInjector
+from repro.injection.injector import FaultInjector, ReferenceInjector
 from repro.kernel.loader import TEXT_BASE
 from repro.npb.suite import Scenario, create_system, launch_scenario
 
@@ -43,19 +43,6 @@ TARGET_MIX = {"gpr": 0.4, "pc": 0.1, "memory": 0.3, "cache": 0.2}
 
 #: Seeded faults drawn per scenario from the campaign's fault model.
 FAULTS = 20
-
-
-class ReferenceInjector(FaultInjector):
-    """Fresh systems on the reference interpreter, for every fault."""
-
-    def _build_system(self, with_caches: bool = False):
-        system = create_system(
-            self.scenario, model_caches=self.model_caches or with_caches, engine=False
-        )
-        launch_scenario(system, self.scenario, self.program)
-        if self.recovery_retries is not None:
-            system.kernel.recovery_mode = True
-        return system
 
 
 def _records(results) -> list[dict]:
@@ -98,7 +85,8 @@ def test_reused_converging_injector_matches_fresh_reference(lane):
     golden, faults = lane
     fast = FaultInjector(golden.scenario, golden)
     forward = _records(fast.run_many(faults))
-    reference = ReferenceInjector(golden.scenario, golden, use_checkpoints=False)
+    reference = ReferenceInjector(golden.scenario, golden)
+    assert not reference._build_system().engine  # the reference interpreter
     assert forward == _records(reference.run_many(faults))
     assert reference.fast_forwards == 0 and reference.convergences == 0
     assert fast.fast_forwards > 0
@@ -132,7 +120,8 @@ def _rec_lane(scenario: Scenario):
 
 def _no_exit_oracle(golden, monkeypatch) -> FaultInjector:
     """The checkpointed injector on the reference interpreter, without early exits."""
-    oracle = ReferenceInjector(golden.scenario, golden)
+    oracle = FaultInjector(golden.scenario, golden)
+    oracle.engine = False
     monkeypatch.setattr(oracle, "_converged", lambda state, system: False)
     return oracle
 
@@ -262,7 +251,7 @@ def test_read_only_flip_neither_converges_nor_reuses_its_system(golden_omp):
     record = _records([injector.run_one(fault)])
     assert injector.convergences == 0
     assert not injector._systems
-    reference = ReferenceInjector(golden_omp.scenario, golden_omp, use_checkpoints=False)
+    reference = ReferenceInjector(golden_omp.scenario, golden_omp)
     assert record == _records([reference.run_one(fault)])
 
 
@@ -412,7 +401,7 @@ def test_decided_register_faults_match_the_boot_replay():
                 decided.append(len(forward) - 1)
         outcomes = {forward[index]["outcome"] for index in decided}
         assert outcomes == {"Vanished", "ONA"}, scenario.scenario_id
-        reference = ReferenceInjector(scenario, golden, use_checkpoints=False)
+        reference = ReferenceInjector(scenario, golden)
         expected = _records(reference.run_many([faults[index] for index in decided]))
         assert [forward[index] for index in decided] == expected, scenario.scenario_id
         assert reference.decided == reference.convergences == 0

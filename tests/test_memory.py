@@ -9,7 +9,7 @@ from repro.checkpoint import memory_diff
 from repro.errors import AlignmentFault, MemoryFault, SimulatorError
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import CORTEX_A_CACHE_CONFIG, CacheHierarchy
-from repro.memory.main_memory import AddressSpace, MemorySegment, Permissions, PERM_RO, PERM_RW
+from repro.memory.main_memory import AddressSpace, MemorySegment, PERM_RO, PERM_RW
 from repro.memory.main_memory import TAG_SHIFT, Transfer
 
 

@@ -9,6 +9,8 @@ memory and cache injections classified into the five outcome
 categories, and is bit-reproducible given (scenario, seed, count).
 """
 
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -34,7 +36,6 @@ from repro.injection.fault import (
     TARGET_MEMORY,
     FaultDescriptor,
     FaultModel,
-    normalize_memory_ranges,
 )
 from repro.injection.golden import GoldenRunner
 from repro.injection.injector import FaultInjector
@@ -46,6 +47,10 @@ from repro.orchestration.runner import execute_job
 
 #: The acceptance-criterion mix of the memory/cache fault dimension.
 ACCEPTANCE_MIX = {"gpr": 0.6, "memory": 0.3, "cache": 0.1}
+
+#: sha256 of the canonical JSON of the IS-MPI-2-armv8 fault list (400
+#: faults, gpr 0.4 / memory 0.4 / cache 0.2, seed 5).
+MPI_FAULT_LIST_SHA256 = "c265e8ab20d4ce231f048c373fd4a753113e477cd3a6e914227afd4f00f0a9a3"
 
 #: The five Cho categories — everything an *unhardened* campaign can
 #: produce (Detected needs a hardened binary; see tests/test_hardening.py).
@@ -107,7 +112,7 @@ class TestPickKindFallback:
     def test_adversarial_mix_generates_only_listed_kinds(self):
         mix = {"memory": 0.1, "cache": 0.1, "gpr": 0.1}
         model = FaultModel("armv8", cores=1, seed=13, target_mix=mix)
-        faults = model.generate(10_000, 200, memory_ranges=[(0x1000, 0x100)])
+        faults = model.generate(10_000, 200, memory_ranges=[[(0x1000, 0x100)]])
         kinds = {fault.target_kind for fault in faults}
         assert kinds <= {"memory", "cache", "gpr"}
         # the tail kind must actually be reachable
@@ -185,8 +190,19 @@ class TestMemoryRangePlumbing:
             Scenario("IS", "mpi", 2, "armv8"), collect_stats=False
         )
         assert len(golden.memory_ranges) == 2
-        per_process = golden.injectable_memory_ranges()
-        assert all(ranges for ranges in per_process)
+        assert all(ranges for ranges in golden.memory_ranges)
+
+    def test_multi_process_fault_list_is_pinned(self):
+        # Memory and cache faults over two ranks: the pin holds the
+        # process draw and the range and address draws byte-identical.
+        campaign = ScenarioCampaign(
+            Scenario("IS", "mpi", 2, "armv8"),
+            CampaignConfig(seed=5, target_mix={"gpr": 0.4, "memory": 0.4, "cache": 0.2}),
+        )
+        faults = campaign.build_fault_list(400)
+        assert {fault.process_index for fault in faults} == {0, 1}
+        payload = json.dumps([fault.as_dict() for fault in faults], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == MPI_FAULT_LIST_SHA256
 
     def test_campaign_memory_faults_land_in_recorded_ranges(self, golden_cached):
         campaign = ScenarioCampaign(
@@ -202,16 +218,10 @@ class TestMemoryRangePlumbing:
             assert fault.target_kind == TARGET_MEMORY
             assert any(lo <= fault.address < hi for lo, hi in spans)
 
-    def test_normalize_flat_and_per_process_forms(self):
-        flat = normalize_memory_ranges([(0x100, 0x10, "data"), (0x200, 0x20)], 2)
-        assert flat == [[(0x100, 0x10), (0x200, 0x20)]] * 2
-        nested = normalize_memory_ranges([[(0x100, 0x10)], [(0x300, 0x30)]], 2)
-        assert nested == [[(0x100, 0x10)], [(0x300, 0x30)]]
-
     def test_empty_per_process_ranges_rejected(self):
         model = FaultModel("armv8", cores=1, seed=1, target_mix={"memory": 1.0})
         with pytest.raises(SimulatorError):
-            model.generate(10_000, 5, memory_ranges=[[]], num_processes=1)
+            model.generate(10_000, 5, memory_ranges=[[]])
 
 
 class TestCacheModel:

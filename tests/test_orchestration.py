@@ -4,7 +4,6 @@ import json
 import multiprocessing
 import os
 import pickle
-import sys
 import threading
 import time
 from pathlib import Path
@@ -20,7 +19,6 @@ from repro.orchestration.database import (
     DuplicateReportError,
     ResultsDatabase,
     campaign_fingerprint,
-    strip_wall_times,
 )
 from repro.orchestration.jobs import JobBatcher
 from repro.orchestration.store import (

@@ -6,7 +6,6 @@ from repro.cpu.statistics import CoreStats, aggregate_stats, load_balance
 from repro.injection.golden import GoldenRunner
 from repro.npb.suite import Scenario
 from repro.profiling.functional import FunctionalProfiler
-from repro.profiling.stats_collector import collect_microarch_stats
 
 
 class TestCoreStats:

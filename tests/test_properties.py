@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu import alu
 from repro.injection.classify import (
     OUTCOME_ORDER,
-    empty_outcome_counts,
     masking_rate,
     mismatch,
     outcome_percentages,

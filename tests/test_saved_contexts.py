@@ -25,11 +25,11 @@ from repro.cpu.engine import Block
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.injection.defuse import READ
 from repro.injection.fault import TARGET_GPR, FaultDescriptor
-from repro.injection.injector import GOLDEN, MAX_DEAD_BYTES, FaultInjector
+from repro.injection.injector import GOLDEN, MAX_DEAD_BYTES, FaultInjector, ReferenceInjector
 from repro.kernel.kernel import DETACH, SVC_DETACH, WAKE_ATTACH
 from repro.kernel.threads import ThreadState
 from repro.npb.suite import Scenario, create_system, launch_scenario
-from test_injector_fastpath import ReferenceInjector, _records
+from test_injector_fastpath import _records
 
 OMP = Scenario("IS", "omp", 2, "armv8")
 
@@ -205,7 +205,7 @@ def test_faults_first_read_by_a_detach_match_the_boot_replay(scenario):
     fast = FaultInjector(scenario, golden)
     records = _records(fast.run_many(faults))
     assert fast.decided > 0, scenario.scenario_id
-    reference = ReferenceInjector(scenario, golden, use_checkpoints=False)
+    reference = ReferenceInjector(scenario, golden)
     assert records == _records(reference.run_many(faults))
 
 
@@ -231,7 +231,7 @@ def test_a_return_register_flip_before_a_woken_call_matches_the_boot_replay():
         ]
         fast = FaultInjector(scenario, golden)
         records = _records(fast.run_many(faults))
-        reference = ReferenceInjector(scenario, golden, use_checkpoints=False)
+        reference = ReferenceInjector(scenario, golden)
         assert records == _records(reference.run_many(faults)), scenario.scenario_id
 
 

@@ -8,7 +8,7 @@ linked programs.
 
 import pytest
 
-from repro.isa.arch import ARMV7, ARMV8
+from repro.isa.arch import ARMV8
 from repro.isa.instructions import Cond, Instr, Op
 from repro.isa.program import Program
 from repro.npb.suite import build_program

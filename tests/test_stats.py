@@ -3,8 +3,6 @@ priors, the adaptive controller, and cross-driver bit-identity."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
