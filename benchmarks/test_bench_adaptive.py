@@ -65,7 +65,7 @@ def _estimate_agreement(adaptive: dict, fixed_report) -> list[dict]:
     """
     from repro.stats import outcome_estimates
 
-    fixed_estimates = outcome_estimates(fixed_report.counts, PLAN.confidence, PLAN.method)
+    fixed_estimates = outcome_estimates(fixed_report.counts, PLAN.confidence)
     rows = []
     for rate, estimate in adaptive["estimates"].items():
         fixed = fixed_estimates[rate]

@@ -68,6 +68,8 @@ FINGERPRINTED_PATHS = (
     "cpu/",
     "soc/",
     "stats/",
+    "runtime/",
+    "profiling/",
 )
 
 #: Scripts linted as fingerprinted paths, relative to the repository

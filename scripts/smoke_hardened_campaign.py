@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.hardening_table import hardening_rows, render_hardening_table
+from repro.injection.classify import injected_total
 from repro.injection.fault import FaultModel
 from repro.injection.golden import GoldenRunner
 from repro.injection.injector import FaultInjector
@@ -62,10 +63,8 @@ def main() -> int:
 
     assert counts_base["Detected"] == 0, "unhardened binary cannot detect faults"
     assert counts_hard["Detected"] > 0, "hardened campaign detected nothing"
-    injected_base = sum(counts_base.values()) - counts_base["NotInjected"]
-    injected_hard = sum(counts_hard.values()) - counts_hard["NotInjected"]
-    omm_base = counts_base["OMM"] / injected_base
-    omm_hard = counts_hard["OMM"] / injected_hard
+    omm_base = counts_base["OMM"] / injected_total(counts_base)
+    omm_hard = counts_hard["OMM"] / injected_total(counts_hard)
     assert omm_hard < omm_base, (
         f"hardening did not reduce the OMM share ({omm_hard:.3f} vs {omm_base:.3f})"
     )

@@ -30,13 +30,7 @@ from typing import Optional
 from repro.analysis.render import render_table
 from repro.hardening.schemes import HARDENING_SCHEMES
 from repro.injection.campaign import ScenarioReport
-from repro.injection.classify import (
-    NOT_INJECTED,
-    Outcome,
-    detection_rate,
-    masking_rate,
-    outcome_percentages,
-)
+from repro.injection.classify import Outcome, injected_total, outcome_percentages, rate_pct
 from repro.orchestration.database import ResultsDatabase
 
 #: Row order of the scheme column.
@@ -103,17 +97,15 @@ def hardening_rows(database: ResultsDatabase) -> list[dict]:
                 "mode": mode,
                 "hardening": scheme,
                 "scenarios": entry["scenarios"],
-                "injections": sum(
-                    count for outcome, count in counts.items() if outcome != NOT_INJECTED
-                ),
-                "detected_pct": round(detection_rate(counts), 3),
+                "injections": injected_total(counts),
+                "detected_pct": round(rate_pct(counts, "Detected"), 3),
                 # raw count, not a rate: pre-recovery stores never emitted
                 # the Recovered outcome, so .get keeps legacy payloads valid
                 "recovered": counts.get(Outcome.RECOVERED.value, 0),
                 "omm_pct": round(percentages.get(Outcome.OMM.value, 0.0), 3),
                 "hang_pct": round(percentages.get(Outcome.HANG.value, 0.0), 3),
                 "ut_pct": round(percentages.get(Outcome.UT.value, 0.0), 3),
-                "masking_rate_pct": round(masking_rate(counts), 3),
+                "masking_rate_pct": round(rate_pct(counts, "masked"), 3),
                 # unhardened rows have no overhead to report ("-"); hardened
                 # rows without an off twin in the database render "-" too
                 "static_overhead_x": "-" if scheme == "off" else overhead(entry["static"]),

@@ -34,12 +34,7 @@ from repro.analysis.hardening_table import _dynamic_instructions
 from repro.analysis.render import render_table
 from repro.hardening.schemes import compile_scheme
 from repro.injection.campaign import ScenarioReport
-from repro.injection.classify import (
-    NOT_INJECTED,
-    Outcome,
-    outcome_percentages,
-    recovery_rate,
-)
+from repro.injection.classify import Outcome, injected_total, outcome_percentages, rate_pct
 from repro.orchestration.database import ResultsDatabase
 
 
@@ -98,9 +93,7 @@ def recovery_rows(database: ResultsDatabase) -> list[dict]:
             for outcome, count in twin.counts.items():
                 entry["twin_counts"][outcome] = entry["twin_counts"].get(outcome, 0) + count
         golden = _dynamic_instructions(report)
-        injected = sum(
-            count for outcome, count in report.counts.items() if outcome != NOT_INJECTED
-        )
+        injected = injected_total(report.counts)
         if golden and injected:
             entry["reexec_ratios"].append(
                 recovery.get("reexecuted_instructions", 0) / injected / golden
@@ -111,9 +104,7 @@ def recovery_rows(database: ResultsDatabase) -> list[dict]:
         entry = grouped[(isa, mode, scheme)]
         counts = entry["counts"]
         percentages = outcome_percentages(counts)
-        injections = sum(
-            count for outcome, count in counts.items() if outcome != NOT_INJECTED
-        )
+        injections = injected_total(counts)
         twin_percentages = outcome_percentages(entry["twin_counts"])
         ratios = entry["reexec_ratios"]
         rows.append(
@@ -124,7 +115,7 @@ def recovery_rows(database: ResultsDatabase) -> list[dict]:
                 "scenarios": entry["scenarios"],
                 "injections": injections,
                 "recovered": counts.get(Outcome.RECOVERED.value, 0),
-                "recovered_pct": round(recovery_rate(counts), 3),
+                "recovered_pct": round(rate_pct(counts, "Recovered"), 3),
                 "detected_pct": round(percentages.get(Outcome.DETECTED.value, 0.0), 3),
                 # the rec-less twin scheme on the same fault list, or "-"
                 # when the campaign did not include the twin scenarios

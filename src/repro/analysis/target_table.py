@@ -17,8 +17,9 @@ from repro.analysis.render import render_table
 from repro.injection.classify import (
     NOT_INJECTED,
     REPORT_OUTCOME_ORDER,
-    masking_rate,
+    injected_total,
     outcome_percentages,
+    rate_pct,
 )
 from repro.injection.fault import TARGET_CACHE, TARGET_MEMORY
 from repro.orchestration.database import ResultsDatabase
@@ -58,14 +59,13 @@ def target_masking_rows(database: ResultsDatabase) -> list[dict]:
     order = {group: index for index, group in enumerate(TARGET_GROUP_ORDER)}
     for (isa, mode, group) in sorted(grouped, key=lambda k: (k[0], k[1], order.get(k[2], 99))):
         counts = grouped[(isa, mode, group)]
-        injected = sum(count for outcome, count in counts.items() if outcome != NOT_INJECTED)
         row = {
             "isa": isa,
             "mode": mode,
             "target": group,
-            "injections": injected,
+            "injections": injected_total(counts),
             "not_injected": counts.get(NOT_INJECTED, 0),
-            "masking_rate_pct": round(masking_rate(counts), 3),
+            "masking_rate_pct": round(rate_pct(counts, "masked"), 3),
         }
         for outcome, pct in outcome_percentages(counts).items():
             row[f"pct_{outcome}"] = round(pct, 3)

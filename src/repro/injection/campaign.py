@@ -14,11 +14,11 @@ from typing import Callable, Optional
 
 from repro.errors import SimulatorError
 from repro.injection.classify import (
-    NOT_INJECTED,
     Outcome,
     empty_outcome_counts,
-    masking_rate,
+    injected_total,
     outcome_percentages,
+    rate_pct,
 )
 from repro.injection.fault import FaultDescriptor, FaultModel
 from repro.injection.golden import GoldenRunner, GoldenRunResult
@@ -103,25 +103,6 @@ class ScenarioReport:
     @property
     def scenario_id(self) -> str:
         return self.scenario.scenario_id
-
-    # ------------------------------------------------------------------
-    # raw-count access: estimators must consume integer counts, never
-    # the display-rounded percentages
-    # ------------------------------------------------------------------
-
-    def observed_counts(self) -> dict[str, int]:
-        """Raw outcome counts over *injected* runs (NotInjected excluded)."""
-        return {key: value for key, value in self.counts.items() if key != NOT_INJECTED}
-
-    @property
-    def not_injected(self) -> int:
-        """Runs that finished before their injection point."""
-        return self.counts.get(NOT_INJECTED, 0)
-
-    @property
-    def observed_total(self) -> int:
-        """Number of injected runs — the denominator of every rate."""
-        return sum(self.observed_counts().values())
 
     def as_record(self) -> dict:
         record = {
@@ -269,7 +250,7 @@ class ScenarioReport:
             faults_injected=int(record["faults"]),
             counts=counts,
             percentages=outcome_percentages(counts),
-            masking_rate_pct=masking_rate(counts),
+            masking_rate_pct=rate_pct(counts, "masked"),
             golden_summary={"scenario": scenario.scenario_id},
             golden_stats=stats,
             wall_time_seconds=float(record.get("wall_time_seconds", 0.0)),
@@ -335,10 +316,10 @@ def summarize(
         target_mix = scenario.target_mix_dict()
     return ScenarioReport(
         scenario=scenario,
-        faults_injected=len(results) - counts.get(NOT_INJECTED, 0),
+        faults_injected=injected_total(counts),
         counts=counts,
         percentages=outcome_percentages(counts),
-        masking_rate_pct=masking_rate(counts),
+        masking_rate_pct=rate_pct(counts, "masked"),
         golden_summary=golden.summary(),
         golden_stats=dict(golden.stats),
         wall_time_seconds=wall_time_seconds,

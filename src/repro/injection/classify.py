@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Mapping
 
 
 class Outcome(Enum):
@@ -71,6 +72,19 @@ RECOVERY_OUTCOME_ORDER = REPORT_OUTCOME_ORDER + [Outcome.RECOVERED]
 #: fault behaviour and is excluded from the outcome percentages (it is
 #: reported separately instead of silently inflating Vanished).
 NOT_INJECTED = "NotInjected"
+
+#: Outcome categories folded into each named rate.  "masked" is the
+#: paper's masking rate, runs whose output is unaffected (Vanished +
+#: ONA); every other rate is one category.  The adaptive stopping rule
+#: tracks a subset of these (``repro.stats.estimators.TRACKED_RATES``).
+RATE_COMPONENTS: dict[str, tuple[str, ...]] = {
+    "masked": (Outcome.VANISHED.value, Outcome.ONA.value),
+    "OMM": (Outcome.OMM.value,),
+    "UT": (Outcome.UT.value,),
+    "Hang": (Outcome.HANG.value,),
+    "Detected": (Outcome.DETECTED.value,),
+    "Recovered": (Outcome.RECOVERED.value,),
+}
 
 
 @dataclass
@@ -147,52 +161,44 @@ def empty_outcome_counts() -> dict[str, int]:
     return {outcome.value: 0 for outcome in REPORT_OUTCOME_ORDER}
 
 
-def detection_rate(counts: dict[str, int]) -> float:
-    """Share of injected faults the hardened binary detected (percent)."""
-    total = sum(value for key, value in counts.items() if key != NOT_INJECTED)
-    if total == 0:
-        return 0.0
-    return 100.0 * counts.get(Outcome.DETECTED.value, 0) / total
+def injected_total(counts: Mapping[str, int]) -> int:
+    """Number of injected runs, the denominator of every rate.
 
-
-def recovery_rate(counts: dict[str, int]) -> float:
-    """Share of injected faults the rollback policy recovered (percent).
-
-    The availability counterpart of :func:`detection_rate`: of every
-    injected fault, how many ended with the golden output reproduced
-    after at least one rollback.  Zero for detect-and-die schemes and
-    for legacy count dicts that predate the Recovered outcome.
+    Not-injected runs carry no fault-behaviour information and are
+    never counted.
     """
-    total = sum(value for key, value in counts.items() if key != NOT_INJECTED)
+    return sum(value for key, value in counts.items() if key != NOT_INJECTED)
+
+
+def rate_successes(counts: Mapping[str, int], rate: str) -> int:
+    """Runs counted by one named rate (the sum of its components)."""
+    try:
+        components = RATE_COMPONENTS[rate]
+    except KeyError:
+        raise ValueError(f"unknown rate {rate!r}; know {sorted(RATE_COMPONENTS)}")
+    return sum(counts.get(component, 0) for component in components)
+
+
+def rate_pct(counts: Mapping[str, int], rate: str) -> float:
+    """Share of injected runs counted by one named rate (percent)."""
+    successes = rate_successes(counts, rate)
+    total = injected_total(counts)
     if total == 0:
         return 0.0
-    return 100.0 * counts.get(Outcome.RECOVERED.value, 0) / total
+    return 100.0 * successes / total
 
 
-def outcome_percentages(counts: dict[str, int]) -> dict[str, float]:
+def outcome_percentages(counts: Mapping[str, int]) -> dict[str, float]:
     """Per-category percentages over the *injected* runs.
 
     Not-injected runs carry no fault-behaviour information and are
     excluded from both the numerator set and the denominator.
     """
     observed = {key: value for key, value in counts.items() if key != NOT_INJECTED}
-    total = sum(observed.values())
+    total = injected_total(counts)
     if total == 0:
         return {key: 0.0 for key in observed}
     return {key: 100.0 * value / total for key, value in observed.items()}
-
-
-def masking_rate(counts: dict[str, int]) -> float:
-    """Executions without any error: Vanished + ONA share (percent).
-
-    The paper's "masking rate" counts runs whose output is unaffected.
-    Not-injected runs are excluded from the denominator.
-    """
-    total = sum(value for key, value in counts.items() if key != NOT_INJECTED)
-    if total == 0:
-        return 0.0
-    ok = counts.get(Outcome.VANISHED.value, 0) + counts.get(Outcome.ONA.value, 0)
-    return 100.0 * ok / total
 
 
 def mismatch(counts_a: dict[str, float], counts_b: dict[str, float]) -> dict[str, float]:

@@ -49,7 +49,6 @@ class GoldenRunResult:
     exit_ok: bool
     wall_time_seconds: float
     stats: dict[str, float] = field(default_factory=dict)
-    per_core_instructions: list[int] = field(default_factory=list)
     load_balance_pct: float = 0.0
     syscall_counts: dict[str, int] = field(default_factory=dict)
     process_names: list[str] = field(default_factory=list)
@@ -159,7 +158,6 @@ class GoldenRunner:
             exit_ok=True,
             wall_time_seconds=elapsed,
             stats=stats,
-            per_core_instructions=[core.stats.instructions for core in system.cores],
             load_balance_pct=system.load_balance(),
             syscall_counts=dict(system.kernel.syscall_counts),
             process_names=[p.name for p in system.kernel.processes],

@@ -6,7 +6,7 @@ probability a uniformly-timed fault in register ``r`` matters is the
 execution-weighted fraction of dynamic instructions at which ``r`` is
 live — its ACE fraction.  Averaging over the registers the fault model
 draws from yields a predicted masking rate per target kind, directly
-comparable to the measured ``masking_rate`` of an injection campaign.
+comparable to the measured ``masking_rate_pct`` of an injection campaign.
 
 Weights come from the functional profiler's per-index execution counts
 (:class:`repro.profiling.functional.FunctionalProfile`); with no

@@ -13,12 +13,9 @@ from repro.stats.controller import (
     Batch,
 )
 from repro.stats.estimators import (
-    RATE_COMPONENTS,
     TRACKED_RATES,
     RateEstimate,
     StratifiedEstimate,
-    binomial_interval,
-    clopper_pearson,
     confidence_z,
     max_half_width,
     normal_quantile,
@@ -44,7 +41,6 @@ __all__ = [
     "AdaptiveController",
     "Batch",
     "MinedPrior",
-    "RATE_COMPONENTS",
     "RateEstimate",
     "STOP_BUDGET",
     "STOP_CONVERGED",
@@ -52,9 +48,7 @@ __all__ = [
     "StratifiedEstimate",
     "StratumSpace",
     "TRACKED_RATES",
-    "binomial_interval",
     "build_stratum_space",
-    "clopper_pearson",
     "confidence_z",
     "max_half_width",
     "normal_quantile",

@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.injection.classify import NOT_INJECTED
+from repro.injection.classify import injected_total, rate_successes
 from repro.injection.fault import FaultDescriptor, TARGET_FPR, TARGET_GPR
 from repro.stats.estimators import (
-    RATE_COMPONENTS,
     RateEstimate,
     StratifiedEstimate,
     max_half_width,
@@ -158,10 +157,7 @@ class AdaptiveController:
         return mined
 
     def _stratum_trials(self, key: str) -> int:
-        tally = self._tallies.get(key)
-        if not tally:
-            return 0
-        return sum(count for outcome, count in tally.items() if outcome != NOT_INJECTED)
+        return injected_total(self._tallies.get(key, {}))
 
     @staticmethod
     def _group_of(key: str) -> str:
@@ -171,11 +167,9 @@ class AdaptiveController:
         """Per-stratum (successes, trials) for one tracked rate."""
         cells: Dict[str, Tuple[int, int]] = {}
         for key, tally in self._tallies.items():
-            trials = sum(n for o, n in tally.items() if o != NOT_INJECTED)
-            if trials == 0:
-                continue
-            successes = sum(tally.get(c, 0) for c in RATE_COMPONENTS[rate])
-            cells[key] = (successes, trials)
+            trials = injected_total(tally)
+            if trials:
+                cells[key] = (rate_successes(tally, rate), trials)
         return cells
 
     def _rate_variances(self, cells: Dict[str, Tuple[int, int]]) -> Dict[str, float]:
@@ -384,9 +378,7 @@ class AdaptiveController:
 
     def pooled_estimates(self) -> Dict[str, RateEstimate]:
         """Unweighted per-rate intervals over the raw pooled counts."""
-        return outcome_estimates(
-            self._counts, self.plan.confidence, self.plan.method, self.plan.track
-        )
+        return outcome_estimates(self._counts, self.plan.confidence, self.plan.track)
 
     # ------------------------------------------------------------------
     # provenance and state transfer
@@ -415,11 +407,8 @@ class AdaptiveController:
         }
 
     def stream_seed(self) -> int:
-        """The effective fault-stream seed (campaign seed + scenario tag)."""
-        import zlib
-
-        scenario_tag = zlib.crc32(self.campaign.scenario.scenario_id.encode()) % 100_000
-        return self.campaign.config.seed + scenario_tag
+        """The seed of the fault stream the batches are drawn from."""
+        return self.campaign.fault_model().seed
 
     def restore(self, batches: List[dict], results) -> None:
         """Rebuild controller state from stored provenance + results.

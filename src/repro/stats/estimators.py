@@ -5,19 +5,17 @@ lands in a given category (Vanished, OMM, ...) or it does not.  This
 module provides the interval machinery the adaptive sampling controller
 stops on:
 
-* :func:`wilson_interval` — the Wilson score interval, the default.  It
-  behaves well at the extremes (0 or n successes) where the naive Wald
-  interval collapses to zero width.
-* :func:`clopper_pearson` — the exact (conservative) interval, built on
-  the regularized incomplete beta function implemented here from
-  ``math.lgamma`` (stdlib only, no scipy).
+* :func:`wilson_interval` — the Wilson score interval.  It behaves well
+  at the extremes (0 or n successes) where the naive Wald interval
+  collapses to zero width.
 * :func:`post_stratified` — reweights per-stratum rates by known stratum
   probabilities.  With proportional weights it reduces exactly to the
   plain pooled estimator; with Neyman-style allocation it is the reason
   adaptive campaigns need fewer faults than uniform ones.
 
-``NotInjected`` runs carry no fault-behaviour information; callers must
-exclude them before counting (see :func:`outcome_estimates`).
+Rates and their denominators come from :mod:`repro.injection.classify`
+(``RATE_COMPONENTS``, :func:`~repro.injection.classify.injected_total`),
+so ``NotInjected`` runs never count as trials.
 """
 
 from __future__ import annotations
@@ -26,29 +24,19 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.injection.classify import NOT_INJECTED, Outcome
+from repro.injection.classify import injected_total, rate_successes
 
 #: Rates the sampling controller tracks for its stopping rule.  The
 #: masking rate ("masked" = Vanished + ONA) is tracked as one combined
 #: rate: its two components are individually noisy (a dead register can
 #: flip a fault between Vanished and ONA) but their sum is the paper's
 #: headline metric and stratifies cleanly over register liveness.
-TRACKED_RATES: Tuple[str, ...] = ("masked", "OMM", "UT", "Hang", "Detected")
-
-#: Outcome categories folded into each trackable rate.  ``Recovered``
-#: is estimable but deliberately absent from :data:`TRACKED_RATES`:
-#: adding it to the default stopping rule would change the variance
-#: sums — and therefore the batch draws — of every existing adaptive
-#: campaign.  Recovery sweeps opt in via ``SamplingPlan.track`` (see
+#: ``Recovered`` is estimable but deliberately absent: adding it to the
+#: default stopping rule would change the variance sums — and therefore
+#: the batch draws — of every existing adaptive campaign.  Recovery
+#: sweeps opt in via ``SamplingPlan.track`` (see
 #: ``scripts/run_campaign.py``).
-RATE_COMPONENTS: Dict[str, Tuple[str, ...]] = {
-    "masked": (Outcome.VANISHED.value, Outcome.ONA.value),
-    "OMM": (Outcome.OMM.value,),
-    "UT": (Outcome.UT.value,),
-    "Hang": (Outcome.HANG.value,),
-    "Detected": (Outcome.DETECTED.value,),
-    "Recovered": (Outcome.RECOVERED.value,),
-}
+TRACKED_RATES: Tuple[str, ...] = ("masked", "OMM", "UT", "Hang", "Detected")
 
 
 def normal_quantile(p: float) -> float:
@@ -108,108 +96,6 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Tu
     return (max(0.0, centre - margin), min(1.0, centre + margin))
 
 
-# ----------------------------------------------------------------------
-# Clopper-Pearson via the regularized incomplete beta function
-# ----------------------------------------------------------------------
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (Lentz's method)."""
-    tiny = 1e-30
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-14:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _beta_quantile(p: float, a: float, b: float) -> float:
-    """Inverse of I_x(a, b) by bisection (monotone, always converges)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if regularized_incomplete_beta(a, b, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> Tuple[float, float]:
-    """Exact (conservative) binomial confidence interval."""
-    _check_counts(successes, trials)
-    if trials == 0:
-        return (0.0, 1.0)
-    alpha = 1.0 - confidence
-    if successes == 0:
-        lower = 0.0
-    else:
-        lower = _beta_quantile(alpha / 2.0, successes, trials - successes + 1)
-    if successes == trials:
-        upper = 1.0
-    else:
-        upper = _beta_quantile(1.0 - alpha / 2.0, successes + 1, trials - successes)
-    return (lower, upper)
-
-
-_INTERVALS = {"wilson": wilson_interval, "clopper-pearson": clopper_pearson}
-
-
-def binomial_interval(
-    successes: int, trials: int, confidence: float = 0.95, method: str = "wilson"
-) -> Tuple[float, float]:
-    """Dispatch to a named interval method ("wilson" or "clopper-pearson")."""
-    try:
-        fn = _INTERVALS[method]
-    except KeyError:
-        raise ValueError(f"unknown interval method {method!r}; know {sorted(_INTERVALS)}")
-    return fn(successes, trials, confidence)
-
-
 def _check_counts(successes: int, trials: int) -> None:
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -233,7 +119,6 @@ class RateEstimate:
     successes: int
     trials: int
     confidence: float
-    method: str
 
     @property
     def half_width(self) -> float:
@@ -249,40 +134,24 @@ class RateEstimate:
             "successes": self.successes,
             "trials": self.trials,
             "confidence": self.confidence,
-            "method": self.method,
         }
-
-
-def observed_total(counts: Mapping[str, int]) -> int:
-    """Number of *injected* runs — NotInjected excluded."""
-    return sum(value for key, value in counts.items() if key != NOT_INJECTED)
-
-
-def rate_successes(counts: Mapping[str, int], rate: str) -> int:
-    """Successes for a tracked rate (sums its component outcomes)."""
-    try:
-        components = RATE_COMPONENTS[rate]
-    except KeyError:
-        raise ValueError(f"unknown tracked rate {rate!r}; know {sorted(RATE_COMPONENTS)}")
-    return sum(counts.get(component, 0) for component in components)
 
 
 def outcome_estimates(
     counts: Mapping[str, int],
     confidence: float = 0.95,
-    method: str = "wilson",
     rates: Sequence[str] = TRACKED_RATES,
 ) -> Dict[str, RateEstimate]:
-    """Interval estimates for the tracked rates over raw outcome counts.
+    """Wilson interval estimates for the tracked rates over raw outcome counts.
 
     ``NotInjected`` is excluded from both numerator and denominator: a
     run that finished before its injection point observed nothing.
     """
-    trials = observed_total(counts)
+    trials = injected_total(counts)
     estimates: Dict[str, RateEstimate] = {}
     for rate in rates:
         successes = rate_successes(counts, rate)
-        lower, upper = binomial_interval(successes, trials, confidence, method)
+        lower, upper = wilson_interval(successes, trials, confidence)
         estimates[rate] = RateEstimate(
             rate=rate,
             estimate=(successes / trials) if trials else 0.0,
@@ -291,7 +160,6 @@ def outcome_estimates(
             successes=successes,
             trials=trials,
             confidence=confidence,
-            method=method,
         )
     return estimates
 

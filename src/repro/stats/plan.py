@@ -2,9 +2,8 @@
 
 A :class:`SamplingPlan` is the declarative half of the adaptive engine:
 *when to stop* (target half-width at a confidence level, fault budget
-bounds) and *how to draw* (batch size, stratification granularity,
-interval method).  The procedural half lives in
-:mod:`repro.stats.controller`.
+bounds) and *how to draw* (batch size, stratification granularity).
+The procedural half lives in :mod:`repro.stats.controller`.
 
 Plans ride inside campaign-store manifests and coordinator grants, so
 they are frozen, JSON-safe, and reject unknown keys the same way
@@ -17,7 +16,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields as dataclasses_fields
 from typing import Tuple
 
-from repro.stats.estimators import RATE_COMPONENTS, TRACKED_RATES, _INTERVALS
+from repro.injection.classify import RATE_COMPONENTS
+from repro.stats.estimators import TRACKED_RATES
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,6 @@ class SamplingPlan:
     #: coverage floor of extra strata eats the gain
     time_bins: int = 4
     rank_buckets: int = 8
-    #: interval method for the pooled per-rate reporting CIs
-    method: str = "wilson"
     #: rates the stopping rule watches
     track: Tuple[str, ...] = TRACKED_RATES
 
@@ -60,8 +58,6 @@ class SamplingPlan:
             )
         if self.time_bins < 1 or self.rank_buckets < 1:
             raise ValueError("time_bins and rank_buckets must be >= 1")
-        if self.method not in _INTERVALS:
-            raise ValueError(f"unknown interval method {self.method!r}")
         # Any estimable rate may be tracked (notably "Recovered" for
         # recovery sweeps); only the *default* track stays the narrower
         # TRACKED_RATES so existing plans draw identical batches.

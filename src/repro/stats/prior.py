@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.injection.classify import NOT_INJECTED
-from repro.stats.estimators import RATE_COMPONENTS, smoothed_variance
+from repro.injection.classify import NOT_INJECTED, rate_successes
+from repro.stats.estimators import smoothed_variance
 from repro.stats.strata import time_bin_of
 
 #: Time resolution the prior pools at (fractions of the golden run).
@@ -171,8 +171,7 @@ class MinedPrior:
             return None
         variance = 0.0
         for rate in track:
-            successes = sum(pooled.get(c, 0) for c in RATE_COMPONENTS[rate])
-            variance += smoothed_variance(successes, trials)
+            variance += smoothed_variance(rate_successes(pooled, rate), trials)
         return variance * self.fb_tilt(isa, time_lo, time_hi)
 
     def fb_tilt(self, isa: str, time_lo: float, time_hi: float) -> float:

@@ -10,6 +10,7 @@ campaigns over a plain and a ``dwc+rec`` scenario.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
@@ -106,9 +107,37 @@ DRIVERS = {
 }
 
 
+#: sha256 and length of the adaptive reference's fingerprint: the
+#: tallies, allocation and stopping rule must keep drawing these faults
+ADAPTIVE_FINGERPRINT = (
+    "9933762608a6ec6d23c185a3cc313a2f45c68f11101d674a86c6a9debce307be",
+    30068,
+)
+
+
 @pytest.fixture(scope="module")
-def expected():
-    return {name: campaign_fingerprint(reference(plan)) for name, plan in PLANS.items()}
+def references():
+    return {name: reference(plan) for name, plan in PLANS.items()}
+
+
+@pytest.fixture(scope="module")
+def expected(references):
+    return {name: campaign_fingerprint(database) for name, database in references.items()}
+
+
+def test_adaptive_reference_fingerprint_is_pinned(expected):
+    fingerprint = expected["adaptive"]
+    assert (hashlib.sha256(fingerprint.encode()).hexdigest(), len(fingerprint)) == (
+        ADAPTIVE_FINGERPRINT
+    )
+
+
+def test_adaptive_provenance_names_the_stream_seed(references):
+    """A ``+rec`` scenario draws its twin's stream; its payload says so."""
+    rec, twin = SCENARIOS[1], SCENARIOS[1].with_hardening("dwc")
+    seed = references["adaptive"].reports[rec.scenario_id].adaptive["seed"]
+    assert seed == ScenarioCampaign(rec, CONFIG).fault_model().seed
+    assert seed == ScenarioCampaign(twin, CONFIG).fault_model().seed
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))

@@ -32,7 +32,7 @@ from repro.hardening import (
     shadow_name,
 )
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign, ScenarioReport
-from repro.injection.classify import NOT_INJECTED, Outcome, classify_run, detection_rate
+from repro.injection.classify import NOT_INJECTED, Outcome, classify_run, rate_pct
 from repro.injection.fault import FaultModel
 from repro.injection.golden import GoldenRunner
 from repro.injection.injector import FaultInjector
@@ -280,10 +280,10 @@ class TestDetectedOutcome:
         )
         assert result.outcome == Outcome.UT
 
-    def test_detection_rate(self):
+    def test_detected_rate_pct(self):
         counts = {"Vanished": 40, "Detected": 10, "OMM": 0, NOT_INJECTED: 50}
-        assert detection_rate(counts) == pytest.approx(20.0)
-        assert detection_rate({}) == 0.0
+        assert rate_pct(counts, "Detected") == pytest.approx(20.0)
+        assert rate_pct({}, "Detected") == 0.0
 
 
 # ---------------------------------------------------------------------------

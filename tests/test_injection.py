@@ -5,12 +5,13 @@ import pytest
 from repro.errors import SimulatorError
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.injection.classify import (
+    RATE_COMPONENTS,
     Outcome,
     classify_run,
     empty_outcome_counts,
-    masking_rate,
     mismatch,
     outcome_percentages,
+    rate_pct,
     total_mismatch,
 )
 from repro.injection.fault import FaultDescriptor, FaultModel, TARGET_GPR, TARGET_PC
@@ -116,7 +117,7 @@ class TestClassifier:
         pct = outcome_percentages(counts)
         assert pct["Vanished"] == 50.0
         assert sum(pct.values()) == pytest.approx(100.0)
-        assert masking_rate(counts) == 75.0
+        assert rate_pct(counts, "masked") == 75.0
 
     def test_mismatch_metric(self):
         a = {"Vanished": 60.0, "UT": 40.0}
@@ -125,8 +126,18 @@ class TestClassifier:
         assert total_mismatch(a, b) == pytest.approx(20.0)
 
     def test_empty_counts_are_zero(self):
-        assert masking_rate(empty_outcome_counts()) == 0.0
+        assert rate_pct(empty_outcome_counts(), "masked") == 0.0
         assert all(v == 0.0 for v in outcome_percentages(empty_outcome_counts()).values())
+
+    def test_rate_components_cover_every_outcome_once(self):
+        components = [c for rate in RATE_COMPONENTS.values() for c in rate]
+        assert sorted(components) == sorted(outcome.value for outcome in Outcome)
+
+    def test_rate_pct_rejects_unknown_rate(self):
+        with pytest.raises(ValueError, match="unknown rate"):
+            rate_pct({"Vanished": 1}, "Vanished")
+        with pytest.raises(ValueError, match="unknown rate"):
+            rate_pct({}, "bogus")
 
 
 class TestInjector:

@@ -26,8 +26,8 @@ from repro.injection.classify import (
     NOT_INJECTED,
     OUTCOME_ORDER,
     Outcome,
-    masking_rate,
     outcome_percentages,
+    rate_pct,
 )
 from repro.injection.fault import (
     TARGET_CACHE,
@@ -139,7 +139,7 @@ class TestNotInjected:
         pct = outcome_percentages(counts)
         assert NOT_INJECTED not in pct
         assert pct["Vanished"] == pytest.approx(50.0)
-        assert masking_rate(counts) == pytest.approx(50.0)
+        assert rate_pct(counts, "masked") == pytest.approx(50.0)
 
     def test_pre_injection_hang_is_an_error_not_a_result(self, golden_cached):
         # A watchdog expiry on the fault-free prefix means the budget is

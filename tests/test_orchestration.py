@@ -41,7 +41,7 @@ from repro.orchestration.runner import (
 
 def synthetic_report(app="IS", mode="serial", cores=1, isa="armv8", counts=None, stats=None):
     """A hand-built report (no simulation); counts fill the outcome map."""
-    from repro.injection.classify import empty_outcome_counts, masking_rate, outcome_percentages
+    from repro.injection.classify import empty_outcome_counts, outcome_percentages, rate_pct
 
     scenario = Scenario(app=app, mode=mode, cores=cores, isa=isa)
     full_counts = empty_outcome_counts()
@@ -51,7 +51,7 @@ def synthetic_report(app="IS", mode="serial", cores=1, isa="armv8", counts=None,
         faults_injected=sum(full_counts.values()),
         counts=full_counts,
         percentages=outcome_percentages(full_counts),
-        masking_rate_pct=masking_rate(full_counts),
+        masking_rate_pct=rate_pct(full_counts, "masked"),
         golden_summary={"scenario": scenario.scenario_id, "instructions": 10_000},
         golden_stats=stats or {},
         wall_time_seconds=0.01,

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu import alu
 from repro.injection.classify import (
     OUTCOME_ORDER,
-    masking_rate,
     mismatch,
     outcome_percentages,
+    rate_pct,
     total_mismatch,
 )
 from repro.injection.fault import FaultModel
@@ -42,7 +42,7 @@ class TestClassificationProperties:
 
     @given(outcome_counts)
     def test_masking_rate_bounded(self, counts):
-        assert 0.0 <= masking_rate(counts) <= 100.0
+        assert 0.0 <= rate_pct(counts, "masked") <= 100.0
 
     @given(outcome_counts, outcome_counts)
     def test_mismatch_antisymmetric(self, a, b):

@@ -35,7 +35,7 @@ from repro.injection.classify import (
     NOT_INJECTED,
     Outcome,
     classify_run,
-    recovery_rate,
+    rate_pct,
 )
 from repro.injection.golden import GoldenRunner
 from repro.injection.injector import FaultInjector, InjectionResult
@@ -198,11 +198,11 @@ class TestRecoveredClassification:
                 else:
                     assert outcome is Outcome.VANISHED
 
-    def test_recovery_rate_excludes_not_injected(self):
+    def test_recovered_rate_pct_excludes_not_injected(self):
         counts = {"Vanished": 5, "Recovered": 3, "Detected": 2, NOT_INJECTED: 10}
-        assert recovery_rate(counts) == pytest.approx(100.0 * 3 / 10)
-        assert recovery_rate({"Vanished": 4}) == 0.0
-        assert recovery_rate({}) == 0.0
+        assert rate_pct(counts, "Recovered") == pytest.approx(100.0 * 3 / 10)
+        assert rate_pct({"Vanished": 4}, "Recovered") == 0.0
+        assert rate_pct({}, "Recovered") == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from repro.stats import (
     AdaptiveController,
     MinedPrior,
     SamplingPlan,
-    binomial_interval,
-    clopper_pearson,
     confidence_z,
     max_half_width,
     normal_quantile,
@@ -64,34 +62,22 @@ class TestNormalQuantile:
 class TestBinomialIntervals:
     def test_contains_point_estimate(self):
         for successes, trials in [(0, 10), (3, 10), (10, 10), (500, 1000)]:
-            for method in ("wilson", "clopper-pearson"):
-                lower, upper = binomial_interval(successes, trials, 0.95, method)
-                assert 0.0 <= lower <= successes / trials <= upper <= 1.0
+            lower, upper = wilson_interval(successes, trials, 0.95)
+            assert 0.0 <= lower <= successes / trials <= upper <= 1.0
 
     def test_zero_trials_is_vacuous(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
-        assert clopper_pearson(0, 0) == (0.0, 1.0)
 
     def test_zero_successes(self):
         lower, upper = wilson_interval(0, 50)
         assert lower == 0.0
         assert 0.0 < upper < 0.2
-        lower, upper = clopper_pearson(0, 50)
-        assert lower == 0.0
-        # Exact one-sided bound: 1 - (alpha/2)^(1/n)
-        assert upper == pytest.approx(1.0 - 0.025 ** (1.0 / 50.0), abs=1e-6)
 
     def test_all_successes_mirror_zero(self):
-        lo0, hi0 = clopper_pearson(0, 30)
-        lo1, hi1 = clopper_pearson(30, 30)
+        lo0, hi0 = wilson_interval(0, 30)
+        lo1, hi1 = wilson_interval(30, 30)
         assert lo1 == pytest.approx(1.0 - hi0, abs=1e-9)
-        assert hi1 == 1.0 and lo0 == 0.0
-
-    def test_clopper_pearson_is_conservative(self):
-        for successes, trials in [(2, 20), (10, 40), (77, 100)]:
-            w_lo, w_hi = wilson_interval(successes, trials)
-            c_lo, c_hi = clopper_pearson(successes, trials)
-            assert c_hi - c_lo >= w_hi - w_lo
+        assert hi1 == pytest.approx(1.0, abs=1e-12) and lo0 == pytest.approx(0.0, abs=1e-12)
 
     def test_width_shrinks_with_trials(self):
         widths = []
@@ -100,15 +86,11 @@ class TestBinomialIntervals:
             widths.append(upper - lower)
         assert widths == sorted(widths, reverse=True)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown interval method"):
-            binomial_interval(1, 10, method="wald")
-
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             wilson_interval(5, 3)
         with pytest.raises(ValueError):
-            clopper_pearson(-1, 3)
+            wilson_interval(-1, 3)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +254,7 @@ class TestSamplingPlan:
             {"confidence": 1.0},
             {"batch_size": 0},
             {"min_faults": 10, "max_faults": 5},
-            {"method": "wald"},
+            {"time_bins": 0},
             {"track": ("masked", "bogus")},
             {"track": ()},
         ],
