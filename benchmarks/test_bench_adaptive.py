@@ -25,6 +25,7 @@ every workload.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from repro.analysis.efficiency_table import fixed_equivalent, render_efficiency_table
@@ -92,7 +93,9 @@ def test_bench_adaptive_vs_fixed_count():
         campaign = ScenarioCampaign(scenario, CONFIG)
         report = campaign.run_adaptive(PLAN)
         database.add_report(report)
-        fixed_report = ScenarioCampaign(scenario, CONFIG).run(count=fixed_count)
+        fixed_report = ScenarioCampaign(
+            scenario, dataclasses.replace(CONFIG, faults_per_scenario=fixed_count)
+        ).run()
         fixed_reports.append(fixed_report)
         adaptive = report.adaptive
         achieved = max(e["half_width"] for e in adaptive["estimates"].values())

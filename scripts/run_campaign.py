@@ -497,7 +497,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             CampaignStore(args.store),
             suite,
             campaign_config(args),
-            faults=None,
             resume=args.resume,
             lease_ttl=args.lease_ttl,
             logger=logger,

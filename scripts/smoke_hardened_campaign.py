@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.hardening_table import hardening_rows, render_hardening_table
+from repro.injection.campaign import CampaignConfig
 from repro.injection.classify import injected_total
 from repro.injection.fault import FaultModel
 from repro.injection.golden import GoldenRunner
@@ -72,7 +73,7 @@ def main() -> int:
     # The axis end to end: a small swept suite through run_suite, and
     # the hardening table rendered from the resulting database.
     suite = ScenarioSuite([base]).sweep_hardenings([None, SCHEME])
-    database = CampaignRunner(workers=0).run_suite(suite, faults=24)
+    database = CampaignRunner(CampaignConfig(faults_per_scenario=24), workers=0).run_suite(suite)
     rows = hardening_rows(database)
     schemes = {row["hardening"] for row in rows}
     assert schemes == {"off", SCHEME}, f"unexpected scheme rows {schemes}"

@@ -28,20 +28,14 @@ MISMATCH_PANEL_APPS = ["BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"]
 _PCT_KEYS = [f"pct_{outcome.value}" for outcome in OUTCOME_ORDER]
 
 
-def _dataset(database: ResultsDatabase | Dataset) -> Dataset:
-    if isinstance(database, Dataset):
-        return database
-    return Dataset(database.scenario_records())
-
-
-def figure_rows(database: ResultsDatabase | Dataset, isa: str, api: str) -> list[dict]:
+def figure_rows(database: ResultsDatabase, isa: str, api: str) -> list[dict]:
     """Panel (a) or (b) rows: one bar per (application, configuration).
 
     ``api`` selects ``"mpi"`` or ``"omp"``; every application contributes
     its serial bar (SER-1) plus the available API-1/2/4 bars, exactly as
     the figure groups them.
     """
-    data = _dataset(database).filter_equal(isa=isa)
+    data = Dataset(database.scenario_records()).filter_equal(isa=isa)
     apps = MPI_PANEL_APPS if api == "mpi" else OMP_PANEL_APPS
     rows = []
     for app in apps:
@@ -61,12 +55,12 @@ def figure_rows(database: ResultsDatabase | Dataset, isa: str, api: str) -> list
     return rows
 
 
-def mismatch_rows(database: ResultsDatabase | Dataset, isa: str) -> list[dict]:
+def mismatch_rows(database: ResultsDatabase, isa: str) -> list[dict]:
     """Panel (c) rows: MPI minus OpenMP outcome difference per app/core count."""
-    return mismatch_table(_dataset(database), isa=isa, apps=MISMATCH_PANEL_APPS)
+    return mismatch_table(Dataset(database.scenario_records()), isa=isa, apps=MISMATCH_PANEL_APPS)
 
 
-def figure_data(database: ResultsDatabase | Dataset, isa: str) -> dict:
+def figure_data(database: ResultsDatabase, isa: str) -> dict:
     """All three panels of Figure 2 (armv7) or Figure 3 (armv8)."""
     return {
         "isa": isa,
@@ -76,7 +70,7 @@ def figure_data(database: ResultsDatabase | Dataset, isa: str) -> dict:
     }
 
 
-def render_figure(database: ResultsDatabase | Dataset, isa: str) -> str:
+def render_figure(database: ResultsDatabase, isa: str) -> str:
     """Textual rendering of the whole figure for one ISA."""
     number = "2" if isa == "armv7" else "3"
     data = figure_data(database, isa)

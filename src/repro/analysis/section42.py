@@ -19,9 +19,9 @@ from repro.orchestration.database import ResultsDatabase
 from repro.profiling.functional import FunctionalProfile
 
 
-def masking_summary(database: ResultsDatabase | Dataset) -> dict:
+def masking_summary(database: ResultsDatabase) -> dict:
     """MPI-vs-OpenMP masking-rate comparison over both ISAs."""
-    dataset = database if isinstance(database, Dataset) else Dataset(database.scenario_records())
+    dataset = Dataset(database.scenario_records())
     summary = {}
     total_comparisons = 0
     total_wins = 0
@@ -62,7 +62,7 @@ def vulnerability_window_summary(profiles: Iterable[FunctionalProfile]) -> dict[
 
 
 def section42_summary(
-    database: ResultsDatabase | Dataset,
+    database: ResultsDatabase,
     golden_results: Optional[Iterable[GoldenRunResult]] = None,
     profiles: Optional[Iterable[FunctionalProfile]] = None,
 ) -> dict:

@@ -22,9 +22,9 @@ TABLE2_GROUPS = [
 ]
 
 
-def table2_rows(database: ResultsDatabase | Dataset, app: str = "IS") -> list[dict]:
+def table2_rows(database: ResultsDatabase, app: str = "IS") -> list[dict]:
     """Build Table 2 rows (one row per scenario group and core count)."""
-    dataset = database if isinstance(database, Dataset) else Dataset(database.scenario_records())
+    dataset = Dataset(database.scenario_records())
     rows = []
     for app_name, mode, isa, label in TABLE2_GROUPS:
         if app_name != app:

@@ -38,8 +38,8 @@ TABLE4_SCENARIOS = [
 ]
 
 
-def _rows(database: ResultsDatabase | Dataset, isa: str, selection) -> list[dict]:
-    dataset = database if isinstance(database, Dataset) else Dataset(database.scenario_records())
+def _rows(database: ResultsDatabase, isa: str, selection) -> list[dict]:
+    dataset = Dataset(database.scenario_records())
     rows = []
     for label, app, mode, cores in selection:
         matched = dataset.filter_equal(app=app, mode=mode, cores=cores, isa=isa)
@@ -64,12 +64,12 @@ def _rows(database: ResultsDatabase | Dataset, isa: str, selection) -> list[dict
     return rows
 
 
-def table3_rows(database: ResultsDatabase | Dataset) -> list[dict]:
+def table3_rows(database: ResultsDatabase) -> list[dict]:
     """Table 3: ARMv7 memory transactions and soft error classification."""
     return _rows(database, "armv7", TABLE3_SCENARIOS)
 
 
-def table4_rows(database: ResultsDatabase | Dataset) -> list[dict]:
+def table4_rows(database: ResultsDatabase) -> list[dict]:
     """Table 4: ARMv8 memory transactions and soft error classification."""
     return _rows(database, "armv8", TABLE4_SCENARIOS)
 

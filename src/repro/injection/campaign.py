@@ -72,13 +72,12 @@ class ScenarioReport:
     ``faults_injected`` counts the faults actually applied; runs that
     finished before their injection point are tallied under the
     ``NotInjected`` pseudo-outcome and excluded from the percentages.
+    It, ``percentages`` and ``masking_rate_pct`` are computed from
+    ``counts``.
     """
 
     scenario: Scenario
-    faults_injected: int
     counts: dict[str, int]
-    percentages: dict[str, float]
-    masking_rate_pct: float
     golden_summary: dict
     golden_stats: dict[str, float]
     wall_time_seconds: float
@@ -103,6 +102,18 @@ class ScenarioReport:
     @property
     def scenario_id(self) -> str:
         return self.scenario.scenario_id
+
+    @property
+    def faults_injected(self) -> int:
+        return injected_total(self.counts)
+
+    @property
+    def percentages(self) -> dict[str, float]:
+        return outcome_percentages(self.counts)
+
+    @property
+    def masking_rate_pct(self) -> float:
+        return rate_pct(self.counts, "masked")
 
     def as_record(self) -> dict:
         record = {
@@ -183,13 +194,15 @@ class ScenarioReport:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ScenarioReport":
-        """Rebuild a full report from :meth:`to_payload` output."""
+        """Rebuild a full report from :meth:`to_payload` output.
+
+        The payload's ``faults_injected``, ``percentages`` and
+        ``masking_rate_pct`` are not read: the report computes them
+        from ``counts``.
+        """
         return cls(
             scenario=Scenario.from_dict(payload["scenario"]),
-            faults_injected=int(payload["faults_injected"]),
             counts={str(k): int(v) for k, v in payload["counts"].items()},
-            percentages={str(k): float(v) for k, v in payload["percentages"].items()},
-            masking_rate_pct=float(payload["masking_rate_pct"]),
             golden_summary=dict(payload["golden_summary"]),
             # values stay as-parsed: coercing int-valued stats to float
             # would break bit-identical resume (10000 vs 10000.0 in JSON)
@@ -211,8 +224,6 @@ class ScenarioReport:
     ) -> "ScenarioReport":
         """Rebuild a queryable report from an :meth:`as_record` row.
 
-        The flat record stores percentages rounded for display, so they
-        (and the masking rate) are recomputed exactly from the counts.
         Golden statistics survive under their ``stat_`` prefix; the rest
         of the golden summary is not part of the flat row.  The flat row
         only carries the failed-job *count*, so the caller supplies the
@@ -247,10 +258,7 @@ class ScenarioReport:
             }
         return cls(
             scenario=scenario,
-            faults_injected=int(record["faults"]),
             counts=counts,
-            percentages=outcome_percentages(counts),
-            masking_rate_pct=rate_pct(counts, "masked"),
             golden_summary={"scenario": scenario.scenario_id},
             golden_stats=stats,
             wall_time_seconds=float(record.get("wall_time_seconds", 0.0)),
@@ -316,10 +324,7 @@ def summarize(
         target_mix = scenario.target_mix_dict()
     return ScenarioReport(
         scenario=scenario,
-        faults_injected=injected_total(counts),
         counts=counts,
-        percentages=outcome_percentages(counts),
-        masking_rate_pct=rate_pct(counts, "masked"),
         golden_summary=golden.summary(),
         golden_stats=dict(golden.stats),
         wall_time_seconds=wall_time_seconds,
@@ -384,7 +389,6 @@ class ScenarioCampaign:
     def execute(
         self,
         drain: Callable[[list[FaultDescriptor]], tuple[list[InjectionResult], list[dict]]],
-        faults: Optional[int] = None,
         plan=None,
         prior=None,
         partial: Optional[dict] = None,
@@ -395,8 +399,8 @@ class ScenarioCampaign:
 
         ``drain(faults)`` injects one batch and returns ``(results,
         job_failures)``.  Without a ``plan`` the campaign is one batch of
-        ``faults`` (default: the config's count), and failed jobs are
-        recorded on the report.  With a :class:`~repro.stats.plan.SamplingPlan`
+        the config's ``faults_per_scenario``, and failed jobs are recorded
+        on the report.  With a :class:`~repro.stats.plan.SamplingPlan`
         an adaptive controller draws batches until its stopping rule
         fires; a failed job then fails the scenario, since the
         controller's accounting needs complete batches.  ``partial``
@@ -414,7 +418,7 @@ class ScenarioCampaign:
         job_failures: list[dict] = []
         controller = None
         if plan is None:
-            batches = [self.build_fault_list(faults)]
+            batches = [self.build_fault_list()]
             progress(
                 f"[inject] {scenario_id}: {len(batches[0])} faults, "
                 f"{len(self.golden.checkpoints)} checkpoints"
@@ -453,8 +457,6 @@ class ScenarioCampaign:
                 checkpoint(
                     scenario_id,
                     {
-                        "scenario_id": scenario_id,
-                        "plan": plan.as_dict(),
                         "batches": list(controller.batches),
                         "results": [result.as_record() for result in results],
                     },
@@ -483,6 +485,6 @@ class ScenarioCampaign:
         """CI-driven adaptive campaign, in process (see :meth:`execute`)."""
         return self.execute(self._single_injector(), plan=plan, prior=prior)
 
-    def run(self, count: Optional[int] = None) -> ScenarioReport:
+    def run(self) -> ScenarioReport:
         """Fixed-count campaign, in process (see :meth:`execute`)."""
-        return self.execute(self._single_injector(), faults=count)
+        return self.execute(self._single_injector())

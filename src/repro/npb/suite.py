@@ -374,18 +374,15 @@ def launch_scenario(system: MulticoreSystem, scenario: Scenario, program: Progra
         system.load_process(program, name=scenario.app.lower(), nthreads_hint=nthreads)
 
 
-def instruction_budget(scenario: Scenario, golden_instructions: int | None = None) -> int:
-    """Watchdog budget for one scenario run.
+def instruction_budget(scenario: Scenario) -> int:
+    """Watchdog budget for a run whose golden length is not yet known.
 
-    When the golden instruction count is known the budget is a multiple
-    of it (a hung run is detected quickly); otherwise a generous
-    per-ISA default is used.  The static default scales with the
-    scenario's hardening scheme: hardened binaries legitimately execute
-    several times more instructions, and a budget derived from
-    *unhardened* run lengths would misfile slow hardened runs as hangs.
+    A generous per-ISA default (injection runs use the golden run's
+    ``watchdog_budget`` instead).  It scales with the scenario's
+    hardening scheme: hardened binaries legitimately execute several
+    times more instructions, and a budget derived from *unhardened* run
+    lengths would misfile slow hardened runs as hangs.
     """
-    if golden_instructions is not None:
-        return max(50_000, 4 * golden_instructions)
     budget = 8_000_000 if scenario.isa == "armv7" else 2_000_000
     compiled = compile_scheme(scenario.hardening)
     if compiled is not None:

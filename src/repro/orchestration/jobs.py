@@ -14,10 +14,9 @@ scenario and runs the scenario's later jobs on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.injection.fault import FaultDescriptor
-from repro.npb.suite import Scenario, normalize_target_mix
+from repro.npb.suite import Scenario
 
 
 @dataclass
@@ -25,9 +24,7 @@ class CampaignJob:
     """A batch of fault injections for one scenario.
 
     The job carries what a worker needs beyond the per-worker shared
-    golden data: the scenario description, the fault descriptors and the
-    fault-target mix they were drawn from (so a worker can verify the
-    descriptors it executes belong to the campaign's target dimension).
+    golden data: the scenario description and the fault descriptors.
     Programs are rebuilt (deterministically) inside the worker, which is
     cheaper than shipping them.
     """
@@ -39,27 +36,9 @@ class CampaignJob:
     golden_ref: str
     faults: list[FaultDescriptor] = field(default_factory=list)
     watchdog_multiplier: int = 4
-    #: normalized (kind, weight) pairs; None = the default register mix
-    target_mix: Optional[tuple[tuple[str, float], ...]] = None
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    def allowed_target_kinds(self) -> Optional[set[str]]:
-        """Kinds the mix permits (None when no mix travels with the job)."""
-        if self.target_mix is None:
-            return None
-        return {kind for kind, weight in self.target_mix if weight > 0}
-
-    def describe(self) -> dict:
-        description = {
-            "job_id": self.job_id,
-            "scenario_id": self.scenario.scenario_id,
-            "faults": len(self.faults),
-        }
-        if self.target_mix is not None:
-            description["target_mix"] = dict(self.target_mix)
-        return description
 
 
 class JobBatcher:
@@ -82,11 +61,9 @@ class JobBatcher:
         golden_ref: str,
         faults: list[FaultDescriptor],
         watchdog_multiplier: int = 4,
-        target_mix=None,
     ) -> list[CampaignJob]:
         """Build jobs naming the golden spooled at ``golden_ref``."""
         faults = sorted(faults, key=lambda f: (f.injection_time, f.fault_id))
-        mix = normalize_target_mix(target_mix)
         jobs: list[CampaignJob] = []
         for start in range(0, len(faults), self.faults_per_job):
             chunk = faults[start : start + self.faults_per_job]
@@ -97,7 +74,6 @@ class JobBatcher:
                     golden_ref=golden_ref,
                     faults=chunk,
                     watchdog_multiplier=watchdog_multiplier,
-                    target_mix=mix,
                 )
             )
             self._next_job_id += 1

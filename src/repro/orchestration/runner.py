@@ -96,14 +96,6 @@ def execute_job(job: CampaignJob) -> list[InjectionResult]:
 
     An exception evicts the injector, so a retry starts from a fresh one.
     """
-    allowed = job.allowed_target_kinds()
-    if allowed is not None:
-        for fault in job.faults:
-            if fault.target_kind not in allowed:
-                raise SimulatorError(
-                    f"job {job.job_id} carries a {fault.target_kind!r} fault but its "
-                    f"target mix only permits {sorted(allowed)}"
-                )
     try:
         return _injector_for(job).run_many(job.faults)
     except BaseException:
@@ -236,7 +228,6 @@ def prepare_store(
     store: CampaignStore,
     suite_ids: list[str],
     config_dict: dict,
-    faults: Optional[int],
     resume: bool,
     plan: Optional[dict] = None,
 ) -> None:
@@ -250,7 +241,7 @@ def prepare_store(
     and a fresh run refuses a store that already holds a campaign.
     """
     if resume:
-        store.check_resumable(suite_ids, config_dict, faults, plan=plan)
+        store.check_resumable(suite_ids, config_dict, plan=plan)
         # A filtered resume must not shrink the manifest: keep the
         # union so the full suite can still resume later.
         manifest = store.read_manifest()
@@ -266,7 +257,7 @@ def prepare_store(
             f"campaign store {store.root} already holds a campaign; pass "
             "resume=True to continue it, or point at a fresh directory"
         )
-    store.write_manifest(suite_ids, config_dict, faults, plan=plan)
+    store.write_manifest(suite_ids, config_dict, plan=plan)
 
 
 @dataclass
@@ -274,7 +265,6 @@ class Claim:
     """One scenario a source hands to :meth:`CampaignRunner.run_claims`."""
 
     scenario: Scenario
-    faults: Optional[int] = None
     #: runs the claim instead of the loop's runner (an HTTP grant's campaign)
     runner: Optional["CampaignRunner"] = None
     partial: Optional[dict] = None
@@ -307,8 +297,8 @@ class ScenarioSource:
 class _SuiteSource(ScenarioSource):
     """``run_suite``'s source: the suite in order, resumed shards skipped."""
 
-    def __init__(self, runner, scenarios, faults, store, resume, database) -> None:
-        self.runner, self.scenarios, self.faults = runner, scenarios, faults
+    def __init__(self, runner, scenarios, store, resume, database) -> None:
+        self.runner, self.scenarios = runner, scenarios
         self.store, self.resume, self.database = store, resume, database
         self.prior_attempts: dict[str, int] = {}
         self.completed: set = set()
@@ -317,7 +307,6 @@ class _SuiteSource(ScenarioSource):
                 store,
                 [scenario.scenario_id for scenario in scenarios],
                 runner.config.as_dict(),
-                faults,
                 resume,
                 plan=runner.plan.as_dict() if runner.plan is not None else None,
             )
@@ -336,7 +325,7 @@ class _SuiteSource(ScenarioSource):
                 self.done += 1
                 self.runner.progress(f"[skip]   {scenario_id}: resumed from shard")
                 continue
-            claim = Claim(scenario, self.faults)
+            claim = Claim(scenario)
             if self.store is not None and self.runner.plan is not None:
                 claim.partial = self.store.load_partial(scenario_id) if self.resume else None
                 claim.checkpoint = self.store.write_partial
@@ -380,9 +369,9 @@ class _SuiteSource(ScenarioSource):
 class _StoreLeaseSource(ScenarioSource):
     """``run_leased``'s source: file leases on a shared store."""
 
-    def __init__(self, runner, book: LeaseBook, by_id, faults, owner, database) -> None:
+    def __init__(self, runner, book: LeaseBook, by_id, owner, database) -> None:
         self.runner, self.book, self.by_id = runner, book, by_id
-        self.faults, self.owner, self.database = faults, owner, database
+        self.owner, self.database = owner, database
         self.store = book.store
 
     def claim(self) -> Optional[Claim]:
@@ -391,7 +380,7 @@ class _StoreLeaseSource(ScenarioSource):
             return None
         scenario_id = lease.scenario_id
         self.runner.progress(f"[lease]  {scenario_id}: claimed by {self.owner}")
-        claim = Claim(self.by_id[scenario_id], self.faults, lease_ttl=self.book.ttl, owner=self.owner)
+        claim = Claim(self.by_id[scenario_id], lease_ttl=self.book.ttl, owner=self.owner)
         if self.runner.plan is not None:
             # A reclaimed lease continues its predecessor's batch stream.
             claim.partial = self.store.load_partial(scenario_id)
@@ -503,7 +492,6 @@ class CampaignRunner:
     def run_one(
         self,
         scenario: Scenario,
-        faults: Optional[int] = None,
         pool: Optional[PersistentSuitePool] = None,
         campaign: Optional[ScenarioCampaign] = None,
         partial: Optional[dict] = None,
@@ -519,7 +507,7 @@ class CampaignRunner:
         """
         if pool is None:
             with PersistentSuitePool(self.workers, self.start_method) as pool:
-                return self.run_one(scenario, faults, pool, campaign, partial, checkpoint)
+                return self.run_one(scenario, pool, campaign, partial, checkpoint)
         start = time.perf_counter()
         if campaign is None:
             campaign = self._compute_golden(scenario)
@@ -533,7 +521,6 @@ class CampaignRunner:
                 golden_ref,
                 batch,
                 watchdog_multiplier=self.config.watchdog_multiplier,
-                target_mix=campaign.resolved_target_mix(),
             )
             results, failures = _drain_jobs(jobs, pool.map, self.job_retries, self.progress)
             guest += sum(result.executed_instructions for result in results)
@@ -542,7 +529,7 @@ class CampaignRunner:
 
         try:
             report = campaign.execute(
-                drain, faults, self.plan, self.prior, partial, checkpoint, self.progress
+                drain, self.plan, self.prior, partial, checkpoint, self.progress
             )
         finally:
             os.unlink(golden_ref)
@@ -591,7 +578,7 @@ class CampaignRunner:
                 campaign = runner._compute_golden(scenario)
                 phase = "inject"
                 report = runner.run_one(
-                    scenario, claim.faults, pool, campaign=campaign,
+                    scenario, pool, campaign=campaign,
                     partial=claim.partial, checkpoint=claim.checkpoint,
                 )
             phase = "assemble"
@@ -613,14 +600,13 @@ class CampaignRunner:
     # public API
     # ------------------------------------------------------------------
 
-    def run_scenario(self, scenario: Scenario, faults: Optional[int] = None) -> ScenarioReport:
+    def run_scenario(self, scenario: Scenario) -> ScenarioReport:
         """Run the four-phase workflow for one scenario."""
-        return self.run_one(scenario, faults)
+        return self.run_one(scenario)
 
     def run_suite(
         self,
         scenarios: Iterable[Scenario],
-        faults: Optional[int] = None,
         database: Optional[ResultsDatabase] = None,
         store: Optional[Union[CampaignStore, str, Path]] = None,
         resume: bool = False,
@@ -640,14 +626,13 @@ class CampaignRunner:
         self.guest_instructions = 0
         self.injections = 0
         self.last_scenario_throughput = None
-        self.run_claims(_SuiteSource(self, list(scenarios), faults, store, resume, database))
+        self.run_claims(_SuiteSource(self, list(scenarios), store, resume, database))
         return database
 
     def run_leased(
         self,
         scenarios: Iterable[Scenario],
         store: Union[CampaignStore, str, Path],
-        faults: Optional[int] = None,
         owner: Optional[str] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         database: Optional[ResultsDatabase] = None,
@@ -672,10 +657,10 @@ class CampaignRunner:
         # Every worker publishes (or checks) the manifest peers claim
         # against; concurrent first workers write identical bytes.
         prepare_store(
-            store, list(by_id), self.config.as_dict(), faults, resume=True,
+            store, list(by_id), self.config.as_dict(), resume=True,
             plan=self.plan.as_dict() if self.plan is not None else None,
         )
         book = LeaseBook(store, list(by_id), lease_ttl)
         owner = owner or f"worker-{os.getpid()}"
-        self.run_claims(_StoreLeaseSource(self, book, by_id, faults, owner, database))
+        self.run_claims(_StoreLeaseSource(self, book, by_id, owner, database))
         return database

@@ -289,17 +289,14 @@ class CampaignStore:
         self,
         scenario_ids: Iterable[str],
         config: dict,
-        faults: Optional[int],
         plan: Optional[dict] = None,
     ) -> None:
         manifest = {
             "format": STORE_FORMAT,
             "scenario_ids": list(scenario_ids),
             "config": config,
-            "faults": faults,
         }
-        # The key is only present for adaptive campaigns: fixed-count
-        # manifests must stay byte-identical to pre-plan stores.
+        # The key is only present for adaptive campaigns.
         if plan is not None:
             manifest["plan"] = plan
         _atomic_write_json(self.manifest_path, manifest)
@@ -308,14 +305,15 @@ class CampaignStore:
         self,
         scenario_ids: list[str],
         config: dict,
-        faults: Optional[int],
         plan: Optional[dict] = None,
     ) -> None:
         """Refuse to resume a store written by a different campaign.
 
         Shards are only interchangeable between runs with the same
         configuration (seed, fault count, checkpoint interval, ...), so
-        a mismatch raises instead of silently mixing result sets.  The
+        a mismatch raises instead of silently mixing result sets.  A
+        manifest's top-level ``"faults"`` override, from stores written
+        before the count lived only in the config, must be null.  The
         scenario list may differ (filters narrow a resumed run); only
         scenarios outside the stored suite are rejected.
         """
@@ -328,10 +326,8 @@ class CampaignStore:
                 f"expected {STORE_FORMAT}"
             )
         mismatches = _config_mismatches(dict(manifest.get("config") or {}), dict(config))
-        if manifest.get("faults") != faults:
-            mismatches.append(
-                f"faults: store has {manifest.get('faults')!r}, requested {faults!r}"
-            )
+        if manifest.get("faults") is not None:
+            mismatches.append(f"faults: store has {manifest['faults']!r}, requested <absent>")
         if manifest.get("plan") != plan:
             mismatches.append(
                 f"plan: store has {manifest.get('plan')!r}, requested {plan!r}"

@@ -23,9 +23,9 @@ against a shared filesystem, and a restarted coordinator picks up
 exactly where the store says the campaign is.
 
 A grant carries everything a worker needs to execute deterministically:
-the scenario (``Scenario.as_dict``), the campaign configuration
-(``CampaignConfig.as_dict``) and the fault count, so workers never need
-local campaign flags that could diverge from the coordinator's.  For
+the scenario (``Scenario.as_dict``) and the campaign configuration
+(``CampaignConfig.as_dict``, fault count included), so workers never
+need local campaign flags that could diverge from the coordinator's.  For
 adaptive campaigns the grant additionally carries the sampling plan,
 the (frozen) mined prior and the scenario's latest batch checkpoint, so
 a reclaimed scenario continues its predecessor's deterministic batch
@@ -64,7 +64,6 @@ class CampaignCoordinator:
         store: Union[CampaignStore, str, Path],
         scenarios: Iterable[Scenario],
         config: Optional[CampaignConfig] = None,
-        faults: Optional[int] = None,
         resume: bool = False,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         logger: Optional[CampaignLogger] = None,
@@ -75,7 +74,6 @@ class CampaignCoordinator:
         self.scenarios = list(scenarios)
         self.by_id = {scenario.scenario_id: scenario for scenario in self.scenarios}
         self.config = config or CampaignConfig()
-        self.faults = faults
         self.lease_ttl = lease_ttl
         self.logger = logger or CampaignLogger("coordinator", quiet=True)
         self.plan = plan
@@ -85,7 +83,6 @@ class CampaignCoordinator:
             self.store,
             list(self.by_id),
             self.config.as_dict(),
-            faults,
             resume,
             plan=plan.as_dict() if plan is not None else None,
         )
@@ -124,7 +121,6 @@ class CampaignCoordinator:
         self.logger.info(f"leased {lease.scenario_id} to {worker}")
         grant = {
             "scenario": self.by_id[lease.scenario_id].as_dict(),
-            "faults": self.faults,
             "config": self.config.as_dict(),
             "lease_ttl": self.lease_ttl,
         }

@@ -29,6 +29,7 @@ from repro.analysis.recovery_table import recovery_rows, render_recovery_table
 from repro.analysis.table1 import render_table1, table1_rows
 from repro.analysis.target_table import render_target_table, target_masking_rows
 from repro.errors import SimulatorError
+from repro.injection.campaign import CampaignConfig
 from repro.orchestration.database import ResultsDatabase
 from repro.orchestration.store import CampaignStore
 
@@ -207,8 +208,8 @@ class ResultsService:
         database = self.database()
         if name == "table1":
             manifest = self.store.read_manifest() or {}
-            faults = manifest.get("faults") or (manifest.get("config") or {}).get(
-                "faults_per_scenario", 8000
+            faults = (manifest.get("config") or {}).get(
+                "faults_per_scenario", CampaignConfig.faults_per_scenario
             )
             goldens = [_GoldenView(report) for report in database.reports.values()]
             rows = table1_rows(goldens, faults_per_scenario=faults)

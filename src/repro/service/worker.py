@@ -5,8 +5,8 @@ the claim loop of :meth:`~repro.orchestration.runner.CampaignRunner.run_claims`
 — the one local suites and lease-mode workers run — over HTTP leases:
 
 1. ``POST /lease`` — ask for work.  The grant carries the scenario,
-   the campaign configuration, plan, prior and fault count, so the
-   worker executes exactly the coordinator's campaign (never local
+   the campaign configuration (fault count included), plan and prior,
+   so the worker executes exactly the coordinator's campaign (never local
    flags that could diverge), bit-identical to a single-process run.
 2. The claim loop runs the golden, inject and assemble phases on the
    agent's pool (one per :meth:`WorkerAgent.run`), renewing the lease
@@ -299,11 +299,10 @@ class WorkerAgent(ScenarioSource):
         )
         return Claim(
             Scenario.from_dict(grant["scenario"]),
-            grant.get("faults"),
             runner=runner,
             partial=grant.get("partial") if plan is not None else None,
             checkpoint=self._checkpoint if plan is not None else None,
-            lease_ttl=float(grant.get("lease_ttl") or 120.0),
+            lease_ttl=float(grant["lease_ttl"]),
             owner=self.worker_id,
         )
 

@@ -14,7 +14,7 @@ if str(_SRC) not in sys.path:
 import pytest
 
 from repro.injection.campaign import ScenarioReport
-from repro.injection.classify import empty_outcome_counts, outcome_percentages, rate_pct
+from repro.injection.classify import empty_outcome_counts
 from repro.npb.suite import Scenario
 from repro.orchestration.database import ResultsDatabase
 
@@ -33,10 +33,7 @@ def make_report(
     full_counts.update(counts)
     return ScenarioReport(
         scenario=scenario,
-        faults_injected=sum(full_counts.values()),
         counts=full_counts,
-        percentages=outcome_percentages(full_counts),
-        masking_rate_pct=rate_pct(full_counts, "masked"),
         golden_summary={"scenario": scenario.scenario_id, "instructions": 10_000},
         golden_stats=stats or {},
         wall_time_seconds=0.01,

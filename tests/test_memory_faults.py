@@ -11,7 +11,6 @@ categories, and is bit-reproducible given (scenario, seed, count).
 
 import hashlib
 import json
-import pickle
 
 import pytest
 
@@ -42,8 +41,6 @@ from repro.injection.injector import FaultInjector
 from repro.memory.cache import Cache, CacheConfig
 from repro.npb.suite import Scenario, build_scenario_suite
 from repro.orchestration.database import ResultsDatabase
-from repro.orchestration.jobs import JobBatcher
-from repro.orchestration.runner import execute_job
 
 #: The acceptance-criterion mix of the memory/cache fault dimension.
 ACCEPTANCE_MIX = {"gpr": 0.6, "memory": 0.3, "cache": 0.1}
@@ -482,26 +479,6 @@ class TestTargetMixAxis:
         swept = suite.sweep_target_mixes([None, ACCEPTANCE_MIX])
         assert len(swept) == 2 * len(suite)
         assert len({s.scenario_id for s in swept}) == len(swept)
-
-    def test_jobs_carry_and_enforce_the_mix(self, golden_cached, tmp_path):
-        model = FaultModel("armv8", 1, seed=2, target_mix={"gpr": 1.0})
-        faults = model.generate(golden_cached.total_instructions, 4)
-        spool = tmp_path / "golden.pickle"
-        spool.write_bytes(pickle.dumps(golden_cached))
-        jobs = JobBatcher(faults_per_job=8).batch(
-            golden_cached.scenario, str(spool), faults, target_mix={"gpr": 1.0}
-        )
-        assert jobs[0].target_mix == (("gpr", 1.0),)
-        assert jobs[0].describe()["target_mix"] == {"gpr": 1.0}
-        results = execute_job(jobs[0])
-        assert len(results) == 4
-        # a fault outside the declared mix is rejected before execution
-        rogue = FaultDescriptor(9, injection_time=50, core_id=0,
-                                target_kind=TARGET_MEMORY, register_index=0, bit=0,
-                                address=0x10_0000)
-        jobs[0].faults.append(rogue)
-        with pytest.raises(SimulatorError):
-            execute_job(jobs[0])
 
 
 class TestTargetTable:

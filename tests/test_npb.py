@@ -163,10 +163,10 @@ class TestGoldenExecution:
         omp = run_scenario(Scenario("IS", "omp", 4, "armv8"))
         assert mpi.load_balance() <= omp.load_balance()
 
-    def test_instruction_budget_scales_with_golden(self):
-        scenario = Scenario("IS", "serial", 1, "armv8")
-        assert instruction_budget(scenario, golden_instructions=100_000) == 400_000
-        assert instruction_budget(scenario) > 0
+    def test_instruction_budget_is_per_isa(self):
+        armv8 = instruction_budget(Scenario("IS", "serial", 1, "armv8"))
+        # softfloat makes armv7 runs several times longer
+        assert instruction_budget(Scenario("IS", "serial", 1, "armv7")) > armv8 > 0
 
 
 class TestCommonHelpers:

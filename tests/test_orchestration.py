@@ -6,6 +6,7 @@ import os
 import pickle
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,17 +42,14 @@ from repro.orchestration.runner import (
 
 def synthetic_report(app="IS", mode="serial", cores=1, isa="armv8", counts=None, stats=None):
     """A hand-built report (no simulation); counts fill the outcome map."""
-    from repro.injection.classify import empty_outcome_counts, outcome_percentages, rate_pct
+    from repro.injection.classify import empty_outcome_counts
 
     scenario = Scenario(app=app, mode=mode, cores=cores, isa=isa)
     full_counts = empty_outcome_counts()
     full_counts.update(counts or {})
     return ScenarioReport(
         scenario=scenario,
-        faults_injected=sum(full_counts.values()),
         counts=full_counts,
-        percentages=outcome_percentages(full_counts),
-        masking_rate_pct=rate_pct(full_counts, "masked"),
         golden_summary={"scenario": scenario.scenario_id, "instructions": 10_000},
         golden_stats=stats or {},
         wall_time_seconds=0.01,
@@ -79,7 +77,7 @@ class TestJobBatcher:
         jobs = JobBatcher(faults_per_job=10).batch(golden.scenario, golden_ref, faults)
         assert [len(job) for job in jobs] == [10, 10, 5]
         assert [job.job_id for job in jobs] == [0, 1, 2]
-        assert jobs[0].describe()["scenario_id"] == golden.scenario.scenario_id
+        assert jobs[0].scenario.scenario_id == golden.scenario.scenario_id
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
@@ -519,34 +517,47 @@ class TestCampaignStore:
 
     def test_resume_rejects_mismatched_config(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
-        store.write_manifest(["A"], CampaignConfig(seed=1).as_dict(), None)
-        store.check_resumable(["A"], CampaignConfig(seed=1).as_dict(), None)  # same: fine
+        store.write_manifest(["A"], CampaignConfig(seed=1).as_dict())
+        manifest = store.read_manifest()
+        assert "faults" not in manifest
+        store.check_resumable(["A"], CampaignConfig(seed=1).as_dict())  # same: fine
+        # older stores carry a null top-level "faults" key, which resumes
+        manifest["faults"] = None
+        store.manifest_path.write_text(json.dumps(manifest))
+        store.check_resumable(["A"], CampaignConfig(seed=1).as_dict())
         with pytest.raises(SimulatorError):
-            store.check_resumable(["A"], CampaignConfig(seed=2).as_dict(), None)
+            store.check_resumable(["A"], CampaignConfig(seed=2).as_dict())
         with pytest.raises(SimulatorError):
-            store.check_resumable(["A"], CampaignConfig(seed=1).as_dict(), 99)
+            store.check_resumable(["A"], CampaignConfig(seed=1, faults_per_scenario=99).as_dict())
 
     def test_resume_mismatch_names_the_differing_keys(self, tmp_path):
         """The rejection must say *what* differs, not just that it does."""
         store = CampaignStore(tmp_path / "store")
-        store.write_manifest(["A"], CampaignConfig(seed=1, watchdog_multiplier=4).as_dict(), 50)
+        stored = CampaignConfig(seed=1, watchdog_multiplier=4, faults_per_scenario=50)
+        store.write_manifest(["A"], stored.as_dict())
         with pytest.raises(SimulatorError, match=r"seed: store has 1, requested 2"):
-            store.check_resumable(["A"], CampaignConfig(seed=2, watchdog_multiplier=4).as_dict(), 50)
-        with pytest.raises(SimulatorError, match=r"faults: store has 50, requested 99"):
-            store.check_resumable(["A"], CampaignConfig(seed=1).as_dict(), 99)
+            store.check_resumable(["A"], replace(stored, seed=2).as_dict())
+        with pytest.raises(
+            SimulatorError, match=r"faults_per_scenario: store has 50, requested 99"
+        ):
+            store.check_resumable(["A"], replace(stored, faults_per_scenario=99).as_dict())
         # several mismatches are all named
         with pytest.raises(SimulatorError, match=r"seed:.*watchdog_multiplier:") as excinfo:
-            store.check_resumable(
-                ["A"], CampaignConfig(seed=3, watchdog_multiplier=8).as_dict(), 50
-            )
+            store.check_resumable(["A"], replace(stored, seed=3, watchdog_multiplier=8).as_dict())
         assert "checkpoint_interval" not in str(excinfo.value)  # matching keys stay out
+        # a numeric top-level "faults" key is refused, and named
+        manifest = store.read_manifest()
+        manifest["faults"] = 50
+        store.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SimulatorError, match=r"faults: store has 50"):
+            store.check_resumable(["A"], stored.as_dict())
 
     def test_resume_rejects_unknown_scenarios(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
-        store.write_manifest(["A", "B"], CampaignConfig().as_dict(), None)
-        store.check_resumable(["A"], CampaignConfig().as_dict(), None)  # subset: fine
+        store.write_manifest(["A", "B"], CampaignConfig().as_dict())
+        store.check_resumable(["A"], CampaignConfig().as_dict())  # subset: fine
         with pytest.raises(SimulatorError):
-            store.check_resumable(["A", "C"], CampaignConfig().as_dict(), None)
+            store.check_resumable(["A", "C"], CampaignConfig().as_dict())
 
     def test_failure_record_round_trip_and_clear(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -633,7 +644,7 @@ class TestScenarioLeases:
         """claim_next across processes: every scenario claimed exactly once."""
         store = CampaignStore(tmp_path / "store")
         suite_ids = [f"S{i:02d}" for i in range(8)]
-        store.write_manifest(suite_ids, CampaignConfig().as_dict(), None)
+        store.write_manifest(suite_ids, CampaignConfig().as_dict())
         context = pool_context("fork")
         barrier = context.Barrier(2)
         queue = context.Queue()
@@ -657,7 +668,7 @@ class TestScenarioLeases:
         store = CampaignStore(tmp_path / "store")
         report = synthetic_report(counts={"Vanished": 2})
         sid = report.scenario_id
-        store.write_manifest([sid], CampaignConfig().as_dict(), None)
+        store.write_manifest([sid], CampaignConfig().as_dict())
         assert store.acquire_lease(sid, "w1", ttl=10.0, now=1000.0) is not None
         # w1 goes silent; at now=1020 its lease is expired and w2's
         # claim_next reclaims + re-leases the scenario.
@@ -687,9 +698,7 @@ class TestScenarioLeases:
     def test_claim_next_skips_completed_and_live_leases(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         report = synthetic_report(counts={"Vanished": 1})
-        store.write_manifest(
-            [report.scenario_id, "B", "C"], CampaignConfig().as_dict(), None
-        )
+        store.write_manifest([report.scenario_id, "B", "C"], CampaignConfig().as_dict())
         store.write_shard(report)  # completed
         store.acquire_lease("B", "other", ttl=60.0)  # live lease
         lease = store.claim_next("me", ttl=60.0)
@@ -802,7 +811,6 @@ class TestRunLeased:
         store.write_manifest(
             [s.scenario_id for s in self.SCENARIOS],
             CampaignConfig(faults_per_scenario=6, seed=999).as_dict(),
-            None,
         )
         with pytest.raises(SimulatorError, match="seed"):
             self._runner().run_leased(self.SCENARIOS, store)

@@ -6,6 +6,7 @@ the worker agent's poll/execute/report loop, and the CLI's subcommand
 parser (including the back-compat shim for pre-subcommand invocations).
 """
 
+import dataclasses
 import importlib.util
 import io
 import os
@@ -125,7 +126,7 @@ class TestResultsService:
             )
         }
         order = sorted(reports, reverse=True)  # deliberately not sorted order
-        store.write_manifest(order, CampaignConfig().as_dict(), None)
+        store.write_manifest(order, CampaignConfig().as_dict())
         for report in reports.values():
             store.write_shard(report)
         database = ResultsService(store).database()
@@ -134,7 +135,7 @@ class TestResultsService:
     def test_status_counts_and_failures(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         report = synthetic_report(counts={"Vanished": 4})
-        store.write_manifest([report.scenario_id, "B"], CampaignConfig().as_dict(), None)
+        store.write_manifest([report.scenario_id, "B"], CampaignConfig().as_dict())
         store.write_shard(report)
         store.write_failure(
             ScenarioFailure("B", "golden", "RuntimeError", "boom", attempts=2)
@@ -152,7 +153,7 @@ class TestResultsService:
     def test_format_status_renders_failures_and_leases(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         report = synthetic_report(counts={"Vanished": 4})
-        store.write_manifest([report.scenario_id, "B"], CampaignConfig().as_dict(), None)
+        store.write_manifest([report.scenario_id, "B"], CampaignConfig().as_dict())
         store.write_shard(report)
         store.write_failure(
             ScenarioFailure("B", "golden", "RuntimeError", "boom", attempts=2)
@@ -170,7 +171,7 @@ class TestResultsService:
     def test_tables_render_from_shards(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         report = synthetic_report(counts={"Vanished": 5, "SDC": 3})
-        store.write_manifest([report.scenario_id], CampaignConfig().as_dict(), 8)
+        store.write_manifest([report.scenario_id], CampaignConfig(faults_per_scenario=8).as_dict())
         store.write_shard(report)
         service = ResultsService(store)
         for name in TABLE_NAMES:
@@ -181,7 +182,7 @@ class TestResultsService:
     def test_fixed_count_status_has_no_adaptive_section(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         report = synthetic_report(counts={"Vanished": 4})
-        store.write_manifest([report.scenario_id], CampaignConfig().as_dict(), None)
+        store.write_manifest([report.scenario_id], CampaignConfig().as_dict())
         store.write_shard(report)
         status = ResultsService(store).status(now=1000.0)
         assert "adaptive" not in status
@@ -207,7 +208,6 @@ class TestResultsService:
         store.write_manifest(
             [done.scenario_id, flying.scenario_id, "CG-SER-1-armv8"],
             CampaignConfig().as_dict(),
-            None,
             plan=plan.as_dict(),
         )
         store.write_shard(done)
@@ -265,6 +265,8 @@ class TestCoordinatorEndpoints:
         assert grant["scenario"]["app"] == "IS"  # manifest order
         assert grant["config"] == CONFIG.as_dict()
         assert grant["lease_ttl"] == 45.0
+        assert "faults" not in grant  # the count travels in the config
+        assert "faults" not in coordinator.store.read_manifest()
         assert coordinator.lease_grants == {"IS-SER-1-armv8": 1}
         assert coordinator.grant_log == [("IS-SER-1-armv8", "w1")]
         # everything leased out: peers get null but not done
@@ -280,7 +282,7 @@ class TestCoordinatorEndpoints:
             if grant["scenario"] is None:
                 break
             scenario = Scenario.from_dict(grant["scenario"])
-            report = runner.run_one(scenario, grant["faults"])
+            report = runner.run_one(scenario)
             response = coordinator.complete("w1", scenario.scenario_id, report.to_payload())
             assert response["ok"] is True
         assert coordinator.done is True
@@ -484,8 +486,9 @@ class TestWorkerAgentExecution:
             if path == "/renew":
                 return {"ok": True}
             if path == "/lease" and self.calls.count("/lease") == 1:
-                return {"scenario": self.scenario.as_dict(), "faults": 2,
-                        "config": CONFIG.as_dict(), "lease_ttl": 60.0}
+                config = dataclasses.replace(CONFIG, faults_per_scenario=2)
+                return {"scenario": self.scenario.as_dict(),
+                        "config": config.as_dict(), "lease_ttl": 60.0}
             if path == "/lease" and not self.lease_outage:
                 return {"scenario": None, "done": True}
             raise ConnectionError(f"coordinator unreachable at {path}")
@@ -650,8 +653,8 @@ class TestLeaseLivenessUnderRecovery:
         scenario_id = self.SCENARIO.scenario_id
 
         class StolenLeaseRunner(CampaignRunner):
-            def run_one(self, scenario, faults=None, pool=None, **kwargs):
-                report = super().run_one(scenario, faults, pool, **kwargs)
+            def run_one(self, scenario, pool=None, **kwargs):
+                report = super().run_one(scenario, pool, **kwargs)
                 # forced expiry mid-recovery: the lease vanishes and a
                 # peer reclaims the scenario before we try to commit
                 assert store.release_lease(scenario_id, "w1") is True

@@ -3,6 +3,8 @@ priors, the adaptive controller, and cross-driver bit-identity."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -390,6 +392,7 @@ class TestAdaptiveDrivers:
         runner = CampaignRunner(config=CONFIG, plan=PLAN)
         runner.run_one(SCENARIO, checkpoint=lambda sid, payload: checkpoints.append(payload))
         assert checkpoints, "multi-batch run must checkpoint at least once"
+        assert set(checkpoints[0]) == {"batches", "results"}
         resumed = CampaignRunner(config=CONFIG, plan=PLAN).run_one(
             SCENARIO, partial=checkpoints[0]
         )
@@ -411,7 +414,7 @@ class TestAdaptiveDrivers:
 
     def test_fixed_count_payload_has_no_adaptive_keys(self, stats_campaign):
         campaign, _ = stats_campaign
-        fixed = ScenarioCampaign(SCENARIO, CONFIG).run(count=8)
+        fixed = ScenarioCampaign(SCENARIO, dataclasses.replace(CONFIG, faults_per_scenario=8)).run()
         assert fixed.adaptive is None
         assert "adaptive" not in fixed.to_payload()
         assert not any(key.startswith("adaptive_") for key in fixed.as_record())
@@ -458,7 +461,7 @@ class TestEfficiencyTable:
 
     def test_fixed_count_reports_are_skipped(self):
         database = ResultsDatabase()
-        fixed = ScenarioCampaign(SCENARIO, CONFIG).run(count=4)
+        fixed = ScenarioCampaign(SCENARIO, dataclasses.replace(CONFIG, faults_per_scenario=4)).run()
         database.add_report(fixed)
         assert efficiency_rows(database) == []
         assert average_saving([]) == 0.0
