@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper.  The
-fault-injection campaign that feeds Figures 2/3 and Tables 2-4 runs
-once per session over a configurable scenario subset; rendered
-tables/figures are written to ``benchmarks/output/``.
+fault-injection campaign that feeds Tables 1-4, Figures 2/3 and
+Section 4.2 runs once per session over a configurable scenario
+subset; rendered tables/figures are written to ``benchmarks/output/``.
 
 Environment knobs
 -----------------
@@ -20,7 +20,6 @@ import pytest
 from bench_helpers import OUTPUT_DIR, bench_faults, bench_scenarios, bench_workers
 
 from repro.injection.campaign import CampaignConfig
-from repro.injection.golden import GoldenRunner
 from repro.orchestration.runner import CampaignRunner
 
 
@@ -35,10 +34,3 @@ def campaign_database():
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     database.export_csv(OUTPUT_DIR / "campaign_summary.csv")
     return database
-
-
-@pytest.fixture(scope="session")
-def golden_results():
-    """Golden runs (no faults) of the benchmark scenario subset."""
-    runner = GoldenRunner(model_caches=False)
-    return [runner.run(scenario, collect_stats=False) for scenario in bench_scenarios()]

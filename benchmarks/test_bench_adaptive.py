@@ -148,7 +148,7 @@ def test_bench_adaptive_vs_fixed_count():
 
     write_output(
         "efficiency_table.txt",
-        render_efficiency_table(efficiency_rows(database, PLAN.as_dict())),
+        render_efficiency_table(efficiency_rows(database)),
     )
 
     for scenario_id, entry in scenarios_payload.items():

@@ -6,13 +6,13 @@ from repro.analysis.section42 import render_section42, section42_summary
 from repro.profiling.functional import FunctionalProfiler
 
 
-def test_bench_section42(benchmark, campaign_database, golden_results):
+def test_bench_section42(benchmark, campaign_database):
     # profile a couple of parallel scenarios for the vulnerability window
     profiler = FunctionalProfiler()
     parallel = [s for s in bench_scenarios() if s.mode in ("omp", "mpi") and s.isa == "armv8"][:4]
     profiles = [profiler.run(scenario) for scenario in parallel]
 
-    summary = benchmark(section42_summary, campaign_database, golden_results, profiles)
+    summary = benchmark(section42_summary, campaign_database, profiles)
     write_output("section42.txt", render_section42(summary))
 
     masking = summary["masking"]

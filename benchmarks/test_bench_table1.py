@@ -10,13 +10,14 @@ from bench_helpers import write_output
 from repro.analysis.table1 import instruction_ratio, render_table1, table1_rows
 
 
-def test_bench_table1(benchmark, golden_results):
-    rows = benchmark(table1_rows, golden_results, 8000)
+def test_bench_table1(benchmark, campaign_database):
+    rows = benchmark(table1_rows, campaign_database, 8000)
     text = render_table1(rows)
-    write_output("table1.txt", text + f"\n\nARMv7/ARMv8 instruction ratio: {instruction_ratio(golden_results):.1f}x")
+    ratio = instruction_ratio(campaign_database)
+    write_output("table1.txt", text + f"\n\nARMv7/ARMv8 instruction ratio: {ratio:.1f}x")
 
     # paper shape: ARMv7 executes many times more instructions than ARMv8
-    assert instruction_ratio(golden_results) > 3.0
+    assert ratio > 3.0
     v7_instr = next(r for r in rows if r["metric"] == "executed_instructions" and r["isa"] == "armv7")
     v8_instr = next(r for r in rows if r["metric"] == "executed_instructions" and r["isa"] == "armv8")
     assert v7_instr["average"] > v8_instr["average"]

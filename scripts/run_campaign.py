@@ -324,6 +324,14 @@ def select_suite(args: argparse.Namespace):
     return suite
 
 
+def list_suite(suite) -> int:
+    """The --list dry run: print the expanded scenario matrix."""
+    for scenario in suite:
+        print(scenario.scenario_id)
+    print(f"-- {len(suite)} scenarios")
+    return 0
+
+
 def campaign_config(args: argparse.Namespace) -> CampaignConfig:
     return CampaignConfig(
         faults_per_scenario=args.faults,
@@ -339,10 +347,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("no scenarios match the given filters", file=sys.stderr)
         return 2
     if args.list:
-        for scenario in suite:
-            print(scenario.scenario_id)
-        print(f"-- {len(suite)} scenarios")
-        return 0
+        return list_suite(suite)
 
     try:
         plan = sampling_plan(args)
@@ -398,7 +403,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.analysis import efficiency_rows, render_efficiency_table
 
         print()
-        print(render_efficiency_table(efficiency_rows(database, plan.as_dict())))
+        print(render_efficiency_table(efficiency_rows(database)))
     for failure in database.failures:
         print(f"FAILED {failure.scenario_id} [{failure.phase}]: "
               f"{failure.error_type}: {failure.error}")
@@ -414,11 +419,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.npb.suite import build_program
     from repro.staticlint import (
         analyze_liveness,
-        analyze_program,
         analyze_scenario,
         validate_store,
         variable_ranks,
     )
+    from repro.stats.strata import static_vulnerability
 
     if args.validate is not None:
         report = validate_store(args.validate)
@@ -433,27 +438,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("no scenarios match the given filters", file=sys.stderr)
         return 2
     if args.list:
-        for scenario in suite:
-            print(scenario.scenario_id)
-        print(f"-- {len(suite)} scenarios")
-        return 0
+        return list_suite(suite)
 
     vulnerabilities = []
     for scenario in suite:
         if args.static_only:
-            program = build_program(
-                scenario.app, scenario.mode, scenario.isa, scenario.hardening
-            )
-            vulnerabilities.append(
-                analyze_program(
-                    program,
-                    scenario_id=scenario.scenario_id,
-                    app=scenario.app,
-                    mode=scenario.mode,
-                    isa=scenario.isa,
-                    hardening=scenario.hardening_label,
-                )
-            )
+            vulnerabilities.append(static_vulnerability(scenario))
         else:
             vulnerabilities.append(analyze_scenario(scenario))
     print(render_predicted_avf(vulnerabilities))
@@ -488,10 +478,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("no scenarios match the given filters", file=sys.stderr)
         return 2
     if args.list:
-        for scenario in suite:
-            print(scenario.scenario_id)
-        print(f"-- {len(suite)} scenarios")
-        return 0
+        return list_suite(suite)
     try:
         coordinator = CampaignCoordinator(
             CampaignStore(args.store),

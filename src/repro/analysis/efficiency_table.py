@@ -15,7 +15,7 @@ completed adaptive store (or database materialized from one).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.render import render_table
 from repro.errors import SimulatorError
@@ -49,12 +49,11 @@ def _achieved_half_width(adaptive: dict) -> float:
     return max(estimate["half_width"] for estimate in estimates.values())
 
 
-def efficiency_rows(database, plan: Optional[dict] = None) -> list[dict]:
+def efficiency_rows(database) -> list[dict]:
     """One row per adaptive scenario in the database.
 
-    ``plan`` (the manifest's plan dict) supplies the campaign-wide
-    stopping rule; without it each shard's own recorded plan is used,
-    so the table also works on a database assembled from mixed runs.
+    The stopping rule comes from each shard's own recorded plan, so the
+    table also works on a database assembled from mixed runs.
     Scenarios without an ``adaptive`` payload (fixed-count shards) are
     skipped.
     """
@@ -63,9 +62,8 @@ def efficiency_rows(database, plan: Optional[dict] = None) -> list[dict]:
         adaptive = report.adaptive
         if not adaptive:
             continue
-        scenario_plan = plan or adaptive.get("plan") or {}
-        target = float(scenario_plan.get("target_half_width", 0.02))
-        confidence = float(scenario_plan.get("confidence", 0.95))
+        target = float(adaptive["plan"]["target_half_width"])
+        confidence = float(adaptive["plan"]["confidence"])
         fixed = fixed_equivalent(target, confidence)
         spent = int(adaptive["spent"])
         rows.append(

@@ -8,14 +8,18 @@ has three panels:
 * (b) OpenMP applications — stacked outcome percentages for SER-1,
   OMP-1, OMP-2, OMP-4;
 * (c) the per-category MPI-vs-OpenMP mismatch.
+
+The cell lookup and the displayed percentages defined here are shared
+with Tables 2-4 and Section 4.2.
 """
 
 from __future__ import annotations
 
+from typing import Iterator, Optional, Sequence
+
 from repro.analysis.render import render_stacked_bars, render_table
-from repro.injection.classify import OUTCOME_ORDER
-from repro.mining.dataset import Dataset
-from repro.mining.indices import mismatch_table
+from repro.injection.campaign import ScenarioReport
+from repro.injection.classify import OUTCOME_ORDER, total_mismatch
 from repro.orchestration.database import ResultsDatabase
 
 #: Applications shown in the MPI panel (a) of the figures.
@@ -25,7 +29,37 @@ OMP_PANEL_APPS = ["BT", "CG", "DC", "EP", "FT", "IS", "LU", "MG", "SP", "UA"]
 #: Applications with both variants, shown in the mismatch panel (c).
 MISMATCH_PANEL_APPS = ["BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"]
 
-_PCT_KEYS = [f"pct_{outcome.value}" for outcome in OUTCOME_ORDER]
+
+def displayed_percentages(report: ScenarioReport) -> dict[str, float]:
+    """The five outcome percentages at the 3 decimals of the flat records."""
+    percentages = report.percentages
+    return {
+        outcome.value: round(percentages.get(outcome.value, 0.0), 3)
+        for outcome in OUTCOME_ORDER
+    }
+
+
+def scenario_cells(database: ResultsDatabase, isa: str) -> dict[tuple[str, str, int], ScenarioReport]:
+    """The first report (in database order) of each (app, mode, cores) cell of one ISA."""
+    cells: dict[tuple[str, str, int], ScenarioReport] = {}
+    for report in database.reports.values():
+        scenario = report.scenario
+        if scenario.isa == isa:
+            cells.setdefault((scenario.app, scenario.mode, scenario.cores), report)
+    return cells
+
+
+def api_pairs(
+    database: ResultsDatabase, isa: str, apps: Optional[Sequence[str]] = None
+) -> Iterator[tuple[str, int, ScenarioReport, ScenarioReport]]:
+    """``(app, cores, mpi_report, omp_report)`` for every cell run with both APIs."""
+    cells = scenario_cells(database, isa)
+    for app in sorted({app for app, _, _ in cells}) if apps is None else apps:
+        for cores in (1, 2, 4):
+            mpi = cells.get((app, "mpi", cores))
+            omp = cells.get((app, "omp", cores))
+            if mpi is not None and omp is not None:
+                yield app, cores, mpi, omp
 
 
 def figure_rows(database: ResultsDatabase, isa: str, api: str) -> list[dict]:
@@ -35,29 +69,34 @@ def figure_rows(database: ResultsDatabase, isa: str, api: str) -> list[dict]:
     its serial bar (SER-1) plus the available API-1/2/4 bars, exactly as
     the figure groups them.
     """
-    data = Dataset(database.scenario_records()).filter_equal(isa=isa)
+    cells = scenario_cells(database, isa)
     apps = MPI_PANEL_APPS if api == "mpi" else OMP_PANEL_APPS
     rows = []
     for app in apps:
-        variants = []
-        serial = data.filter_equal(app=app, mode="serial")
-        if len(serial):
-            variants.append(("SER-1", serial.records[0]))
-        for cores in (1, 2, 4):
-            matched = data.filter_equal(app=app, mode=api, cores=cores)
-            if len(matched):
-                variants.append((f"{api.upper()}-{cores}", matched.records[0]))
-        for label, record in variants:
-            row = {"app": app, "config": label, "bar": f"{app}:{label}"}
-            for key in _PCT_KEYS:
-                row[key.replace("pct_", "")] = float(record.get(key, 0.0))
-            rows.append(row)
+        variants = [("SER-1", cells.get((app, "serial", 1)))]
+        variants += [(f"{api.upper()}-{cores}", cells.get((app, api, cores))) for cores in (1, 2, 4)]
+        for label, report in variants:
+            if report is not None:
+                rows.append(
+                    {"app": app, "config": label, "bar": f"{app}:{label}", **displayed_percentages(report)}
+                )
     return rows
 
 
 def mismatch_rows(database: ResultsDatabase, isa: str) -> list[dict]:
-    """Panel (c) rows: MPI minus OpenMP outcome difference per app/core count."""
-    return mismatch_table(Dataset(database.scenario_records()), isa=isa, apps=MISMATCH_PANEL_APPS)
+    """Panel (c) rows: MPI minus OpenMP outcome difference per app/core count.
+
+    ``total_mismatch`` is the sum of the absolute differences.
+    """
+    rows = []
+    for app, cores, mpi, omp in api_pairs(database, isa, MISMATCH_PANEL_APPS):
+        mpi_pct = displayed_percentages(mpi)
+        omp_pct = displayed_percentages(omp)
+        row = {"app": app, "cores": cores, "isa": isa, "total_mismatch": total_mismatch(mpi_pct, omp_pct)}
+        for outcome, pct in mpi_pct.items():
+            row[f"diff_{outcome}"] = pct - omp_pct[outcome]
+        rows.append(row)
+    return rows
 
 
 def figure_data(database: ResultsDatabase, isa: str) -> dict:

@@ -11,37 +11,50 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro.analysis.figures23 import api_pairs
 from repro.analysis.render import render_table
-from repro.injection.golden import GoldenRunResult
-from repro.mining.dataset import Dataset
-from repro.mining.indices import masking_comparison
 from repro.orchestration.database import ResultsDatabase
 from repro.profiling.functional import FunctionalProfile
 
 
 def masking_summary(database: ResultsDatabase) -> dict:
-    """MPI-vs-OpenMP masking-rate comparison over both ISAs."""
-    dataset = Dataset(database.scenario_records())
+    """MPI-vs-OpenMP masking-rate comparison over both ISAs (Section 4.2.2).
+
+    MPI wins a comparison when its masking rate, at the 3 decimals of
+    the flat records, is at least OpenMP's.
+    """
     summary = {}
-    total_comparisons = 0
-    total_wins = 0
     for isa in ("armv7", "armv8"):
-        result = masking_comparison(dataset, isa)
-        summary[isa] = result
-        total_comparisons += result["comparisons"]
-        total_wins += result["mpi_wins"]
-    summary["total_comparisons"] = total_comparisons
-    summary["total_mpi_wins"] = total_wins
+        details = [
+            {
+                "app": app,
+                "cores": cores,
+                "mpi": round(mpi.masking_rate_pct, 3),
+                "omp": round(omp.masking_rate_pct, 3),
+            }
+            for app, cores, mpi, omp in api_pairs(database, isa)
+        ]
+        summary[isa] = {
+            "comparisons": len(details),
+            "mpi_wins": sum(1 for entry in details if entry["mpi"] >= entry["omp"]),
+            "details": details,
+        }
+    summary["total_comparisons"] = sum(summary[isa]["comparisons"] for isa in ("armv7", "armv8"))
+    summary["total_mpi_wins"] = sum(summary[isa]["mpi_wins"] for isa in ("armv7", "armv8"))
     return summary
 
 
-def load_balance_summary(golden_results: Iterable[GoldenRunResult]) -> dict[str, float]:
-    """Average per-core instruction imbalance per parallelisation API."""
+def load_balance_summary(database: ResultsDatabase) -> dict[str, float]:
+    """Average per-core instruction imbalance of the multi-core golden runs, per API.
+
+    Reports without golden statistics contribute nothing.
+    """
     per_mode: dict[str, list[float]] = {"mpi": [], "omp": []}
-    for golden in golden_results:
-        mode = golden.scenario.mode
-        if mode in per_mode and golden.scenario.cores > 1:
-            per_mode[mode].append(golden.load_balance_pct)
+    for report in database.reports.values():
+        scenario = report.scenario
+        balance = report.golden_stats.get("load_balance_pct")
+        if scenario.mode in per_mode and scenario.cores > 1 and balance is not None:
+            per_mode[scenario.mode].append(balance)
     return {
         mode: (sum(values) / len(values) if values else 0.0)
         for mode, values in per_mode.items()
@@ -63,12 +76,12 @@ def vulnerability_window_summary(profiles: Iterable[FunctionalProfile]) -> dict[
 
 def section42_summary(
     database: ResultsDatabase,
-    golden_results: Optional[Iterable[GoldenRunResult]] = None,
     profiles: Optional[Iterable[FunctionalProfile]] = None,
 ) -> dict:
-    summary = {"masking": masking_summary(database)}
-    if golden_results is not None:
-        summary["load_balance_pct"] = load_balance_summary(golden_results)
+    summary = {
+        "masking": masking_summary(database),
+        "load_balance_pct": load_balance_summary(database),
+    }
     if profiles is not None:
         summary["vulnerability_window"] = vulnerability_window_summary(profiles)
     return summary
@@ -85,11 +98,10 @@ def render_section42(summary: dict) -> str:
             details = masking[isa]["details"]
             if details:
                 lines.append(render_table(details, columns=["app", "cores", "mpi", "omp"], title=f"masking rate (%) — {isa}"))
-    if "load_balance_pct" in summary:
-        balance = summary["load_balance_pct"]
-        lines.append(
-            f"average per-core instruction imbalance: MPI {balance.get('mpi', 0.0):.2f}% vs OMP {balance.get('omp', 0.0):.2f}%"
-        )
+    balance = summary["load_balance_pct"]
+    lines.append(
+        f"average per-core instruction imbalance: MPI {balance['mpi']:.2f}% vs OMP {balance['omp']:.2f}%"
+    )
     if "vulnerability_window" in summary:
         window = summary["vulnerability_window"]
         lines.append(

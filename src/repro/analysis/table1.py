@@ -2,16 +2,16 @@
 
 The paper reports, per ISA, the smallest / average / largest single-run
 simulation time, fault-campaign time and executed instruction count.
-The reproduction regenerates the same rows from golden runs of the
-scenario suite; the headline shape to reproduce is the large
-ARMv7-vs-ARMv8 gap in executed instructions caused by the software
-floating point library.
+The reproduction regenerates the same rows from the golden-run summary
+that every scenario report of a campaign database carries; the
+headline shape to reproduce is the large ARMv7-vs-ARMv8 gap in
+executed instructions caused by the software floating point library.
 """
 
 from __future__ import annotations
 
 from repro.analysis.render import render_table
-from repro.injection.golden import GoldenRunResult
+from repro.orchestration.database import ResultsDatabase
 
 
 def _summary(values: list[float]) -> dict[str, float]:
@@ -24,11 +24,23 @@ def _summary(values: list[float]) -> dict[str, float]:
     }
 
 
+def _golden_runs(database: ResultsDatabase, isa: str) -> list[tuple[float, int]]:
+    """(single-run wall time, executed instructions) of each golden run on one ISA."""
+    return [
+        (
+            float(report.golden_summary.get("wall_time_seconds", 0.0)),
+            int(report.golden_summary.get("instructions", 0)),
+        )
+        for report in database.reports.values()
+        if report.scenario.isa == isa
+    ]
+
+
 def table1_rows(
-    golden_results: list[GoldenRunResult],
+    database: ResultsDatabase,
     faults_per_scenario: int = 8000,
 ) -> list[dict]:
-    """Build the Table 1 rows from a set of golden runs.
+    """Build the Table 1 rows from a campaign database's golden runs.
 
     The "fault campaign" figures are projections: single-run wall time
     multiplied by the configured number of faults per scenario, which is
@@ -37,11 +49,11 @@ def table1_rows(
     """
     rows = []
     for isa in ("armv8", "armv7"):
-        subset = [g for g in golden_results if g.scenario.isa == isa]
-        sim_time = _summary([g.wall_time_seconds for g in subset])
-        instructions = _summary([float(g.total_instructions) for g in subset])
+        subset = _golden_runs(database, isa)
+        sim_time = _summary([wall for wall, _ in subset])
+        instructions = _summary([float(count) for _, count in subset])
         campaign_hours = _summary(
-            [g.wall_time_seconds * faults_per_scenario / 3600.0 for g in subset]
+            [wall * faults_per_scenario / 3600.0 for wall, _ in subset]
         )
         rows.append(
             {
@@ -66,18 +78,19 @@ def table1_rows(
         )
     total_rows = []
     for isa in ("armv8", "armv7"):
-        subset = [g for g in golden_results if g.scenario.isa == isa]
-        total_hours = sum(g.wall_time_seconds * faults_per_scenario / 3600.0 for g in subset)
+        total_hours = sum(
+            wall * faults_per_scenario / 3600.0 for wall, _ in _golden_runs(database, isa)
+        )
         total_rows.append(
             {"metric": "total_fault_campaign_h", "isa": isa, "smaller": "", "average": "", "larger": round(total_hours, 3)}
         )
     return rows + total_rows
 
 
-def instruction_ratio(golden_results: list[GoldenRunResult]) -> float:
+def instruction_ratio(database: ResultsDatabase) -> float:
     """Average ARMv7 / ARMv8 executed-instruction ratio (paper: ~25x)."""
-    v7 = [g.total_instructions for g in golden_results if g.scenario.isa == "armv7"]
-    v8 = [g.total_instructions for g in golden_results if g.scenario.isa == "armv8"]
+    v7 = [count for _, count in _golden_runs(database, "armv7")]
+    v8 = [count for _, count in _golden_runs(database, "armv8")]
     if not v7 or not v8:
         return 0.0
     return (sum(v7) / len(v7)) / (sum(v8) / len(v8))

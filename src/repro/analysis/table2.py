@@ -8,9 +8,8 @@ with the core count.
 
 from __future__ import annotations
 
+from repro.analysis.figures23 import displayed_percentages
 from repro.analysis.render import render_table
-from repro.mining.dataset import Dataset
-from repro.mining.indices import fb_index_table
 from repro.orchestration.database import ResultsDatabase
 
 #: The four macro scenarios of Table 2.
@@ -23,21 +22,36 @@ TABLE2_GROUPS = [
 
 
 def table2_rows(database: ResultsDatabase, app: str = "IS") -> list[dict]:
-    """Build Table 2 rows (one row per scenario group and core count)."""
-    dataset = Dataset(database.scenario_records())
+    """Build Table 2 rows (one row per scenario group and core count).
+
+    The F*B index is the product of the golden run's branch and
+    function-call counts over that of the group's first (single-core)
+    row; a zero baseline product leaves the raw products.
+    """
     rows = []
     for app_name, mode, isa, label in TABLE2_GROUPS:
         if app_name != app:
             app_name = app
-        for entry in fb_index_table(dataset, app=app_name, isa=isa, mode=mode):
+        group = [
+            report
+            for report in database.reports.values()
+            if (report.scenario.app, report.scenario.isa, report.scenario.mode) == (app_name, isa, mode)
+        ]
+        baseline = None
+        for report in sorted(group, key=lambda report: report.scenario.cores):
+            branches = float(report.golden_stats.get("branches_total", 0.0))
+            calls = float(report.golden_stats.get("function_calls_total", 0.0))
+            product = branches * calls
+            if baseline is None:
+                baseline = product if product > 0 else 1.0
             rows.append(
                 {
                     "scenario_group": label if app == "IS" else f"{app} {mode.upper()} {isa}",
-                    "cores": entry["cores"],
-                    "hang_pct": round(entry["hang_pct"], 3),
-                    "branches": entry["branches"],
-                    "function_calls": entry["function_calls"],
-                    "fb_index": round(entry["fb_index"], 3),
+                    "cores": report.scenario.cores,
+                    "hang_pct": displayed_percentages(report)["Hang"],
+                    "branches": branches,
+                    "function_calls": calls,
+                    "fb_index": round(product / baseline, 3),
                 }
             )
     return rows

@@ -9,9 +9,8 @@ flat.
 
 from __future__ import annotations
 
+from repro.analysis.figures23 import displayed_percentages, scenario_cells
 from repro.analysis.render import render_table
-from repro.mining.dataset import Dataset
-from repro.mining.indices import memory_transaction_table
 from repro.orchestration.database import ResultsDatabase
 
 #: Scenario rows of Table 3 (ARMv7 MPI, memory-bound applications).
@@ -39,26 +38,21 @@ TABLE4_SCENARIOS = [
 
 
 def _rows(database: ResultsDatabase, isa: str, selection) -> list[dict]:
-    dataset = Dataset(database.scenario_records())
+    cells = scenario_cells(database, isa)
     rows = []
     for label, app, mode, cores in selection:
-        matched = dataset.filter_equal(app=app, mode=mode, cores=cores, isa=isa)
-        if len(matched) == 0:
+        report = cells.get((app, mode, cores))
+        if report is None:
             continue
-        record = matched.records[0]
-        scenario_id = record.get("scenario_id")
-        table_rows = memory_transaction_table(dataset, [scenario_id])
-        if not table_rows:
-            continue
-        entry = table_rows[0]
+        pct = displayed_percentages(report)
         rows.append(
             {
                 "row": label,
                 "scenario": f"{app} {mode.upper()}x{cores}",
-                "benign_pct": round(entry["benign_pct"], 2),
-                "ut_pct": round(entry["ut_pct"], 2),
-                "mem_inst_pct": round(entry["mem_inst_pct"], 2),
-                "rd_wr_ratio": round(entry["rd_wr_ratio"], 3),
+                "benign_pct": round(pct["Vanished"] + pct["OMM"] + pct["ONA"], 2),
+                "ut_pct": round(pct["UT"], 2),
+                "mem_inst_pct": round(report.golden_stats.get("memory_instruction_pct", 0.0), 2),
+                "rd_wr_ratio": round(report.golden_stats.get("read_write_ratio", 0.0), 3),
             }
         )
     return rows

@@ -50,7 +50,6 @@ class GoldenRunResult:
     wall_time_seconds: float
     stats: dict[str, float] = field(default_factory=dict)
     load_balance_pct: float = 0.0
-    syscall_counts: dict[str, int] = field(default_factory=dict)
     process_names: list[str] = field(default_factory=list)
     checkpoints: list[SystemSnapshot] = field(default_factory=list)
     #: per-process injectable memory layout: one (base, size, name) list
@@ -159,7 +158,6 @@ class GoldenRunner:
             wall_time_seconds=elapsed,
             stats=stats,
             load_balance_pct=system.load_balance(),
-            syscall_counts=dict(system.kernel.syscall_counts),
             process_names=[p.name for p in system.kernel.processes],
             checkpoints=checkpoints,
             memory_ranges=[

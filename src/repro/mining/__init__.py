@@ -13,21 +13,20 @@ The three analysis steps of the paper map to:
 * step 1/2 — :class:`~repro.mining.dataset.Dataset` and
   :func:`~repro.mining.eda.build_analysis_dataset` (acquisition,
   transformation, initial statistics);
-* step 3 — :mod:`repro.mining.correlation` and
-  :mod:`repro.mining.indices` (relationship mining, derived indices
-  such as the function-calls x branches index of Table 2).
+* step 3 — :mod:`repro.mining.correlation` (relationship mining).
+  The derived indices of the paper's tables (the function-calls x
+  branches index of Table 2, the MPI-vs-OpenMP mismatch and masking
+  comparison, memory share versus UT) are computed by the tables in
+  :mod:`repro.analysis`, straight from the campaign database.
 """
 
 from repro.mining.dataset import Dataset
 from repro.mining.eda import build_analysis_dataset
 from repro.mining.correlation import correlation_matrix, rank_correlations
-from repro.mining.indices import fb_index_table, mismatch_table
 
 __all__ = [
     "Dataset",
     "build_analysis_dataset",
     "correlation_matrix",
     "rank_correlations",
-    "fb_index_table",
-    "mismatch_table",
 ]

@@ -105,25 +105,6 @@ class ResultsDatabase:
                 records.append(result.as_record())
         return records
 
-    def select(self, app=None, mode=None, isa=None, cores=None) -> list[ScenarioReport]:
-        out = []
-        for report in self.reports.values():
-            scenario = report.scenario
-            if app is not None and scenario.app != app:
-                continue
-            if mode is not None and scenario.mode != mode:
-                continue
-            if isa is not None and scenario.isa != isa:
-                continue
-            if cores is not None and scenario.cores != cores:
-                continue
-            out.append(report)
-        return out
-
-    def percentages(self, scenario_id: str) -> dict[str, float]:
-        report = self.reports[scenario_id]
-        return dict(report.percentages)
-
     def total_injections(self) -> int:
         return sum(report.faults_injected for report in self.reports.values())
 

@@ -37,23 +37,6 @@ from repro.orchestration.store import CampaignStore
 TABLE_NAMES = ("table1", "target_table", "hardening_table", "recovery_table", "efficiency_table")
 
 
-class _GoldenView:
-    """Adapter: a shard's golden summary viewed as a golden-run result.
-
-    ``table1_rows`` consumes ``GoldenRunResult`` objects; a results
-    service only has shards.  Each report's ``golden_summary`` carries
-    the two fields Table 1 needs (instruction count, single-run wall
-    time), so this shim re-exposes them under the expected attributes.
-    """
-
-    __slots__ = ("scenario", "total_instructions", "wall_time_seconds")
-
-    def __init__(self, report) -> None:
-        self.scenario = report.scenario
-        self.total_instructions = int(report.golden_summary.get("instructions", 0))
-        self.wall_time_seconds = float(report.golden_summary.get("wall_time_seconds", 0.0))
-
-
 class ResultsService:
     """Cached, concurrency-safe queries over one campaign store."""
 
@@ -211,8 +194,7 @@ class ResultsService:
             faults = (manifest.get("config") or {}).get(
                 "faults_per_scenario", CampaignConfig.faults_per_scenario
             )
-            goldens = [_GoldenView(report) for report in database.reports.values()]
-            rows = table1_rows(goldens, faults_per_scenario=faults)
+            rows = table1_rows(database, faults_per_scenario=faults)
             rendered = render_table1(rows)
         elif name == "target_table":
             rows = target_masking_rows(database)
@@ -224,8 +206,7 @@ class ResultsService:
             rows = recovery_rows(database)
             rendered = render_recovery_table(database)
         elif name == "efficiency_table":
-            manifest = self.store.read_manifest() or {}
-            rows = efficiency_rows(database, manifest.get("plan"))
+            rows = efficiency_rows(database)
             rendered = render_efficiency_table(rows)
         else:
             raise SimulatorError(

@@ -110,8 +110,6 @@ class AdaptiveController:
             self.campaign.scenario,
             self.campaign.golden.total_instructions,
             self.campaign.fault_model().target_mix,
-            time_bins=self.plan.time_bins,
-            buckets=self.plan.rank_buckets,
         )
         self._probs = self.space.probabilities()
         #: per-stratum outcome tallies (NotInjected kept but never counted

@@ -2,7 +2,8 @@
 
 A :class:`SamplingPlan` is the declarative half of the adaptive engine:
 *when to stop* (target half-width at a confidence level, fault budget
-bounds) and *how to draw* (batch size, stratification granularity).
+bounds) and *how to draw* (batch size; the stratification is fixed by
+:func:`repro.stats.strata.build_stratum_space`).
 The procedural half lives in :mod:`repro.stats.controller`.
 
 Plans ride inside campaign-store manifests and coordinator grants, so
@@ -36,12 +37,6 @@ class SamplingPlan:
     min_faults: int = 64
     max_faults: int = 4096
     batch_size: int = 64
-    #: stratification granularity (see repro.stats.strata); the defaults
-    #: are tuned on the tier-1 matrix: finer time bins buy little once
-    #: register-rank buckets separate dead from live registers, and the
-    #: coverage floor of extra strata eats the gain
-    time_bins: int = 4
-    rank_buckets: int = 8
     #: rates the stopping rule watches
     track: Tuple[str, ...] = TRACKED_RATES
 
@@ -56,8 +51,6 @@ class SamplingPlan:
             raise ValueError(
                 f"need 1 <= min_faults <= max_faults, got {self.min_faults}..{self.max_faults}"
             )
-        if self.time_bins < 1 or self.rank_buckets < 1:
-            raise ValueError("time_bins and rank_buckets must be >= 1")
         # Any estimable rate may be tracked (notably "Recovered" for
         # recovery sweeps); only the *default* track stays the narrower
         # TRACKED_RATES so existing plans draw identical batches.

@@ -1,5 +1,8 @@
 """Tests of the per-table/figure experiment drivers (analysis package)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.figure1 import figure1_data, render_figure1, scaling_trends
@@ -9,21 +12,48 @@ from repro.analysis.section42 import masking_summary, render_section42, section4
 from repro.analysis.table1 import instruction_ratio, render_table1, table1_rows
 from repro.analysis.table2 import index_tracks_hangs, render_table2, table2_rows
 from repro.analysis.tables34 import memory_ut_correlation, render_memory_table, table3_rows, table4_rows
-from repro.injection.golden import GoldenRunResult
+from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.npb.suite import Scenario
+from repro.orchestration.database import ResultsDatabase
+
+from test_orchestration import synthetic_report
 
 
-def fake_golden(app, mode, cores, isa, instructions, wall):
-    return GoldenRunResult(
-        scenario=Scenario(app, mode, cores, isa),
-        total_instructions=instructions,
-        output="",
-        memory_snapshots={},
-        final_state=(),
-        exit_ok=True,
-        wall_time_seconds=wall,
-        load_balance_pct=4.0 if mode == "mpi" else 15.0,
-    )
+def golden_report(app, mode, cores, isa, instructions, wall):
+    """A report whose golden run executed ``instructions`` in ``wall`` seconds."""
+    report = synthetic_report(app, mode, cores, isa, counts={"Vanished": 1})
+    report.golden_summary.update(instructions=instructions, wall_time_seconds=wall)
+    return report
+
+
+#: sha256 of ``json.dumps(rows, sort_keys=True)`` on the synthetic
+#: database.  The tables compute from the outcome percentages and
+#: masking rates at the 3 decimals of the flat records; the pins hold
+#: that rounding.
+PINNED_ROWS = {
+    "table2": "e2d18277fa2ec0511938b7e95b35003ba04890592df1f20ab35601a67a177f80",
+    "table3": "b8375856cb0cd7db726ce08ade6bc36813a84e4923b636f9850cde83791b7276",
+    "table4": "9b74a75ebe3ee117b1c6f51634f71022be4cb62875181f6ff26775648fa05cf9",
+    "figure_armv7": "28d6641c69d687f0b1ea4f312087e026434d4d69cbfc6400da1dfcfdcc26e8b5",
+    "figure_armv8": "435198d8948f9e2c65b8bc8e6fd6cff8e0757378fc831ef35ca79600a533a6af",
+    "section42_masking": "c1b4787ed2143637830810f18d5c4b80d3f500abf022239898694d43a55f2071",
+}
+
+ROW_BUILDERS = {
+    "table2": table2_rows,
+    "table3": table3_rows,
+    "table4": table4_rows,
+    "figure_armv7": lambda database: figure_data(database, "armv7"),
+    "figure_armv8": lambda database: figure_data(database, "armv8"),
+    "section42_masking": lambda database: section42_summary(database)["masking"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_rows_are_pinned(synthetic_database, name):
+    rows = ROW_BUILDERS[name](synthetic_database)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_ROWS[name]
 
 
 class TestRenderers:
@@ -59,20 +89,23 @@ class TestFigure1:
 
 class TestTable1:
     def test_rows_and_ratio(self):
-        golden = [
-            fake_golden("CG", "serial", 1, "armv7", 200_000, 0.5),
-            fake_golden("EP", "serial", 1, "armv7", 100_000, 0.3),
-            fake_golden("CG", "serial", 1, "armv8", 10_000, 0.05),
-            fake_golden("EP", "serial", 1, "armv8", 5_000, 0.02),
-        ]
-        rows = table1_rows(golden, faults_per_scenario=100)
+        database = ResultsDatabase()
+        database.add_reports([
+            golden_report("CG", "serial", 1, "armv7", 200_000, 0.5),
+            golden_report("EP", "serial", 1, "armv7", 100_000, 0.3),
+            golden_report("CG", "serial", 1, "armv8", 10_000, 0.05),
+            golden_report("EP", "serial", 1, "armv8", 5_000, 0.02),
+        ])
+        rows = table1_rows(database, faults_per_scenario=100)
         metrics = {(row["metric"], row["isa"]) for row in rows}
         assert ("executed_instructions", "armv7") in metrics
         assert ("total_fault_campaign_h", "armv8") in metrics
         instr_v7 = next(r for r in rows if r["metric"] == "executed_instructions" and r["isa"] == "armv7")
         assert instr_v7["smaller"] == 100_000 and instr_v7["larger"] == 200_000
+        hours_v7 = next(r for r in rows if r["metric"] == "total_fault_campaign_h" and r["isa"] == "armv7")
+        assert hours_v7["larger"] == round((0.5 + 0.3) * 100 / 3600.0, 3)
         # the paper's headline: ARMv7 executes far more instructions than ARMv8
-        assert instruction_ratio(golden) == pytest.approx(20.0)
+        assert instruction_ratio(database) == pytest.approx(20.0)
         assert "Table 1" in render_table1(rows)
 
 
@@ -136,12 +169,24 @@ class TestSection42:
         assert 0 <= summary["total_mpi_wins"] <= summary["total_comparisons"]
 
     def test_full_summary_and_render(self, synthetic_database):
-        golden = [
-            fake_golden("IS", "mpi", 4, "armv8", 10_000, 0.1),
-            fake_golden("IS", "omp", 4, "armv8", 10_000, 0.1),
-        ]
-        summary = section42_summary(synthetic_database, golden_results=golden)
-        assert summary["load_balance_pct"]["mpi"] < summary["load_balance_pct"]["omp"]
+        # reports without golden statistics contribute no load balance
+        synthetic_database.get("IS-MPI-4-armv8").golden_stats["load_balance_pct"] = 4.0
+        synthetic_database.get("IS-OMP-4-armv8").golden_stats["load_balance_pct"] = 15.0
+        summary = section42_summary(synthetic_database)
+        assert summary["load_balance_pct"] == {"mpi": 4.0, "omp": 15.0}
+        assert "vulnerability_window" not in summary
         text = render_section42(summary)
         assert "MPI masking wins" in text
-        assert "imbalance" in text
+        assert "imbalance: MPI 4.00% vs OMP 15.00%" in text
+
+    def test_load_balance_is_the_golden_runs(self):
+        """The database's load balance is the golden runs' own figure."""
+        config = CampaignConfig(faults_per_scenario=2, seed=3)
+        database = ResultsDatabase()
+        golden_balance = {}
+        for mode in ("omp", "mpi"):
+            campaign = ScenarioCampaign(Scenario("IS", mode, 2, "armv8"), config)
+            database.add_report(campaign.run())
+            golden_balance[mode] = campaign.golden.load_balance_pct
+        assert all(value > 0.0 for value in golden_balance.values())
+        assert section42_summary(database)["load_balance_pct"] == golden_balance

@@ -6,7 +6,13 @@ from hypothesis import given, strategies as st
 from repro.mining.correlation import correlation_matrix, pearson, rank_correlations, spearman
 from repro.mining.dataset import Dataset
 from repro.mining.eda import build_analysis_dataset, outcome_by, scenario_summary_statistics
-from repro.mining.indices import fb_index, fb_index_table, masking_comparison, memory_transaction_table, mismatch_table
+from repro.analysis.figures23 import mismatch_rows
+from repro.analysis.section42 import masking_summary
+from repro.analysis.table2 import table2_rows
+from repro.analysis.tables34 import table3_rows
+from repro.orchestration.database import ResultsDatabase
+
+from test_orchestration import synthetic_report
 
 
 @pytest.fixture
@@ -87,20 +93,32 @@ class TestCorrelation:
 
 
 class TestIndices:
-    def test_fb_index_normalisation(self):
-        assert fb_index(10.0, 5.0, baseline=50.0) == pytest.approx(1.0)
-        assert fb_index(20.0, 5.0, baseline=50.0) == pytest.approx(2.0)
-        assert fb_index(1.0, 1.0, baseline=0.0) == 0.0
+    """The derived indices of the mining flow's step 3, checked on the
+    tables that compute them from the campaign database."""
 
-    def test_fb_index_table_monotonic_for_is_mpi(self, dataset):
-        rows = fb_index_table(dataset, app="IS", isa="armv7", mode="mpi")
+    def test_fb_index_normalisation(self):
+        def group(single_core_branches):
+            database = ResultsDatabase()
+            for cores, branches in ((1, single_core_branches), (2, 20.0), (4, 40.0)):
+                database.add_report(synthetic_report(
+                    "IS", "mpi", cores, "armv7",
+                    stats={"branches_total": branches, "function_calls_total": 5.0},
+                ))
+            return [row["fb_index"] for row in table2_rows(database)]
+
+        assert group(10.0) == [1.0, 2.0, 4.0]
+        # a zero single-core product is no baseline: the raw products stay
+        assert group(0.0) == [0.0, 100.0, 200.0]
+
+    def test_fb_index_table_monotonic_for_is_mpi(self, synthetic_database):
+        rows = [row for row in table2_rows(synthetic_database) if row["scenario_group"] == "IS MPI V7"]
         assert [row["cores"] for row in rows] == [1, 2, 4]
         assert rows[0]["fb_index"] == pytest.approx(1.0)
         indices = [row["fb_index"] for row in rows]
         assert indices == sorted(indices)
 
-    def test_mismatch_table(self, dataset):
-        rows = mismatch_table(dataset, isa="armv7", apps=["IS"])
+    def test_mismatch_table(self, synthetic_database):
+        rows = [row for row in mismatch_rows(synthetic_database, "armv7") if row["app"] == "IS"]
         assert len(rows) == 3
         for row in rows:
             assert row["total_mismatch"] >= 0.0
@@ -108,14 +126,14 @@ class TestIndices:
                 sum(abs(row[f"diff_{k}"]) for k in ("Vanished", "ONA", "OMM", "UT", "Hang"))
             )
 
-    def test_memory_transaction_table(self, dataset):
-        rows = memory_transaction_table(dataset, ["MG-MPI-1-armv7", "MG-MPI-4-armv7"])
-        assert len(rows) == 2
-        assert rows[1]["ut_pct"] > rows[0]["ut_pct"]
-        assert rows[1]["mem_inst_pct"] > rows[0]["mem_inst_pct"]
+    def test_memory_transaction_table(self, synthetic_database):
+        rows = {row["scenario"]: row for row in table3_rows(synthetic_database)}
+        single, quad = rows["MG MPIx1"], rows["MG MPIx4"]
+        assert quad["ut_pct"] > single["ut_pct"]
+        assert quad["mem_inst_pct"] > single["mem_inst_pct"]
 
-    def test_masking_comparison(self, dataset):
-        summary = masking_comparison(dataset, isa="armv8")
+    def test_masking_comparison(self, synthetic_database):
+        summary = masking_summary(synthetic_database)["armv8"]
         assert summary["comparisons"] >= 3
         assert 0 <= summary["mpi_wins"] <= summary["comparisons"]
 

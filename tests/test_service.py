@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.table1 import instruction_ratio, render_table1, table1_rows
 from repro.errors import SimulatorError
 from repro.injection.campaign import CampaignConfig
 from repro.npb.suite import Scenario
@@ -178,6 +179,15 @@ class TestResultsService:
             table = service.table(name)
             assert table["table"] == name
             assert isinstance(table["rendered"], str) and table["rendered"]
+
+    def test_table1_reads_the_shards_golden_summaries(self, tmp_path):
+        """The served Table 1 is ``table1_rows`` over the run's own database."""
+        scenarios = [Scenario("IS", "serial", 1, "armv8"), Scenario("IS", "serial", 1, "armv7")]
+        database = CampaignRunner(CONFIG, workers=0).run_suite(scenarios, store=tmp_path / "store")
+        table = ResultsService(tmp_path / "store").table("table1")
+        assert table["rows"] == table1_rows(database, CONFIG.faults_per_scenario)
+        assert table["rendered"] == render_table1(table["rows"])
+        assert instruction_ratio(database) > 1.0
 
     def test_fixed_count_status_has_no_adaptive_section(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

@@ -256,7 +256,7 @@ class TestSamplingPlan:
             {"confidence": 1.0},
             {"batch_size": 0},
             {"min_faults": 10, "max_faults": 5},
-            {"time_bins": 0},
+            {"min_faults": 0},
             {"track": ("masked", "bogus")},
             {"track": ()},
         ],
@@ -264,6 +264,20 @@ class TestSamplingPlan:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SamplingPlan(**kwargs)
+
+    def test_store_with_stratification_keys_is_refused(self, tmp_path):
+        """An adaptive store whose manifest plan holds keys a plan does
+        not have (``time_bins``, ``rank_buckets``) does not resume, and
+        the error names ``plan``."""
+        store = CampaignStore(tmp_path / "store")
+        older = {**PLAN.as_dict(), "time_bins": 4, "rank_buckets": 8}
+        store.write_manifest([SCENARIO.scenario_id], CONFIG.as_dict(), plan=older)
+        with pytest.raises(SimulatorError, match=r"plan: store has"):
+            CampaignRunner(config=CONFIG, plan=PLAN).run_suite(
+                [SCENARIO], store=store, resume=True
+            )
+        with pytest.raises(ValueError, match="unknown sampling plan keys.*rank_buckets"):
+            SamplingPlan.from_dict(older)
 
 
 class TestMinedPrior:
@@ -448,7 +462,7 @@ class TestEfficiencyTable:
         _, reference = stats_campaign
         database = ResultsDatabase()
         database.add_report(reference)
-        rows = efficiency_rows(database, PLAN.as_dict())
+        rows = efficiency_rows(database)
         assert len(rows) == 1
         row = rows[0]
         assert row["fixed_equivalent"] == fixed_equivalent(
