@@ -29,8 +29,9 @@ and compare the digests::
 
     PYTHONPATH=src python scripts/records_digest.py --seed 23
 
-One run covers 22 lanes of 320 faults (7,040 records) in about 30 s on
-one core.
+One run covers 22 lanes of 320 faults (7,040 records) in 11–15 s on
+one core of a shared 2-vCPU host under CPython 3.11 (seeds 11 and 23,
+two runs each).
 """
 
 from __future__ import annotations

@@ -40,13 +40,13 @@ def displayed_percentages(report: ScenarioReport) -> dict[str, float]:
 
 
 def scenario_cells(database: ResultsDatabase, isa: str) -> dict[tuple[str, str, int], ScenarioReport]:
-    """The first report (in database order) of each (app, mode, cores) cell of one ISA."""
-    cells: dict[tuple[str, str, int], ScenarioReport] = {}
-    for report in database.reports.values():
-        scenario = report.scenario
-        if scenario.isa == isa:
-            cells.setdefault((scenario.app, scenario.mode, scenario.cores), report)
-    return cells
+    """The baseline report (:meth:`ResultsDatabase.baseline_reports`) of
+    each (app, mode, cores) cell of one ISA."""
+    return {
+        (report.scenario.app, report.scenario.mode, report.scenario.cores): report
+        for report in database.baseline_reports()
+        if report.scenario.isa == isa
+    }
 
 
 def api_pairs(

@@ -47,10 +47,11 @@ def masking_summary(database: ResultsDatabase) -> dict:
 def load_balance_summary(database: ResultsDatabase) -> dict[str, float]:
     """Average per-core instruction imbalance of the multi-core golden runs, per API.
 
-    Reports without golden statistics contribute nothing.
+    Only baseline reports count; those without golden statistics
+    contribute nothing.
     """
     per_mode: dict[str, list[float]] = {"mpi": [], "omp": []}
-    for report in database.reports.values():
+    for report in database.baseline_reports():
         scenario = report.scenario
         balance = report.golden_stats.get("load_balance_pct")
         if scenario.mode in per_mode and scenario.cores > 1 and balance is not None:

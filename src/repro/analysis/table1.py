@@ -25,13 +25,14 @@ def _summary(values: list[float]) -> dict[str, float]:
 
 
 def _golden_runs(database: ResultsDatabase, isa: str) -> list[tuple[float, int]]:
-    """(single-run wall time, executed instructions) of each golden run on one ISA."""
+    """(single-run wall time, executed instructions) of each baseline
+    golden run on one ISA (:meth:`ResultsDatabase.baseline_reports`)."""
     return [
         (
             float(report.golden_summary.get("wall_time_seconds", 0.0)),
             int(report.golden_summary.get("instructions", 0)),
         )
-        for report in database.reports.values()
+        for report in database.baseline_reports()
         if report.scenario.isa == isa
     ]
 

@@ -34,7 +34,7 @@ def table2_rows(database: ResultsDatabase, app: str = "IS") -> list[dict]:
             app_name = app
         group = [
             report
-            for report in database.reports.values()
+            for report in database.baseline_reports()
             if (report.scenario.app, report.scenario.isa, report.scenario.mode) == (app_name, isa, mode)
         ]
         baseline = None

@@ -311,8 +311,10 @@ def state_diff(
     other cycles than a cache-modelling one (golden runs model caches),
     and the simulator only ever reads those counters as deltas.  Cache
     contents are not compared either; they affect cycle counts only,
-    except for pending injected line faults, so callers must not rely
-    on an empty diff while a corrupted line may still be pending.
+    except for pending injected line faults.  A flip still pending in
+    a cache is no difference here, so callers must first check that
+    none is (:meth:`MulticoreSystem.cache_faults_pending`), as
+    ``FaultInjector._converged`` does.
     """
     diff = StateDiff(snapshot.instruction_count)
     if (

@@ -20,7 +20,7 @@ from repro.injection.classify import (
     outcome_percentages,
     rate_pct,
 )
-from repro.injection.fault import FaultDescriptor, FaultModel
+from repro.injection.fault import TARGET_CACHE, FaultDescriptor, FaultModel
 from repro.injection.golden import GoldenRunner, GoldenRunResult
 from repro.hardening.schemes import compile_scheme, normalize_hardening, recovery_retries
 from repro.injection.injector import FaultInjector, InjectionResult
@@ -346,7 +346,8 @@ class ScenarioCampaign:
 
     def run_golden(self) -> GoldenRunResult:
         runner = GoldenRunner(checkpoint_interval=self.config.checkpoint_interval)
-        self.golden = runner.run(self.scenario)
+        mix = self.resolved_target_mix() or {}
+        self.golden = runner.run(self.scenario, cache_faults=mix.get(TARGET_CACHE, 0) > 0)
         return self.golden
 
     def resolved_target_mix(self) -> Optional[dict]:

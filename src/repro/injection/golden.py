@@ -60,6 +60,10 @@ class GoldenRunResult:
     #: injector decides write-first and never-read register faults, with
     #: the memory accesses the memory fates come from
     defuse: Optional[DefUseSummary] = None
+    #: the line events of every cache a cache fault can target (see
+    #: :meth:`~repro.memory.cache.Cache.record`), keyed ``"core<i>_l1d"``
+    #: and ``"l2"``; empty unless the run recorded them
+    cache_events: dict[str, array] = field(default_factory=dict)
 
     def watchdog_budget(self, multiplier: int = 4, floor: int = 50_000) -> int:
         return max(floor, multiplier * self.total_instructions)
@@ -108,7 +112,12 @@ class GoldenRunner:
             raise SimulatorError(f"invalid checkpoint interval {checkpoint_interval}")
         return checkpoint_interval
 
-    def run(self, scenario: Scenario, collect_stats: bool = True) -> GoldenRunResult:
+    def run(
+        self, scenario: Scenario, collect_stats: bool = True, cache_faults: bool = False
+    ) -> GoldenRunResult:
+        """Run ``scenario`` fault-free; ``cache_faults`` (with caches
+        modelled) also records the line events of every cache a cache
+        fault can target, from which the injector decides such faults."""
         interval = self.checkpoint_interval
         program = build_program(scenario.app, scenario.mode, scenario.isa, scenario.hardening)
         system = create_system(scenario, model_caches=self.model_caches)
@@ -120,6 +129,13 @@ class GoldenRunner:
         accesses = array("q")
         for index, process in enumerate(system.kernel.processes):
             process.address_space.record(access_log, accesses, index << TAG_SHIFT)
+        caches = {}
+        if cache_faults and system.model_caches:
+            caches = {f"core{core.core_id}_l1d": core.caches.l1d for core in system.cores}
+            caches["l2"] = system.shared_l2
+        cache_events = {name: array("q") for name in caches}
+        for name, cache in caches.items():
+            cache.record(cache_events[name])
         start = time.perf_counter()
         checkpoints: list[SystemSnapshot] = []
         if interval:
@@ -142,6 +158,8 @@ class GoldenRunner:
             core.access_log = None
         for process in system.kernel.processes:
             process.address_space.record(None)
+        for cache in caches.values():
+            cache.record(None)
         if reason != "completed":
             raise SimulatorError(f"golden run of {scenario.scenario_id} did not complete ({reason})")
         if not system.processes_ok():
@@ -166,4 +184,5 @@ class GoldenRunner:
             defuse=build_summary(
                 access_log, len(system.cores), system.arch, system.total_instructions, accesses
             ),
+            cache_events=cache_events,
         )

@@ -5,7 +5,9 @@ run overwrites before reading it, or never accesses again, is decided
 from the golden run's def-use summary (:mod:`repro.injection.defuse`)
 without restoring or simulating anything: it is Vanished or ONA, with
 the golden instruction count, exactly as a run to the end would find.
-Every other injection restores the nearest golden state at or before
+So is a flipped byte of memory mapped at the injection point whose
+golden fate is decided (:mod:`repro.injection.fates`).  Every other
+injection restores the nearest golden state at or before
 the injection point onto the injector's reused system (a freshly built
 system boots from zero when there is none), simulates it up to the
 injection time, applies the single bit upset to the live state — a
@@ -25,18 +27,17 @@ the golden run never reads — written first, never accessed again, or
 only loaded into registers that are (see :mod:`repro.injection.fates`)
 — the run is the golden run too, and it ends there as the golden run
 with the differences that stay: ONA for a register, OMM for a data or
-heap byte.  A register fault
-decided from the def-use summary is the same rule applied to the
-one-register difference at the injection point.  ``rec`` runs
+heap byte.  A register or memory fault
+decided at its injection point is the same rule applied to the
+one-register or one-byte difference there.  ``rec`` runs
 converge the same way, before a detection and after a rollback; a
 rollback to a golden checkpoint from before the upset (or to boot)
 re-executes the golden run, so it ends the run at once.  A converged
 ``rec`` run is Recovered when it rolled back, Vanished when it did not.
-Cache faults (a corrupted line may still be pending) and injectors
-without checkpoints (the boot-replay oracle, :class:`ReferenceInjector`)
-always run to the end, and the latter decide nothing.  Every early
-exit, the def-use decision included, goes through
-:meth:`FaultInjector._converged`.
+Injectors without checkpoints (the boot-replay oracle,
+:class:`ReferenceInjector`) always run to the end and decide nothing.
+Every early exit, the decisions at the injection point included, goes
+through :meth:`FaultInjector._converged`.
 
 Cache faults need a cache-modelling system: only those injections
 build systems that model the cache hierarchy (``with_caches``), and they
@@ -44,7 +45,12 @@ restore the golden run's cache residency from the checkpoint, so
 that the targeted line population matches a boot replay bit for bit.
 The corrupted line's fate (consumed on the next hit, written back with
 a dirty eviction, or silently dropped with a clean one) decides whether
-the flip ever becomes architectural — see ``repro.memory.cache``.
+the flip ever becomes architectural — see ``repro.memory.cache``.  A
+golden run whose mix draws cache faults logs each such event per line,
+so a flip that the golden run drops, or never touches again, is decided
+right after the prefix, without a post-fault run
+(:meth:`FaultInjector._decide_cache`).  The state match ignores caches,
+so a cache run converges only once no line holds a pending flip.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ from repro.injection.fault import (
     FaultDescriptor,
 )
 from repro.injection.golden import GoldenRunResult
+from repro.memory.cache import DIRTY_EVICTION, HIT, LineEvents
 from repro.npb.suite import Scenario, build_program, create_system, launch_scenario
 from repro.soc.multicore import COMPARED_SEGMENTS, MulticoreSystem
 
@@ -201,6 +208,8 @@ class FaultInjector:
         #: from it is dead (see :meth:`_verdict`)
         self.dead_states = 0
         self._fates = MemoryFates(golden.defuse) if golden.defuse is not None else None
+        #: the golden run's cache line events by cache (each built on first query)
+        self._line_events = {name: LineEvents(log) for name, log in golden.cache_events.items()}
         #: the launched system restores reuse, per ``with_caches``
         self._systems: dict[bool, MulticoreSystem] = {}
         #: golden-run states for cache-less systems in ascending order:
@@ -418,8 +427,10 @@ class FaultInjector:
         golden checkpoint at or before the injection point (boot when
         ``state`` is None): the re-execution starts from fault-free
         state and is the golden run by construction.  A :class:`StateDiff`
-        as ``state`` (``system`` None) is a register fault at its
-        injection point, decided before anything runs (``decided``).
+        as ``state`` (``system`` None) is a register, memory or cache
+        fault at its injection point, decided before any post-fault run
+        (``decided``).  While a cache of ``system`` holds a pending
+        flip, which the state match cannot see, nothing converges.
         """
         if system is None:
             if isinstance(state, StateDiff):
@@ -430,6 +441,8 @@ class FaultInjector:
                 return verdict
             self.clean_rollbacks += 1
             return GOLDEN
+        if system.cache_faults_pending():
+            return None
         summary = self.golden.defuse
         count = state.instruction_count
 
@@ -648,27 +661,88 @@ class FaultInjector:
         return system.run(max_instructions=budget, stop_at_instruction=injection_time)
 
     def _decide(self, fault: FaultDescriptor) -> Optional[Verdict]:
-        """The verdict on a GPR ``fault`` that needs no run, or None.
+        """The verdict on a GPR or memory ``fault`` that needs no run, or None.
 
         At its injection point the faulty state differs from the golden
-        run in the flipped register alone, so :meth:`_converged` decides
-        it from that one-register :class:`StateDiff`: Vanished when the
-        golden run writes the register next, ONA when it never accesses
-        it again.  None when the register is read next, for other
-        targets, for a fault past the end of the run (which is never
-        injected) and for checkpoint-less injectors, which stay plain
-        boot replays.
+        run in the flipped register or byte alone, so :meth:`_converged`
+        decides it from that one-item :class:`StateDiff`: a register
+        is Vanished when the golden run writes it next and ONA when it
+        never accesses it again; a byte as its golden fate says
+        (:meth:`_verdict`).  None when the register or byte is not dead,
+        for a memory target not provably mapped and writable at the
+        injection point (:meth:`_byte_diff`), for other targets, for
+        a fault past the end of the run (which is never injected) and
+        for checkpoint-less injectors, which stay plain boot replays.
         """
         summary = self.golden.defuse
         if (
             summary is None
             or not self.use_checkpoints
-            or fault.target_kind != TARGET_GPR
             or not 0 <= fault.injection_time <= self.golden.total_instructions
         ):
             return None
-        register = (fault.core_id % summary.num_cores, fault.register_index % summary.num_gpr)
-        return self._converged(StateDiff(fault.injection_time, [register]), None) or None
+        if fault.target_kind == TARGET_GPR:
+            register = (fault.core_id % summary.num_cores, fault.register_index % summary.num_gpr)
+            diff = StateDiff(fault.injection_time, [register])
+        elif fault.target_kind == TARGET_MEMORY:
+            diff = self._byte_diff(fault)
+            if diff is None:
+                return None
+        else:
+            return None
+        return self._converged(diff, None) or None
+
+    def _byte_diff(self, fault: FaultDescriptor) -> Optional[StateDiff]:
+        """The one-byte :class:`StateDiff` a memory ``fault`` makes at its
+        injection point, or None when its segment may be unmapped or
+        read-only there.
+
+        Processes are all launched before the run starts, and segments
+        are mapped as threads start and never unmapped, so a byte of a
+        writable segment that the nearest golden state at or before the
+        injection point holds is mapped there too.  Anything else (a
+        thread stack mapped later, or a read-only segment, whose flip
+        snapshots do not track) runs.
+        """
+        state = nearest_checkpoint(self._golden_states, fault.injection_time)
+        if state is None:
+            return None
+        processes = state.kernel["processes"]
+        process = fault.process_index % len(processes)
+        address = fault.address
+        for name, base, size, _data in processes[process]["memory"]["segments"]:
+            if base <= address < base + size:
+                return StateDiff(
+                    fault.injection_time, memory=[(process, name, address, address + 1)]
+                )
+        return None
+
+    def _decide_cache(self, system: MulticoreSystem, fault: FaultDescriptor) -> Optional[Verdict]:
+        """The verdict on a cache ``fault`` just applied to ``system``, or None.
+
+        A pending flip changes no residency, dirty bit or LRU order, so
+        the faulty run is the golden run up to the flipped line's next
+        event in the golden run's log of the cache
+        (:class:`~repro.memory.cache.LineEvents`).  With no event left,
+        a clean eviction or a flush next, the flip never becomes
+        architectural and :meth:`_converged` decides the run from the
+        empty :class:`StateDiff` at the injection point; so it does when
+        the cache held no line to flip.  A hit (the golden run's may be
+        a same-line fast-path hit, which the log holds too) or a dirty
+        eviction commits the flip, and the run goes on.
+        """
+        if not self.use_checkpoints:
+            return None
+        level = fault.cache_level or "l1d"
+        name = "l2" if level == "l2" else f"core{fault.core_id % len(system.cores)}_l1d"
+        events = self._line_events.get(name)
+        if events is None:
+            return None
+        cache = self._target_cache(system, fault)
+        for line in cache.pending_lines():
+            if events.next_event(line, cache.stats.accesses) in (HIT, DIRTY_EVICTION):
+                return None
+        return self._converged(StateDiff(fault.injection_time), None) or None
 
     def run_one(self, fault: FaultDescriptor) -> InjectionResult:
         """Execute a single fault injection and classify its outcome."""
@@ -679,10 +753,7 @@ class FaultInjector:
         recovery: Optional[dict] = None
         verdict = self._decide(fault)
         injected = verdict is not None
-        if injected:
-            if self.recovery_retries is not None:
-                recovery = {"rollbacks": 0, "reexecuted_instructions": 0, "escalated": False}
-        else:
+        if not injected:
             with_caches = fault.target_kind == TARGET_CACHE
             system = self._system_at(fault.injection_time, with_caches=with_caches)
             budget = self.golden.watchdog_budget(self.watchdog_multiplier)
@@ -691,26 +762,27 @@ class FaultInjector:
                 if reason == "breakpoint":
                     detail_prefix = self._apply_fault(system, fault)
                     injected = True
-                    tracked = self._snapshots_track(system, fault)
-                    if not tracked:
-                        self._systems = {
-                            key: kept for key, kept in self._systems.items() if kept is not system
-                        }
-                    # Cache faults never converge: a corrupted line may
-                    # still be pending in a cache, which the state match
-                    # does not compare.  Nor do flips in memory the
-                    # snapshots leave out (``tracked`` false), and
-                    # checkpoint-less injectors stay plain boot replays
-                    # that check the rest.
-                    converge = (
-                        self.use_checkpoints and tracked and fault.target_kind != TARGET_CACHE
-                    )
-                    if self.recovery_retries is None:
-                        verdict = self._run_on(system, budget, converge)[1]
-                    else:
-                        system, recovery, verdict, watchdog_expired, deadlocked = (
-                            self._run_with_recovery(system, fault, budget, tracked, converge)
-                        )
+                    if with_caches:
+                        verdict = self._decide_cache(system, fault)
+                    if verdict is None:
+                        tracked = self._snapshots_track(system, fault)
+                        if not tracked:
+                            self._systems = {
+                                key: kept for key, kept in self._systems.items() if kept is not system
+                            }
+                        # Flips in memory the snapshots leave out
+                        # (``tracked`` false) never converge, and
+                        # checkpoint-less injectors stay plain boot
+                        # replays that check the rest.  A cache run
+                        # converges only once no line holds a pending
+                        # flip (see :meth:`_converged`).
+                        converge = self.use_checkpoints and tracked
+                        if self.recovery_retries is None:
+                            verdict = self._run_on(system, budget, converge)[1]
+                        else:
+                            system, recovery, verdict, watchdog_expired, deadlocked = (
+                                self._run_with_recovery(system, fault, budget, tracked, converge)
+                            )
             except WatchdogTimeout:
                 watchdog_expired = True
             except DeadlockError:
@@ -740,6 +812,9 @@ class FaultInjector:
                 wall_time_seconds=elapsed,
                 scenario_id=self.scenario.scenario_id,
             )
+        if verdict and recovery is None and self.recovery_retries is not None:
+            # Decided before any run: the golden run never detects.
+            recovery = {"rollbacks": 0, "reexecuted_instructions": 0, "escalated": False}
         if verdict:
             # The rest of the run is the golden run: it ends exactly as
             # the golden run did, after the golden instruction count —

@@ -97,6 +97,20 @@ class ResultsDatabase:
         """One flat record per scenario (classification + golden statistics)."""
         return [report.as_record() for report in self.reports.values()]
 
+    def baseline_reports(self) -> list[ScenarioReport]:
+        """The reports of the paper's own campaign: unhardened binaries
+        under the default register-file target mix.
+
+        A store may also hold a cell's hardened or other-mix variants;
+        the paper's tables and figures read only the baseline, and the
+        hardening, recovery and target tables cover the rest.
+        """
+        return [
+            report
+            for report in self.reports.values()
+            if report.scenario.hardening is None and report.target_mix_label == "default"
+        ]
+
     def injection_records(self) -> list[dict]:
         """One flat record per individual injection (when kept)."""
         records = []

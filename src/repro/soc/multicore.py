@@ -234,6 +234,15 @@ class MulticoreSystem:
                 core.caches.flush(include_l2=False)
         self.shared_l2.flush()
 
+    def cache_faults_pending(self) -> bool:
+        """True while an injected flip is still confined to a cached line."""
+        if not self.model_caches:
+            return False
+        caches = [self.shared_l2]
+        for core in self.cores:
+            caches += (core.caches.l1i, core.caches.l1d)
+        return any(cache.pending_lines() for cache in caches)
+
     def processes_ok(self) -> bool:
         """True when every process exited normally with code 0."""
         return all(

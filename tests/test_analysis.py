@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -107,6 +108,54 @@ class TestTable1:
         # the paper's headline: ARMv7 executes far more instructions than ARMv8
         assert instruction_ratio(database) == pytest.approx(20.0)
         assert "Table 1" in render_table1(rows)
+
+
+class TestBaselineVariant:
+    """A store that also holds a cell's hardened and other-mix twins."""
+
+    @staticmethod
+    def _twins(baseline: ResultsDatabase) -> ResultsDatabase:
+        """``baseline`` with a ``dwc+rec`` and a memory-mix twin of every
+        report stored ahead of it, each with other counts and a longer
+        golden run."""
+        mixed = ResultsDatabase()
+        for report in baseline.reports.values():
+            twins = [
+                replace(report, scenario=replace(report.scenario, hardening="dwc+rec")),
+                replace(
+                    report,
+                    scenario=report.scenario.with_target_mix({"gpr": 0.7, "memory": 0.3}),
+                    target_mix_label="gpr0.7+memory0.3",
+                ),
+            ]
+            for twin in twins:
+                twin.counts = {**twin.counts, "Vanished": 0, "UT": 100}
+                twin.golden_summary = {**twin.golden_summary, "instructions": 62_829}
+                twin.golden_stats = {**twin.golden_stats, "branches_total": 1.0}
+                mixed.add_report(twin)
+        mixed.add_reports(baseline.reports.values())
+        return mixed
+
+    def test_table1_reads_the_unhardened_default_mix_golden_run(self):
+        baseline = ResultsDatabase()
+        baseline.add_reports([
+            golden_report("IS", "serial", 1, "armv8", 39_833, 0.1),
+            golden_report("IS", "omp", 2, "armv8", 42_232, 0.1),
+        ])
+        mixed = self._twins(baseline)
+        assert len(mixed) == 3 * len(baseline)
+        rows = table1_rows(mixed, faults_per_scenario=100)
+        assert rows == table1_rows(baseline, faults_per_scenario=100)
+        instructions = next(
+            r for r in rows if r["metric"] == "executed_instructions" and r["isa"] == "armv8"
+        )
+        assert instructions["larger"] == 42_232
+
+    def test_every_paper_table_and_figure_reads_the_baseline(self, synthetic_database):
+        mixed = self._twins(synthetic_database)
+        for name, build in ROW_BUILDERS.items():
+            assert build(mixed) == build(synthetic_database), name
+        assert section42_summary(mixed) == section42_summary(synthetic_database)
 
 
 class TestFigures23:

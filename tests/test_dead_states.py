@@ -5,8 +5,9 @@ only in registers and bytes of writable memory that the rest of the
 golden run provably never reads (``FaultInjector._verdict``), the run
 ends there with the golden instruction count.  These tests pin what
 must not be decided: a stack byte that is loaded into a register read
-next (so a rule on the segment name alone would be wrong), and every
-run that may not converge at all.  ``tests/test_injector_fastpath.py``
+next (so a rule on the segment name alone would be wrong), every run
+that may not converge at all, and a cache run while its corrupted line
+is still pending.  ``tests/test_injector_fastpath.py``
 checks the decided records against boot replays on seeded fault lists.
 """
 
@@ -17,7 +18,7 @@ import pytest
 from repro.checkpoint import restore_snapshot, state_diff
 from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.injection.fault import TARGET_MEMORY, FaultDescriptor
-from repro.injection.injector import MAX_DEAD_BYTES, FaultInjector, ReferenceInjector
+from repro.injection.injector import GOLDEN, MAX_DEAD_BYTES, FaultInjector, ReferenceInjector
 from repro.kernel.loader import TEXT_BASE
 from repro.npb.suite import Scenario, create_system, launch_scenario
 from test_injector_fastpath import _records
@@ -89,7 +90,7 @@ def test_a_stack_byte_loaded_into_a_live_register_is_not_decided(lane):
 def test_a_never_read_heap_byte_is_decided_omm(lane):
     # The positive control: a heap byte the golden run never touches
     # after the flip stays wrong to the end, so the run is decided at
-    # the next golden state, as the boot replay's OMM.
+    # its injection point, before any restore, as the boot replay's OMM.
     _campaign, golden = lane
     injector = FaultInjector(SCENARIO, golden)
     time = golden.checkpoints[2].instruction_count + 5
@@ -101,7 +102,8 @@ def test_a_never_read_heap_byte_is_decided_omm(lane):
     )
     fault = _memory_fault(0, time, address, 3)
     result = injector.run_one(fault)
-    assert injector.dead_states == 1
+    assert injector.decided == 1 and injector.dead_states == 0
+    assert injector.fast_forwards == injector.boot_replays == 0
     assert result.outcome == "OMM"
     reference = ReferenceInjector(SCENARIO, golden)
     assert _records([result]) == _records([reference.run_one(fault)])
@@ -122,15 +124,23 @@ def test_runs_that_may_not_converge_make_no_dead_state_decisions(lane):
     replay = FaultInjector(SCENARIO, golden, use_checkpoints=False)
     assert _records(replay.run_many(dead[:4])) == _records(fast.run_many(dead[:4]))
     assert replay.dead_states == replay.convergences == 0
-    # a corrupted cache line may still be pending; a read-only flip is
-    # invisible to snapshots
-    cache = ScenarioCampaign(
-        SCENARIO, CampaignConfig(seed=11, target_mix={"cache": 1.0})
-    ).build_fault_list(40)
+    # a read-only flip is invisible to snapshots
     text = [
         _memory_fault(index, fault.injection_time, TEXT_BASE + 4 * index, index % 8)
         for index, fault in enumerate(dead[:6])
     ]
     untracked = FaultInjector(SCENARIO, golden)
-    untracked.run_many(cache + text)
+    untracked.run_many(text)
     assert untracked.dead_states == untracked.convergences == 0
+    # a corrupted cache line may still be pending: the state match
+    # ignores caches, so no golden state ends the run until it is not
+    checkpoint = golden.checkpoints[2]
+    system = create_system(SCENARIO, model_caches=True)
+    launch_scenario(system, SCENARIO)
+    restore_snapshot(checkpoint, system)
+    assert fast._converged(checkpoint, system) == GOLDEN
+    system.cores[0].caches.l1d.inject_resident_fault(0, 5)
+    assert system.cache_faults_pending()
+    convergences = fast.convergences
+    assert fast._converged(checkpoint, system) is None
+    assert fast.convergences == convergences

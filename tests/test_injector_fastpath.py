@@ -409,3 +409,96 @@ def test_decided_register_faults_match_the_boot_replay():
         assert backward == forward, scenario.scenario_id
         matched_past_injection += fast.convergences - fast.decided
     assert matched_past_injection > 0
+
+
+# ---------------------------------------------------------------------------
+# memory and cache faults decided without a post-fault run
+# ---------------------------------------------------------------------------
+
+#: The memory campaign mix (``scripts/records_digest.py``'s ``memhier``).
+MEMHIER_MIX = {"gpr": 0.6, "memory": 0.3, "cache": 0.1}
+
+MEMHIER_SCENARIOS = [Scenario("IS", "serial", 1, "armv7"), Scenario("LU", "omp", 2, "armv8")]
+
+
+@pytest.fixture(scope="module", params=MEMHIER_SCENARIOS, ids=lambda s: s.scenario_id)
+def memhier_lane(request):
+    """The memory and cache faults of a seeded memhier draw, run on the
+    fast path, with the faults the injector decided."""
+    scenario = request.param
+    campaign = ScenarioCampaign(scenario, CampaignConfig(seed=29, target_mix=MEMHIER_MIX))
+    golden = campaign.run_golden()
+    faults = [
+        fault
+        for fault in campaign.build_fault_list(400)
+        if fault.target_kind in (TARGET_MEMORY, TARGET_CACHE)
+    ]
+    fast = FaultInjector(scenario, golden)
+    records, decided = [], []
+    for fault in faults:
+        before = fast.decided
+        records += _records([fast.run_one(fault)])
+        decided.append(fast.decided > before)
+    return golden, faults, fast, records, decided
+
+
+def test_decided_memory_and_cache_faults_match_the_boot_replay(memhier_lane):
+    golden, faults, fast, records, decided = memhier_lane
+    reference = ReferenceInjector(golden.scenario, golden)
+    expected = _records(reference.run_many(faults))
+    assert records == expected
+    assert reference.decided == reference.convergences == 0
+    for kind in (TARGET_MEMORY, TARGET_CACHE):
+        kinds = [fault.target_kind == kind for fault in faults]
+        assert any(k and d for k, d in zip(kinds, decided)), kind
+        assert any(k and not d for k, d in zip(kinds, decided)), kind
+    # A consumed line that changes the outcome: decided as masked, it
+    # would read Vanished.
+    assert any(
+        record["target_kind"] == TARGET_CACHE and not was and record["outcome"] != "Vanished"
+        for record, was in zip(expected, decided)
+    )
+    backward = _records(fast.run_many(faults[::-1]))[::-1]
+    assert backward == records
+
+
+def test_decided_cache_faults_leave_the_line_unconsumed(memhier_lane):
+    # A decided cache fault never reaches memory: it reads Vanished with
+    # the golden instruction count, as the boot replay does.
+    golden, faults, _fast, records, decided = memhier_lane
+    cache = [
+        record
+        for fault, record, was in zip(faults, records, decided)
+        if was and fault.target_kind == TARGET_CACHE
+    ]
+    assert cache
+    for record in cache:
+        assert record["outcome"] == "Vanished"
+        assert record["executed_instructions"] == golden.total_instructions
+
+
+def test_unmapped_and_read_only_memory_targets_still_run():
+    scenario = Scenario("IS", "omp", 2, "armv8")
+    golden = ScenarioCampaign(scenario, CampaignConfig(target_mix=MEMHIER_MIX)).run_golden()
+    index, stack_name = _late_stack(golden)
+    base = next(base for base, _size, name in golden.memory_ranges[0] if name == stack_name)
+    faults = [
+        # a worker's stack, flipped before the worker is spawned
+        FaultDescriptor(
+            0, injection_time=1, core_id=0, target_kind=TARGET_MEMORY,
+            register_index=0, bit=1, address=base + 64,
+        ),
+        # the text image, which snapshots do not hold
+        FaultDescriptor(
+            1, injection_time=golden.checkpoints[index].instruction_count + 3, core_id=0,
+            target_kind=TARGET_MEMORY, register_index=0, bit=0, address=TEXT_BASE,
+        ),
+    ]
+    injector = FaultInjector(scenario, golden)
+    for fault in faults:
+        assert injector._decide(fault) is None
+    records = _records(injector.run_many(faults))
+    assert injector.decided == 0
+    assert injector.fast_forwards + injector.boot_replays == len(faults)
+    assert records[0]["detail"].startswith("memory target unmapped")
+    assert records == _records(ReferenceInjector(scenario, golden).run_many(faults))

@@ -6,11 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.checkpoint import memory_diff
+from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.errors import AlignmentFault, MemoryFault, SimulatorError
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import (
+    CLEAN_EVICTION,
+    DIRTY_EVICTION,
+    FLUSH,
+    HIT,
+    Cache,
+    CacheConfig,
+    LineEvents,
+    RecordingCache,
+)
 from repro.memory.hierarchy import CORTEX_A_CACHE_CONFIG, CacheHierarchy
 from repro.memory.main_memory import AddressSpace, MemorySegment, PERM_RO, PERM_RW
 from repro.memory.main_memory import TAG_SHIFT, Transfer
+from repro.npb.suite import Scenario
 
 
 def make_space() -> AddressSpace:
@@ -283,6 +294,58 @@ class TestCache:
         assert l2.stats.accesses == 1
         l1.access(0x200)
         assert l2.stats.accesses == 1  # L1 hit does not reach L2
+
+    def test_recording_logs_line_events_with_ordinals_then_stops_cleanly(self):
+        cache = Cache(CacheConfig("c", 128, 2, 64))  # one set, two ways
+        cache.access(0x000)
+        log = array("q")
+        cache.record(log)
+        assert type(cache) is RecordingCache
+        cache.access(0x004)  # 2: slow-path hit on line 0
+        cache.access(0x008, write=True)  # 3: same-line fast-path hit, line 0 dirty
+        cache.access(0x040)  # 4: miss
+        cache.access(0x080)  # 5: miss, evicts dirty line 0
+        cache.access(0x0C0)  # 6: miss, evicts clean line 1
+        cache.access(0x0C4)  # 7: fast-path hit on line 3
+        cache.flush()
+        pairs = list(zip(log[0::2], log[1::2]))
+        assert pairs == [
+            (2, 0 << 2 | HIT),
+            (3, 0 << 2 | HIT),
+            (5, 0 << 2 | DIRTY_EVICTION),
+            (6, 1 << 2 | CLEAN_EVICTION),
+            (7, 3 << 2 | HIT),
+            (7, FLUSH),
+        ]
+        events = LineEvents(log)
+        assert events.next_event(0, 1) == HIT
+        assert events.next_event(0, 3) == DIRTY_EVICTION
+        assert events.next_event(1, 4) == CLEAN_EVICTION
+        assert events.next_event(3, 6) == HIT
+        assert events.next_event(2, 5) == FLUSH  # line 2 is never touched again
+        assert events.next_event(3, 7) is None  # a flush at the ordinal itself may precede it
+        cache.record(None)
+        assert type(cache) is Cache
+        assert not hasattr(cache, "_log")
+        cache.access(0x000)
+        cache.access(0x000)
+        cache.flush()
+        assert len(log) == 12
+
+    def test_only_a_golden_run_that_draws_cache_faults_records(self):
+        scenario = Scenario("IS", "serial", 1, "armv8")
+        plain = ScenarioCampaign(scenario, CampaignConfig()).run_golden()
+        assert plain.cache_events == {}
+        mix = {"gpr": 0.9, "cache": 0.1}
+        recorded = ScenarioCampaign(scenario, CampaignConfig(target_mix=mix)).run_golden()
+        assert set(recorded.cache_events) == {"core0_l1d", "l2"}
+        for log in recorded.cache_events.values():
+            assert list(log[0::2]) == sorted(log[0::2])
+        assert HIT in {code & 3 for code in recorded.cache_events["core0_l1d"][1::2]}
+        # Recording changes nothing the golden run reports.
+        assert recorded.total_instructions == plain.total_instructions
+        assert recorded.stats == plain.stats
+        assert [c.shared_l2 for c in recorded.checkpoints] == [c.shared_l2 for c in plain.checkpoints]
 
 
 class TestHierarchy:

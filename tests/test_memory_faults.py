@@ -338,7 +338,10 @@ class TestCacheFaultInjection:
         restored = [(r.outcome, r.detail, r.executed_instructions) for r in fast.run_many(faults)]
         booted = [(r.outcome, r.detail, r.executed_instructions) for r in slow.run_many(faults)]
         assert restored == booted
-        assert fast.fast_forwards == len(faults)
+        # Memory faults decided at the injection point restore nothing;
+        # every other fault fast-forwards from a checkpoint.
+        assert fast.boot_replays == 0
+        assert fast.fast_forwards + fast.decided == len(faults)
 
     def test_cache_fault_without_cache_checkpoints_falls_back_to_boot(self):
         golden = GoldenRunner(model_caches=False, checkpoint_interval=512).run(
